@@ -21,9 +21,9 @@ from typing import Any, Sequence
 from .errors import DomainError, PolybohrError, PreconditionError, SolverError, WitnessSearchError
 from .functionals import VERIFY_TOL, FunctionalSpec, eval_functional, verify_theorem
 from .radii import closed_form_radius, solve_radius
-from .series import random_schur_series
+from .series import SYNTH_CHUNK, random_schur_series_many
 from .sharpness import extremal_slice, find_witness, reproduce_counterexample
-from .slices import PolydiscSlice, random_equimodular_slice
+from .slices import PolydiscSlice, random_equimodular_slices
 
 COMMANDS = ("radius", "verify", "witness", "sweep", "counterexample")
 
@@ -268,10 +268,10 @@ def _run_radius(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
     return code, [row], lines
 
 
-def _slice_for_seed(cfg: RunConfig, seed: int) -> PolydiscSlice:
+def _slices_for_seeds(cfg: RunConfig, seeds: Sequence[int]) -> list[PolydiscSlice]:
     if cfg.spec.kind == "classical":
-        return PolydiscSlice.from_components([random_schur_series(seed, cfg.truncation)])
-    return random_equimodular_slice(seed, m=cfg.m, n_terms=cfg.truncation)
+        return [PolydiscSlice.from_components([s]) for s in random_schur_series_many(seeds, cfg.truncation)]
+    return random_equimodular_slices(seeds, m=cfg.m, n_terms=cfg.truncation)
 
 
 def _run_verify(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
@@ -279,24 +279,28 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
     r = cfg.r if cfg.r is not None else radius
     count = cfg.seeds if cfg.seeds is not None else 100
     rows = []
-    failures = 0
+    failures = genuine = 0
     max_upper = 0.0
-    for seed in range(count):
-        sl = _slice_for_seed(cfg, seed)
-        ok, value = verify_theorem(sl, cfg.spec, r, phases=cfg.phases)
-        failures += (not ok)
-        max_upper = max(max_upper, value.upper)
-        rows.append(
-            {
-                **_spec_cells(cfg),
-                "lambda_or_seed": seed,
-                "r": r,
-                "value_lower": value.lower,
-                "value_upper": value.upper,
-                "tail": value.tail,
-                "bound_ok": ok,
-            }
-        )
+    # Synthesize one chunk of seeds at a time and evaluate it before the
+    # next, so the resident corpus stays bounded.
+    for start in range(0, count, SYNTH_CHUNK):
+        seeds = range(start, min(start + SYNTH_CHUNK, count))
+        for seed, sl in zip(seeds, _slices_for_seeds(cfg, seeds)):
+            ok, value = verify_theorem(sl, cfg.spec, r, phases=cfg.phases)
+            failures += (not ok)
+            genuine += (not ok) and value.lower > 1.0
+            max_upper = max(max_upper, value.upper)
+            rows.append(
+                {
+                    **_spec_cells(cfg),
+                    "lambda_or_seed": seed,
+                    "r": r,
+                    "value_lower": value.lower,
+                    "value_upper": value.upper,
+                    "tail": value.tail,
+                    "bound_ok": ok,
+                }
+            )
     passed = count - failures
     lines = [
         f"verify {cfg.spec.kind} at r = {_fmt(r)}: {passed}/{count} pass, "
@@ -304,8 +308,8 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
     ]
     if failures:
         lines.append(
-            f"{failures} slice(s) exceed 1 + {_fmt(VERIFY_TOL)}: multi-component slices may "
-            "genuinely exceed the bound when different components dominate different orders"
+            f"{failures} slice(s) exceed 1 + {_fmt(VERIFY_TOL)}: {genuine} genuine (lower > 1), "
+            f"{failures - genuine} inconclusive (lower <= 1 < upper)"
         )
     return (0 if failures == 0 else 1), rows, lines
 
@@ -335,7 +339,7 @@ def _run_sweep(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
         label: Any = cfg.lam
     else:
         seed = cfg.seeds if cfg.seeds is not None else 0
-        sl = _slice_for_seed(cfg, seed)
+        sl = _slices_for_seeds(cfg, [seed])[0]
         label = seed
     rows = []
     all_pass = True

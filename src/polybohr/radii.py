@@ -19,6 +19,7 @@ functions as a single numbered family for sweep-style callers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -309,6 +310,16 @@ def solve_radius(k: int | None = None, func: Callable[[float], float] | None = N
     return solve_decreasing_root(func, tol=tol)
 
 
+@functools.lru_cache(maxsize=64)
+def _composed_radius(k: int) -> float:
+    """Solved order-k radius, memoized per k.
+
+    Verification and witness searches ask for it once per slice or
+    candidate; the solve is deterministic, so one bisection per k suffices.
+    """
+    return solve_radius(k=k).radius
+
+
 def closed_form_radius(spec: "FunctionalSpec") -> float:
     """Sharp radius of a functional: the largest r at which it stays <= 1.
 
@@ -322,7 +333,7 @@ def closed_form_radius(spec: "FunctionalSpec") -> float:
     if kind == "refined_p":
         return REFINED_RADIUS_P1 if spec.p == 1 else REFINED_RADIUS_P2
     if kind == "composed_k":
-        return solve_radius(k=spec.k).radius
+        return _composed_radius(spec.k)
     if kind == "classical":
         return CLASSICAL_RADIUS
     raise DomainError(f"unknown functional kind {kind!r}")

@@ -16,13 +16,20 @@ recursion below), and it is what licenses the geometric tail bounds of
 :func:`tail_bound`: all discarded coefficients are bounded by
 1 - |a0|^2, so every truncated functional evaluation can be promoted to a
 rigorous two-sided enclosure of the untruncated value.
+
+Reproducibility: Schur synthesis is bit-reproducible for a given seed on
+one machine, whether series are synthesized alone or in batches.  Across
+machines it may not be: the truncated quotient's dot products run OpenBLAS
+``zdotu``, whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds), and
+the numerator/denominator recursion amplifies rounding by up to 3.1e-5, so
+the stored coefficients of one seed can differ from one CPU to another.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
@@ -34,6 +41,10 @@ DEFAULT_ORDER = 64
 #: Slack allowed on the coefficient bound when validating certified series.
 #: Well above double-precision accumulation error at the default order.
 COEFF_SLACK = 1e-12
+
+#: Parameter rows per block of the batched Schur synthesis; bounds the
+#: (rows, N + 1) temporaries of the recursion.
+SYNTH_CHUNK = 64
 
 
 class BoundKind(enum.Enum):
@@ -132,17 +143,59 @@ def mobius_series(lam: float, sign: MobiusSign, n_terms: int = DEFAULT_ORDER) ->
     return TruncatedSeries(a0=lam, coeffs=coeffs.astype(np.complex128), schur_certified=True)
 
 
-def _truncated_quotient(num: np.ndarray, den: np.ndarray, n_terms: int) -> np.ndarray:
-    """First n_terms + 1 coefficients of num/den, assuming den[0] = 1."""
-    out = np.zeros(n_terms + 1, dtype=np.complex128)
-    num = num[: n_terms + 1]
-    for n in range(n_terms + 1):
-        acc = num[n] if n < num.size else 0.0
-        jmax = min(n, den.size - 1)
-        if jmax >= 1:
-            acc -= np.dot(den[1 : jmax + 1], out[n - 1 :: -1][:jmax])
-        out[n] = acc
+def _truncated_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Coefficients of num/den to their common length, assuming den[0] = 1.
+
+    The result is built reversed in one contiguous buffer (coefficient n at
+    index -1 - n), so the coefficients n-1, ..., 0 that each dot product
+    needs form a contiguous slice and numpy hands them to BLAS uncopied.
+    """
+    width = num.size
+    rev = np.empty(width, dtype=np.complex128)
+    rev[-1] = num[0]
+    for n in range(1, width):
+        rev[-1 - n] = num[n] - np.dot(den[1 : n + 1], rev[width - n :])
+    return rev[::-1]
+
+
+def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
+    """Coefficients a0, c_1 .. c_N of the Schur function of each parameter row.
+
+    Runs the numerator/denominator recursion of
+    :func:`schur_series_from_params` once per parameter index over a block
+    of rows (each row sees the same elementwise arithmetic as a single
+    series), then the truncated quotient row by row.  Works through
+    :data:`SYNTH_CHUNK` rows at a time to bound the temporaries.
+
+    Args:
+        params: (rows, K) block of Schur parameters, K >= 1.
+        n_terms: truncation order N.
+
+    Returns:
+        (rows, N + 1) array; row i holds a0, c_1, ..., c_N of row i.
+    """
+    if n_terms < 1:
+        raise DomainError(f"truncation order must be >= 1, got {n_terms}")
+    rows, width = params.shape[0], n_terms + 1
+    out = np.empty((rows, width), dtype=np.complex128)
+    for start in range(0, rows, SYNTH_CHUNK):
+        block = params[start : start + SYNTH_CHUNK]
+        conj = np.conj(block)
+        p = np.zeros((block.shape[0], width), dtype=np.complex128)  # tail f = 0
+        q = np.zeros_like(p)
+        q[:, 0] = 1.0
+        tp = np.zeros_like(p)
+        for j in range(block.shape[1] - 1, -1, -1):
+            tp[:, 1:] = p[:, :-1]  # t * p, truncated
+            p, q = block[:, j : j + 1] * q + tp, q + conj[:, j : j + 1] * tp
+        for i in range(block.shape[0]):
+            out[start + i] = _truncated_quotient(p[i], q[i])
     return out
+
+
+def _certified(row: np.ndarray) -> TruncatedSeries:
+    """The certified series of one synthesized row a0, c_1, ..., c_N."""
+    return TruncatedSeries(a0=row[0], coeffs=row[1:], schur_certified=True)
 
 
 def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -173,17 +226,19 @@ def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_O
         raise DomainError("params must be a nonempty 1-d sequence")
     if np.any(np.abs(gams) > 1.0 + 1e-15):
         raise DomainError("Schur parameters must have modulus <= 1")
+    return _certified(_synthesize_rows(gams[np.newaxis, :], n_terms)[0])
 
-    width = n_terms + 1
-    p = np.zeros(width, dtype=np.complex128)  # tail f = 0
-    q = np.zeros(width, dtype=np.complex128)
-    q[0] = 1.0
-    for g in gams[::-1]:
-        tp = np.zeros(width, dtype=np.complex128)
-        tp[1:] = p[:-1]  # t * p, truncated
-        p, q = g * q + tp, q + np.conj(g) * tp
-    coeffs = _truncated_quotient(p, q, n_terms)
-    return TruncatedSeries(a0=coeffs[0], coeffs=coeffs[1:], schur_certified=True)
+
+def random_schur_series_many(seeds: Iterable[int], n_terms: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
+    """:func:`random_schur_series` for each seed, synthesized as one block."""
+    rows = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        radius = np.sqrt(rng.uniform(0.0, 1.0, size=n_terms + 1))
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=n_terms + 1)
+        rows.append(radius * np.exp(1j * angle))
+    params = np.array(rows, dtype=np.complex128).reshape(len(rows), n_terms + 1)
+    return [_certified(row) for row in _synthesize_rows(params, n_terms)]
 
 
 def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -193,11 +248,7 @@ def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSer
     unit disc with a seeded generator, so membership in the Schur class is
     guaranteed by construction rather than by rejection.
     """
-    rng = np.random.default_rng(seed)
-    radius = np.sqrt(rng.uniform(0.0, 1.0, size=n_terms + 1))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=n_terms + 1)
-    params = radius * np.exp(1j * angle)
-    return schur_series_from_params(params, n_terms)
+    return random_schur_series_many([seed], n_terms)[0]
 
 
 def eval_series(s: TruncatedSeries, t: complex) -> complex:

@@ -15,7 +15,7 @@ the only consumer allowed to bypass it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from .series import (
     TailBudget,
     TailTermKind,
     TruncatedSeries,
+    _certified,
+    _synthesize_rows,
     eval_series_many,
-    schur_series_from_params,
     tail_bound,
 )
 
@@ -172,6 +173,39 @@ def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> Tai
     return worst
 
 
+def random_equimodular_slices(
+    seeds: Iterable[int],
+    m: int | None = None,
+    n_terms: int = DEFAULT_ORDER,
+) -> list[PolydiscSlice]:
+    """:func:`random_equimodular_slice` for each seed, synthesized as one block.
+
+    Draws every seed's parameters in the single-seed order, then makes one
+    batched synthesis call over all components.
+    """
+    if m is not None and m < 1:
+        raise DomainError(f"component count must be >= 1, got {m}")
+    rows, counts = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 4)) if m is None else m
+        rho = np.sqrt(rng.uniform(0.0, 1.0))
+        for _ in range(count):
+            radius = np.sqrt(rng.uniform(0.0, 1.0, size=n_terms + 1))
+            angle = rng.uniform(0.0, 2.0 * np.pi, size=n_terms + 1)
+            params = radius * np.exp(1j * angle)
+            params[0] = rho * np.exp(1j * angle[0])
+            rows.append(params)
+        counts.append(count)
+    params = np.array(rows, dtype=np.complex128).reshape(len(rows), n_terms + 1)
+    comps = [_certified(row) for row in _synthesize_rows(params, n_terms)]
+    out, start = [], 0
+    for count in counts:
+        out.append(PolydiscSlice(components=tuple(comps[start : start + count]), equimodular=True))
+        start += count
+    return out
+
+
 def random_equimodular_slice(
     seed: int,
     m: int | None = None,
@@ -187,17 +221,4 @@ def random_equimodular_slice(
         seed: RNG seed; output is reproducible.
         m: component count; drawn from {1, 2, 3} when omitted.
     """
-    rng = np.random.default_rng(seed)
-    if m is None:
-        m = int(rng.integers(1, 4))
-    if m < 1:
-        raise DomainError(f"component count must be >= 1, got {m}")
-    rho = np.sqrt(rng.uniform(0.0, 1.0))
-    comps = []
-    for _ in range(m):
-        radius = np.sqrt(rng.uniform(0.0, 1.0, size=n_terms + 1))
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=n_terms + 1)
-        params = radius * np.exp(1j * angle)
-        params[0] = rho * np.exp(1j * angle[0])
-        comps.append(schur_series_from_params(params, n_terms))
-    return PolydiscSlice(components=tuple(comps), equimodular=True)
+    return random_equimodular_slices([seed], m=m, n_terms=n_terms)[0]

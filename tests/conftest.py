@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from polybohr import PolydiscSlice, TruncatedSeries, random_equimodular_slice, random_schur_series
+from polybohr import PolydiscSlice, TruncatedSeries, random_equimodular_slices, random_schur_series_many
 
 CORPUS_SIZE = 1000
 
@@ -11,13 +11,13 @@ CORPUS_SIZE = 1000
 @pytest.fixture(scope="session")
 def corpus_slices():
     """1000 random certified equimodular slices, m in {1, 2, 3}, order 64."""
-    return [random_equimodular_slice(seed) for seed in range(CORPUS_SIZE)]
+    return random_equimodular_slices(range(CORPUS_SIZE))
 
 
 @pytest.fixture(scope="session")
 def corpus_series():
     """1000 random certified scalar series, order 64."""
-    return [random_schur_series(seed) for seed in range(CORPUS_SIZE)]
+    return random_schur_series_many(range(CORPUS_SIZE))
 
 
 def monomial_series(power: int, n_terms: int = 64) -> TruncatedSeries:

@@ -59,6 +59,14 @@ class TestVerifyCommand:
         assert "/200 pass" in out
         assert "exceed" in out
 
+    def test_inconclusive_rows_are_not_called_genuine(self, capsys):
+        # Seed 72 fails the p = 2 check only because its enclosure is loose:
+        # lower 0.91, upper 1.01.
+        code, out, _ = run(capsys, "verify", "--theorem", "refined_p", "--p", "2", "--seeds", "100")
+        assert code == 1
+        assert "99/100 pass" in out
+        assert "0 genuine (lower > 1), 1 inconclusive (lower <= 1 < upper)" in out
+
     def test_classical_verify(self, capsys):
         code, out, _ = run(capsys, "verify", "--theorem", "classical", "--seeds", "20", "--phases", "4")
         assert code == 0

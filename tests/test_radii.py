@@ -231,3 +231,12 @@ class TestClosedFormRadius:
             0.2360679774997898, abs=1e-10
         )
         assert closed_form_radius(FunctionalSpec.classical()) == pytest.approx(1.0 / 3.0)
+
+    def test_composed_radius_equals_fresh_solve(self):
+        # Asked twice: the second answer comes from the memoized solve.
+        for _ in range(2):
+            for k in range(1, 65):
+                assert closed_form_radius(FunctionalSpec.composed(k)) == solve_radius(k).radius
+
+    def test_solve_radius_still_solves_each_call(self):
+        assert solve_radius(3) is not solve_radius(3)
