@@ -20,8 +20,11 @@ component on its own, max_i sum |c_n^(i)| r^n (never larger than
 sum Q_n r^n, which mixes the largest coefficients of different components).
 The *lower* value replaces each modulus term by a phase-sampled evaluation
 minus its truncation budget and keeps the (under-counted) truncated sums,
-so "lower > 1" witnesses are equally rigorous.  Verification never mixes
-the two directions.
+so "lower > 1" witnesses are equally rigorous up to the evaluation's
+rounding.  Verification never mixes the two directions.
+All three modulus terms sample one circle primitive, every component on
+``phases`` equally spaced points by one power-table product each
+(:func:`eval_series_many`, rounding error about 1e-16 at the default order).
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ import numpy as np
 
 from .errors import DomainError, CertificationError, PreconditionError
 from .radii import closed_form_radius
-from .series import eval_series_many
 from .slices import (
     DEFAULT_PHASES,
     PolydiscSlice,
+    _circle_values,
     coefficient_norms,
-    phase_grid,
     schwarz_compose,
     schwarz_pick_bound,
     slice_tail_bound,
@@ -120,12 +122,8 @@ def _weight(a_norm: float, r: float) -> float:
 
 def _sampled_diff_sup(s: PolydiscSlice, r: float, phases: int) -> float:
     """Sampled sup of max_i |g_i(t) - g_i(0)| over |t| = r."""
-    ts = phase_grid(r, phases)
-    best = 0.0
-    for comp in s.components:
-        values = eval_series_many(comp, ts) - comp.a0
-        best = max(best, float(np.max(np.abs(values))))
-    return best
+    a0 = np.array([[comp.a0] for comp in s.components])
+    return float(np.max(np.abs(_circle_values(s, r, phases) - a0)))
 
 
 def eval_functional(
@@ -186,8 +184,7 @@ def eval_functional(
         assert spec.p is not None
         # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
         # componentwise max Q_n would mix components); one t_lin covers its tail
-        mods = np.abs(np.stack([c.coeffs for c in s.components]))
-        d_up = float(np.max(mods @ rn))
+        d_up = float(np.max(norms.moduli @ rn))
         d_low = max(_sampled_diff_sup(s, r, phases) - t_mod, 0.0)
         truncated = d_up + x**spec.p + s1 + w * s2
         tail = 2.0 * t_lin + w * t_sq
@@ -199,10 +196,9 @@ def eval_functional(
         )
 
     assert spec.kind == "composed_k" and spec.k is not None
-    rk = r**spec.k
-    c_up = (x + rk) / (1.0 + x * rk)
-    composed = schwarz_compose(s, spec.k)
-    c_low = max(sup_modulus(composed, r, phases) - slice_tail_bound(composed, r, "modulus").value, 0.0)
+    c_up = schwarz_pick_bound(x, r**spec.k)
+    # g_i(t^k) keeps a0^(i) and the truncation order, so t_mod is its budget too
+    c_low = max(sup_modulus(schwarz_compose(s, spec.k), r, phases) - t_mod, 0.0)
     truncated = c_up + s1 + w * s2
     tail = t_lin + w * t_sq
     return FunctionalValue(

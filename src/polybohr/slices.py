@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import CertificationError, DomainError, PreconditionError
 from .series import (
     DEFAULT_ORDER,
     TailBudget,
@@ -88,23 +88,25 @@ class PolydiscSlice:
 
 @dataclass(frozen=True)
 class CoefficientNorms:
-    """Sup-norm reductions: a_norm = max_i |a0^(i)|, Q_n = max_i |c_n^(i)|."""
+    """Sup-norm reductions a_norm = max_i |a0^(i)| and Q_n = max_i |c_n^(i)|,
+    with the per-component moduli |c_n^(i)| they reduce (``moduli``, shape (m, N))."""
 
     a_norm: float
     q: np.ndarray
+    moduli: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.q, dtype=np.float64)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "q", arr)
+        for name in ("q", "moduli"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 def coefficient_norms(s: PolydiscSlice) -> CoefficientNorms:
     """Componentwise-max initial value and coefficient moduli."""
-    stack = np.abs(np.stack([c.coeffs for c in s.components]))
+    stack = np.abs(np.array([c.coeffs for c in s.components]))
     a_norm = max(abs(c.a0) for c in s.components)
-    return CoefficientNorms(a_norm=float(a_norm), q=stack.max(axis=0))
+    return CoefficientNorms(a_norm=float(a_norm), q=stack.max(axis=0), moduli=stack)
 
 
 def schwarz_pick_bound(a_norm: float, r: float) -> float:
@@ -124,19 +126,23 @@ def phase_grid(r: float, phases: int) -> np.ndarray:
     return r * np.exp(1j * theta)
 
 
+def _circle_values(s: PolydiscSlice, r: float, phases: int) -> np.ndarray:
+    """Values g_i(t) on the phase grid of radius r, shape (m, phases): one
+    :func:`eval_series_many` call per component, for every sampled modulus term."""
+    if not 0.0 <= r < 1.0:
+        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    ts = phase_grid(r, phases)
+    return np.array([eval_series_many(comp, ts) for comp in s.components])
+
+
 def sup_modulus(s: PolydiscSlice, r: float, phases: int = DEFAULT_PHASES) -> float:
     """Sampled sup of max_i |g_i(t)| over |t| = r.
 
     A lower bound on the true sup (the grid always contains t = r itself);
-    pair it with :func:`schwarz_pick_bound` for a two-sided enclosure.
+    pair it with :func:`schwarz_pick_bound` for a two-sided enclosure.  The
+    power-table rounding of :func:`eval_series_many` (about 1e-16) is not subtracted.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
-    ts = phase_grid(r, phases)
-    best = 0.0
-    for comp in s.components:
-        best = max(best, float(np.max(np.abs(eval_series_many(comp, ts)))))
-    return best
+    return float(np.max(np.abs(_circle_values(s, r, phases))))
 
 
 def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
@@ -155,9 +161,7 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
     out = []
     for comp in s.components:
         coeffs = np.zeros(n, dtype=np.complex128)
-        kept = n // k  # largest j with k*j <= n
-        if kept >= 1:
-            coeffs[k * np.arange(1, kept + 1) - 1] = comp.coeffs[:kept]
+        coeffs[k - 1 :: k] = comp.coeffs[: n // k]  # c_j to t^(k j) for k j <= n
         out.append(TruncatedSeries(a0=comp.a0, coeffs=coeffs, schur_certified=comp.schur_certified))
     return PolydiscSlice(components=tuple(out), equimodular=s.equimodular)
 
@@ -166,11 +170,13 @@ def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> Tai
     """Tail budget valid for the componentwise-max sums of a slice.
 
     Q_n <= max_i (1 - |a0^(i)|^2) for every n, so the worst single
-    component's geometric tail bounds the Q-sum tails as well.
+    component's geometric tail bounds the Q-sum tails as well.  Components share
+    N and each budget is nondecreasing in M = 1 - |a0|^2 (IEEE rounding is
+    monotone), so the component with the largest M gives exactly the worst budget.
     """
-    budgets = [tail_bound(c, r, term_kind) for c in s.components]
-    worst = max(budgets, key=lambda b: b.value)
-    return worst
+    if not s.certified:
+        raise CertificationError("tail bounds require Schur-certified components")
+    return tail_bound(max(s.components, key=lambda c: 1.0 - abs(c.a0) ** 2), r, term_kind)
 
 
 def random_equimodular_slices(

@@ -118,15 +118,17 @@ class TestCriterion3SharpRadiiRefined:
 
     def test_corpus_bound_p2_at_one_third(self, corpus_slices):
         bad = _corpus_failures(corpus_slices, FunctionalSpec.refined(2), 1.0 / 3.0)
+        genuine = [b for b in bad if b[3] > 1.0]
         if not bad:
             _report("3b PASS: refined p=2 upper <= 1 + 1e-10 on all 1000 random slices at r = 1/3")
         assert not bad, (
-            f"criterion as stated is unattainable: {len(bad)}/1000 random slices exceed "
-            f"1 + 1e-10 for the refined p=2 functional at r = 1/3 (worst upper "
-            f"{max(b[2] for b in bad):.6f}), and the inequality itself is false for the "
-            f"class: the crafted slice (t, t^2, t^3) attains "
+            f"{len(bad)}/1000 random slices exceed 1 + 1e-10 for the refined p=2 functional "
+            f"at r = 1/3 (worst upper {max(b[2] for b in bad):.6f}): {len(genuine)} genuine "
+            f"(lower > 1), {len(bad) - len(genuine)} inconclusive (lower <= 1 < upper: a loose "
+            f"enclosure, not a violation). (seed, m, upper, lower) of the first rows: {bad[:5]}. "
+            f"A genuine row is possible for multi-component slices: (t, t^2, t^3) attains "
             f"{eval_functional(monomial_slice([1, 2, 3]), FunctionalSpec.refined(2), 1.0 / 3.0).lower:.6f} > 1 "
-            f"rigorously. The stated radius is correct for single-component slices; see README."
+            f"rigorously; see README."
         )
 
     def test_witnesses_with_dyadic_parameters(self):

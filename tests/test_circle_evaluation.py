@@ -1,0 +1,140 @@
+"""The power-table circle evaluation against an 80-digit oracle and a Horner reference.
+
+``eval_series_many`` builds the power table t^1 ... t^N and takes one
+matrix-vector product.  The functions below keep the former evaluation
+path as the reference: a Horner loop per component, one ``tail_bound`` call
+per component, and the functional formulas written out term by term.  Upper
+bounds do not depend on circle sampling and must match it bit for bit;
+lower bounds use the sampled values and may move by rounding only.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from polybohr import (
+    FunctionalSpec,
+    PolydiscSlice,
+    closed_form_radius,
+    eval_functional,
+    eval_series_many,
+    tail_bound,
+)
+from polybohr.slices import phase_grid
+
+#: Lower bounds may differ from the Horner reference by this much: a few
+#: hundred ulps of the O(1) sampled moduli, well above the measured 6.7e-16.
+LOWER_TOL = 1e-14
+
+RADII = (0.2, 1.0 / 3.0, math.sqrt(11.0 / 27.0), 0.95)
+
+KINDS = (
+    FunctionalSpec.improved_squared(),
+    FunctionalSpec.refined(1),
+    FunctionalSpec.refined(2),
+    FunctionalSpec.composed(2),
+)
+
+
+def horner_rows(a0, coeffs, ts):
+    """Reference evaluator: Horner over the columns of ``coeffs`` (m, N), constant term last.
+
+    Returns the (m, len(ts)) values a0[i] + sum_n coeffs[i, n - 1] t^n.
+    """
+    acc = np.zeros((coeffs.shape[0], ts.size), dtype=np.complex128)
+    for c in coeffs.T[::-1]:
+        acc = acc * ts + c[:, np.newaxis]
+    return np.asarray(a0)[:, np.newaxis] + acc * ts
+
+
+def reference_enclosures(slices, spec, r, phases=64):
+    """(lower, upper) of ``eval_functional`` for each slice, by the Horner reference path.
+
+    The circle samples of all components come from one :func:`horner_rows`
+    call; everything else is computed slice by slice, in the library's order
+    of operations, so that upper bounds can be compared bit for bit.
+    """
+    comps = [c for s in slices for c in s.components]
+    starts = np.cumsum([0] + [s.m for s in slices[:-1]])
+    a0 = np.array([c.a0 for c in comps])
+    coeffs = np.stack([c.coeffs for c in comps])
+    samples = coeffs
+    if spec.kind == "composed_k":
+        n, k = coeffs.shape[1], spec.k
+        samples = np.zeros_like(coeffs)
+        kept = n // k
+        samples[:, k * np.arange(1, kept + 1) - 1] = coeffs[:, :kept]
+    values = horner_rows(a0, samples, phase_grid(r, phases))
+    if spec.kind == "refined_p":
+        values = values - a0[:, np.newaxis]
+    sampled = np.maximum.reduceat(np.abs(values).max(axis=1), starts)
+    rn = r ** np.arange(1, coeffs.shape[1] + 1)
+    out = []
+    for s, start, sup in zip(slices, starts, sampled):
+        mods = np.abs(coeffs[start : start + s.m])
+        x = max(abs(c.a0) for c in s.components)
+        s1 = float(np.dot(mods.max(axis=0), rn))
+        s2 = float(np.dot(mods.max(axis=0) ** 2, rn**2))
+        t_lin, t_sq, t_mod = (
+            max(tail_bound(c, r, kind).value for c in s.components) for kind in ("linear_sum", "square_sum", "modulus")
+        )
+        low = max(float(sup) - t_mod, 0.0)
+        w = 1.0 / (1.0 + x) + r / (1.0 - r)
+        if spec.kind == "classical":
+            out.append((x + s1, (x + s1) + t_lin))
+        elif spec.kind == "improved_squared":
+            u_up = (x + r) / (1.0 + x * r)
+            out.append((low * low + s2, (u_up * u_up + s2) + t_sq))
+        elif spec.kind == "refined_p":
+            d_up = float(np.max(mods @ rn))
+            out.append((low + x**spec.p + s1 + w * s2, (d_up + x**spec.p + s1 + w * s2) + (2.0 * t_lin + w * t_sq)))
+        else:
+            rk = r**spec.k
+            c_up = (x + rk) / (1.0 + x * rk)
+            out.append((low + s1 + w * s2, (c_up + s1 + w * s2) + (t_lin + w * t_sq)))
+    return out
+
+
+class TestPowerTableAgainstOracle:
+    @pytest.mark.parametrize("seed", [72, 669])
+    def test_matches_80_digit_evaluation(self, corpus_slices, seed):
+        rng = np.random.default_rng(seed)
+        for comp in corpus_slices[seed].components:
+            coeffs = [mpmath.mpc(c.real, c.imag) for c in np.r_[comp.a0, comp.coeffs][::-1]]
+            for r in RADII:
+                interior = r * np.sqrt(rng.uniform(0.0, 1.0, 8)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 8))
+                ts = np.concatenate([phase_grid(r, 64), interior])
+                values = eval_series_many(comp, ts)
+                with mpmath.workdps(80):
+                    exact = [mpmath.polyval(coeffs, mpmath.mpc(t.real, t.imag)) for t in ts]
+                    err = max(float(abs(mpmath.mpc(v.real, v.imag) - e)) for v, e in zip(values, exact))
+                assert err <= 1e-14, (seed, r, err)
+
+    def test_matches_horner_on_arrays_of_any_shape(self, corpus_series):
+        ts = 0.9 * np.exp(2j * np.pi * np.arange(12) / 12).reshape(3, 4)
+        for s in corpus_series[:50]:
+            values = eval_series_many(s, ts)
+            assert values.shape == ts.shape
+            reference = horner_rows([s.a0], s.coeffs[np.newaxis, :], ts.ravel()).reshape(ts.shape)
+            assert np.max(np.abs(values - reference)) <= 1e-14
+
+
+class TestEnclosuresAgainstHornerReference:
+    @pytest.mark.parametrize("spec", KINDS, ids=lambda spec: f"{spec.kind}{spec.p or spec.k or ''}")
+    def test_corpus_slices(self, corpus_slices, spec):
+        r = closed_form_radius(spec)
+        reference = reference_enclosures(corpus_slices, spec, r)
+        for seed, (s, (lower, upper)) in enumerate(zip(corpus_slices, reference)):
+            value = eval_functional(s, spec, r)
+            assert value.upper == upper, seed
+            assert abs(value.lower - lower) <= LOWER_TOL, seed
+
+    def test_corpus_series_classical(self, corpus_series):
+        spec = FunctionalSpec.classical()
+        slices = [PolydiscSlice.from_components([series]) for series in corpus_series]
+        reference = reference_enclosures(slices, spec, 1.0 / 3.0)
+        for seed, (s, bounds) in enumerate(zip(slices, reference)):
+            value = eval_functional(s, spec, 1.0 / 3.0)
+            assert (value.lower, value.upper) == bounds, seed

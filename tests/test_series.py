@@ -96,6 +96,15 @@ class TestTruncatedSeries:
         s = TruncatedSeries(a0=0.9, coeffs=np.array([5.0]))
         assert not s.schur_certified
 
+    def test_rejects_nan_constant_term(self):
+        with pytest.raises(DomainError):
+            TruncatedSeries(a0=complex(np.nan, 0.0), coeffs=np.zeros(4), schur_certified=True)
+
+    def test_rejects_nan_coefficient(self):
+        for certified in (True, False):
+            with pytest.raises(DomainError):
+                TruncatedSeries(a0=0.5, coeffs=[np.nan, 0.1], schur_certified=certified)
+
     def test_truncation_order(self):
         s = TruncatedSeries(a0=0.0, coeffs=np.zeros(7))
         assert s.truncation_order == 7
@@ -188,6 +197,15 @@ class TestEvalSeries:
             eval_series(s, 1.0)
         with pytest.raises(DomainError):
             eval_series_many(s, np.array([0.2, 1.0 + 0j]))
+
+    def test_rejects_nan_point(self):
+        s = mobius_series(0.5, "plus", 4)
+        with pytest.raises(DomainError):
+            eval_series(s, complex(np.nan, 0.0))
+        with pytest.raises(DomainError):
+            eval_series_many(s, np.array([0.2, np.nan, 0.1j]))
+        with pytest.raises(DomainError):
+            eval_series_many(s, np.array([0.2, complex(0.0, np.inf)]))
 
     def test_vectorized_matches_scalar(self):
         s = random_schur_series(11, 24)

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polybohr import (
+    CertificationError,
     DomainError,
     PolydiscSlice,
     PreconditionError,
+    TruncatedSeries,
     coefficient_norms,
     eval_series,
     mobius_series,
@@ -182,6 +184,30 @@ class TestSliceTailBound:
         )
         b = slice_tail_bound(s, 0.5, "linear_sum")
         assert b.value == pytest.approx(tail_bound(s.components[0], 0.5, "linear_sum").value)
+
+    @given(
+        moduli=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+        r=st.floats(min_value=0.0, max_value=0.999),
+        n_terms=st.integers(min_value=1, max_value=80),
+        kind=st.sampled_from(["linear_sum", "square_sum", "modulus"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_max_of_component_budgets(self, moduli, r, n_terms, kind):
+        # One tail_bound call on the component with the largest 1 - |a0|^2 is
+        # exactly the largest per-component budget, equal moduli or not.
+        # Quarter-turn phases keep |a0| = a exactly, so no modulus exceeds 1.
+        comps = [
+            TruncatedSeries(a0=a * 1j**j, coeffs=np.zeros(n_terms), schur_certified=True)
+            for j, a in enumerate(moduli)
+        ]
+        s = PolydiscSlice.from_components(comps)
+        assert slice_tail_bound(s, r, kind).value == max(tail_bound(c, r, kind).value for c in comps)
+
+    def test_requires_every_component_certified(self):
+        loose = TruncatedSeries(a0=0.9, coeffs=np.zeros(8))
+        s = PolydiscSlice.from_components([loose, mobius_series(0.1, "plus", 8)])
+        with pytest.raises(CertificationError):
+            slice_tail_bound(s, 0.5, "linear_sum")
 
 
 class TestRandomEquimodularSlice:
