@@ -14,6 +14,7 @@ the only consumer allowed to bypass it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import CertificationError, DomainError, PreconditionError
 from .series import (
+    CIRCLE_CACHE_SIZE,
     DEFAULT_ORDER,
     TailBudget,
     TailTermKind,
@@ -118,12 +120,19 @@ def schwarz_pick_bound(a_norm: float, r: float) -> float:
     return (a_norm + r) / (1.0 + a_norm * r)
 
 
+@functools.lru_cache(maxsize=CIRCLE_CACHE_SIZE)
 def phase_grid(r: float, phases: int) -> np.ndarray:
-    """Points r * exp(2 pi i j / phases), j = 0 .. phases-1."""
+    """Points r * exp(2 pi i j / phases), j = 0 .. phases-1, as a read-only array.
+
+    Memoized per ``(r, phases)`` for the last :data:`CIRCLE_CACHE_SIZE`
+    distinct pairs (1 KB each at 64 phases); every caller shares the returned array.
+    """
     if phases < 1:
         raise DomainError(f"phases must be >= 1, got {phases}")
     theta = 2.0 * np.pi * np.arange(phases) / phases
-    return r * np.exp(1j * theta)
+    grid = r * np.exp(1j * theta)
+    grid.flags.writeable = False
+    return grid
 
 
 def _circle_values(s: PolydiscSlice, r: float, phases: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The power-table circle evaluation against an 80-digit oracle and a Horner reference.
 
-``eval_series_many`` builds the power table t^1 ... t^N and takes one
-matrix-vector product.  The functions below keep the former evaluation
-path as the reference: a Horner loop per component, one ``tail_bound`` call
-per component, and the functional formulas written out term by term.  Upper
+``eval_series_many`` takes one matrix-vector product with a memoized power
+table t^1 ... t^N; the cache tests check that the memo never changes a
+value.  The functions below keep the former evaluation path as the
+reference: a Horner loop per component, one ``tail_bound`` call per
+component, and the functional formulas written out term by term.  Upper
 bounds do not depend on circle sampling and must match it bit for bit;
 lower bounds use the sampled values and may move by rounding only.
 """
@@ -22,7 +23,8 @@ from polybohr import (
     eval_series_many,
     tail_bound,
 )
-from polybohr.slices import phase_grid
+from polybohr.series import CIRCLE_CACHE_SIZE, _power_table
+from polybohr.slices import _circle_values, phase_grid, schwarz_compose
 
 #: Lower bounds may differ from the Horner reference by this much: a few
 #: hundred ulps of the O(1) sampled moduli, well above the measured 6.7e-16.
@@ -138,3 +140,45 @@ class TestEnclosuresAgainstHornerReference:
         for seed, (s, bounds) in enumerate(zip(slices, reference)):
             value = eval_functional(s, spec, 1.0 / 3.0)
             assert (value.lower, value.upper) == bounds, seed
+
+
+def clear_circle_caches():
+    _power_table.cache_clear()
+    phase_grid.cache_clear()
+
+
+class TestCircleCache:
+    def test_mutated_points_are_not_served_stale(self, corpus_series):
+        s = corpus_series[0]
+        ts = 0.6 * np.exp(2j * np.pi * np.arange(16) / 16)
+        eval_series_many(s, ts)
+        ts *= 0.5j  # same object, same shape, new content
+        reference = horner_rows([s.a0], s.coeffs[np.newaxis, :], ts)[0]
+        assert np.max(np.abs(eval_series_many(s, ts) - reference)) <= 1e-14
+
+    def test_cache_stays_within_its_bound(self, corpus_series):
+        s = corpus_series[0]
+        for j in range(3 * CIRCLE_CACHE_SIZE):
+            r = 0.1 + 0.01 * j
+            eval_series_many(s, phase_grid(r, 16))
+        assert _power_table.cache_info().currsize <= CIRCLE_CACHE_SIZE
+        assert phase_grid.cache_info().currsize <= CIRCLE_CACHE_SIZE
+
+    def test_cached_arrays_are_read_only(self):
+        grid = phase_grid(0.5, 8)
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+        with pytest.raises(ValueError):
+            _power_table(grid.tobytes(), grid.shape, 4)[0, 0] = 0.0
+
+    @pytest.mark.parametrize("spec", KINDS, ids=lambda spec: f"{spec.kind}{spec.p or spec.k or ''}")
+    def test_cold_and_warm_calls_agree_bitwise(self, corpus_slices, spec):
+        r = closed_form_radius(spec)
+        for seed, s in enumerate(corpus_slices):
+            sampled = schwarz_compose(s, spec.k) if spec.kind == "composed_k" else s
+            clear_circle_caches()
+            cold_values = _circle_values(sampled, r, 64)
+            assert np.array_equal(cold_values, _circle_values(sampled, r, 64)), seed
+            clear_circle_caches()
+            cold = eval_functional(s, spec, r)
+            assert cold == eval_functional(s, spec, r), seed

@@ -216,6 +216,19 @@ class TestEnclosureDiscipline:
             assert ok
             assert value.lower == 0.0
 
+    def test_constant_term_rounded_above_one(self):
+        comp = TruncatedSeries(a0=1.0 + 4e-16, coeffs=np.zeros(16), schur_certified=True)
+        s = PolydiscSlice.from_components([comp])
+        for spec in (
+            FunctionalSpec.classical(),
+            FunctionalSpec.improved_squared(),
+            FunctionalSpec.refined(2),
+            FunctionalSpec.composed(3),
+        ):
+            value = eval_functional(s, spec, 0.3)
+            assert value.tail == 0.0
+            assert value.upper == pytest.approx(1.0, abs=1e-14)
+
     def test_degenerate_unimodular_initial_value(self):
         # |a0| = 1 forces all coefficients to zero; values collapse exactly.
         comp = TruncatedSeries(a0=1.0, coeffs=np.zeros(16), schur_certified=True)

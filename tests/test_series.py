@@ -230,6 +230,12 @@ class TestTailBound:
         for kind in ("linear_sum", "square_sum", "modulus"):
             assert tail_bound(s, 0.9, kind).value == 0.0
 
+    def test_constant_term_rounded_above_one_has_zero_tail(self):
+        # |a0| <= 1 + 1e-15 passes construction, but 1 - |a0|^2 rounds below zero.
+        s = TruncatedSeries(a0=1.0 + 4e-16, coeffs=np.zeros(8), schur_certified=True)
+        for kind in ("linear_sum", "square_sum", "modulus"):
+            assert tail_bound(s, 0.3, kind).value == 0.0
+
     def test_zero_radius_has_zero_tail(self):
         s = random_schur_series(0, 8)
         assert tail_bound(s, 0.0, "linear_sum").value == 0.0
