@@ -19,13 +19,10 @@ from .errors import (
 )
 from .series import (
     DEFAULT_ORDER,
-    BoundKind,
     TailBudget,
     TruncatedSeries,
-    eval_series,
     eval_series_many,
     mobius_series,
-    mobius_tail_exact,
     random_schur_series,
     random_schur_series_many,
     schur_series_from_params,
@@ -51,14 +48,12 @@ from .functionals import (
     verify_theorem,
 )
 from .radii import (
-    AUX_FUNCTIONS,
     CLASSICAL_RADIUS,
     REFINED_RADIUS_P1,
     REFINED_RADIUS_P2,
     SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA,
     SQUARED_FUNCTIONAL_RADIUS,
     RadiusResult,
-    aux_function,
     check_slack_factorization,
     closed_form_radius,
     composed_extremal_excess,
@@ -73,7 +68,6 @@ from .radii import (
     solve_decreasing_root,
     solve_radius,
     squared_functional_slack,
-    squared_functional_slack_dr,
 )
 from .sharpness import (
     CounterexampleReport,
@@ -87,68 +81,22 @@ from .sharpness import (
 
 __version__ = "0.1.0"
 
+#: The README quick-start API plus the exception classes.  The other names
+#: imported above stay importable from the package, as tests and the
+#: benchmark use them, but are not part of the star-import surface.
 __all__ = [
-    "BoundKind",
-    "CertificationError",
-    "CLASSICAL_RADIUS",
-    "CoefficientNorms",
-    "CounterexampleReport",
-    "DEFAULT_ORDER",
-    "DEFAULT_PHASES",
-    "DomainError",
     "FunctionalSpec",
-    "FunctionalValue",
-    "PolybohrError",
     "PolydiscSlice",
-    "PreconditionError",
-    "RadiusResult",
-    "REFINED_RADIUS_P1",
-    "REFINED_RADIUS_P2",
-    "SharpnessWitness",
-    "SolverError",
-    "SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA",
-    "SQUARED_FUNCTIONAL_RADIUS",
-    "TailBudget",
-    "TruncatedSeries",
-    "VERIFY_TOL",
-    "WitnessSearchError",
-    "AUX_FUNCTIONS",
-    "aux_function",
-    "check_slack_factorization",
     "closed_form_radius",
-    "coefficient_norms",
-    "composed_extremal_excess",
-    "composed_functional_bound",
-    "composed_radius_equation",
-    "counterexample_analytic_bound",
     "eval_functional",
-    "eval_series",
-    "eval_series_many",
     "extremal_slice",
     "find_witness",
     "mobius_series",
-    "mobius_tail_exact",
-    "random_equimodular_slice",
-    "random_equimodular_slices",
-    "random_schur_series",
-    "random_schur_series_many",
-    "refined_extremal_excess_p1",
-    "refined_extremal_excess_p2",
-    "refined_slack_p1",
-    "refined_slack_p2",
-    "reproduce_counterexample",
-    "schur_series_from_params",
-    "schwarz_compose",
-    "schwarz_pick_bound",
-    "slack_polynomial",
-    "slack_polynomial_factored",
-    "slice_tail_bound",
-    "solve_decreasing_root",
-    "solve_radius",
-    "squared_functional_slack",
-    "squared_functional_slack_dr",
-    "sup_modulus",
-    "tail_bound",
     "verify_theorem",
-    "witness_lambda_grid",
+    "CertificationError",
+    "DomainError",
+    "PolybohrError",
+    "PreconditionError",
+    "SolverError",
+    "WitnessSearchError",
 ]

@@ -25,49 +25,32 @@ from .series import SYNTH_CHUNK, random_schur_series_many
 from .sharpness import extremal_slice, find_witness, reproduce_counterexample
 from .slices import PolydiscSlice, random_equimodular_slices
 
-COMMANDS = ("radius", "verify", "witness", "sweep", "counterexample")
-
 #: CSV column order for sweep reports.
 SWEEP_COLUMNS = ("theorem", "p", "k", "lambda_or_seed", "r", "value_lower", "value_upper", "tail", "bound_ok")
 
-_CONVERTERS = {
-    "theorem": str,
-    "p": int,
-    "k": int,
-    "r": float,
-    "rmin": float,
-    "rmax": float,
-    "rsteps": int,
-    "lambda": float,
-    "seeds": int,
-    "m": int,
-    "truncation": int,
-    "phases": int,
-    "a1": float,
-    "a2": float,
-    "format": str,
-    "out": str,
-}
+#: The flags every subcommand takes, declared once.  Each is also a config-file
+#: key: the long flag without dashes (``rmin``, ``lambda``, ``format``, ...).
+_FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
+    ("--theorem", dict(choices=["improved_squared", "refined_p", "composed_k", "classical"])),
+    ("--p", dict(type=int, choices=[1, 2], help="exponent for refined_p")),
+    ("--k", dict(type=int, help="composition order for composed_k")),
+    ("--r", dict(type=float, help="evaluation radius in [0, 1)")),
+    ("--r-min", dict(dest="rmin", type=float, help="sweep grid start")),
+    ("--r-max", dict(dest="rmax", type=float, help="sweep grid end")),
+    ("--r-steps", dict(dest="rsteps", type=int, help="sweep grid size")),
+    ("--lambda", dict(dest="lam", type=float, help="extremal-family parameter")),
+    ("--seeds", dict(type=int, help="verify: corpus size; sweep: the RNG seed")),
+    ("--m", dict(type=int, choices=[1, 2, 3], help="component count (default: mixed 1..3)")),
+    ("--truncation", dict(type=int, help="series truncation order (default 64)")),
+    ("--phases", dict(type=int, help="circle-sampling phase count (default 64)")),
+    ("--a1", dict(type=float, help="counterexample: smaller initial value")),
+    ("--a2", dict(type=float, help="counterexample: larger initial value")),
+    ("--format", dict(dest="fmt", choices=["csv", "json"], help="structured output")),
+    ("--out", dict(type=str, help="write the report to this path instead of stdout")),
+)
 
-#: Config-file key -> argparse destination (long flag with dashes stripped).
-_KEY_TO_DEST = {
-    "theorem": "theorem",
-    "p": "p",
-    "k": "k",
-    "r": "r",
-    "rmin": "rmin",
-    "rmax": "rmax",
-    "rsteps": "rsteps",
-    "lambda": "lam",
-    "seeds": "seeds",
-    "m": "m",
-    "truncation": "truncation",
-    "phases": "phases",
-    "a1": "a1",
-    "a2": "a2",
-    "format": "fmt",
-    "out": "out",
-}
+#: Config-file key -> the flag it stands for.
+_CONFIG_KEYS = {flag.replace("-", ""): flag for flag, _ in _FLAGS}
 
 
 def _fmt(x: Any) -> str:
@@ -132,28 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("counterexample", "evaluate on a two-component unequal-modulus slice"),
     ):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--theorem", choices=["improved_squared", "refined_p", "composed_k", "classical"])
-        p.add_argument("--p", type=int, choices=[1, 2], help="exponent for refined_p")
-        p.add_argument("--k", type=int, help="composition order for composed_k")
-        p.add_argument("--r", type=float, help="evaluation radius in [0, 1)")
-        p.add_argument("--r-min", dest="rmin", type=float, help="sweep grid start")
-        p.add_argument("--r-max", dest="rmax", type=float, help="sweep grid end")
-        p.add_argument("--r-steps", dest="rsteps", type=int, help="sweep grid size")
-        p.add_argument("--lambda", dest="lam", type=float, help="extremal-family parameter")
-        p.add_argument("--seeds", type=int, help="verify: corpus size; sweep: the RNG seed")
-        p.add_argument("--m", type=int, choices=[1, 2, 3], help="component count (default: mixed 1..3)")
-        p.add_argument("--truncation", type=int, help="series truncation order (default 64)")
-        p.add_argument("--phases", type=int, help="circle-sampling phase count (default 64)")
-        p.add_argument("--a1", type=float, help="counterexample: smaller initial value")
-        p.add_argument("--a2", type=float, help="counterexample: larger initial value")
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"], help="structured output")
-        p.add_argument("--out", type=str, help="write the report to this path instead of stdout")
+        for flag, options in _FLAGS:
+            p.add_argument(flag, **options)
         p.add_argument("--config", type=str, help="key = value file; flags win over file entries")
     return ap
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_argv(path: str) -> list[str]:
+    """The file's ``key = value`` lines as ``--flag=value`` arguments, in file order."""
+    argv = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -162,23 +132,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _KEY_TO_DEST:
+        if key not in _CONFIG_KEYS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the config file; explicit flags win."""
-    if not args.config:
-        return
-    for key, raw in _read_config_file(args.config).items():
-        dest = _KEY_TO_DEST[key]
-        if getattr(args, dest, None) is None:
-            try:
-                setattr(args, dest, _CONVERTERS[key](raw))
-            except ValueError as exc:
-                raise DomainError(f"config key {key!r}: {exc}") from exc
+        argv.append(f"{_CONFIG_KEYS[key]}={value.strip()}")
+    return argv
 
 
 def _build_spec(args: argparse.Namespace) -> FunctionalSpec:
@@ -435,14 +392,18 @@ def _emit(cfg: RunConfig, code: int, rows: list[dict[str, Any]], lines: list[str
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # Parse again with the file's entries between the subcommand and
+            # the explicit flags: argparse checks each entry like a flag, and
+            # a repeated flag keeps its last value, so explicit flags win.
+            args = parser.parse_args([argv[0], *_config_argv(args.config), *argv[1:]])
+        cfg = _build_runconfig(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        _merge_config(args)
-        cfg = _build_runconfig(args)
     except (DomainError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -75,6 +75,11 @@ class FunctionalSpec:
             raise DomainError(f"p must be 1 or 2, got {self.p}")
         if self.k is not None and (int(self.k) != self.k or self.k < 1):
             raise DomainError(f"k must be a positive integer, got {self.k}")
+        # Store plain ints: a float k such as 2.0 would break slicing by k, and
+        # an np.int64 would turn every r**k downstream into np.float64.
+        for name in ("p", "k"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(getattr(self, name)))
 
     @classmethod
     def improved_squared(cls) -> "FunctionalSpec":
@@ -214,7 +219,6 @@ def verify_theorem(
     spec: FunctionalSpec,
     r: float,
     phases: int = DEFAULT_PHASES,
-    tol: float = VERIFY_TOL,
 ) -> tuple[bool, FunctionalValue]:
     """Check that a functional stays at most 1 on a slice at radius r.
 
@@ -222,13 +226,14 @@ def verify_theorem(
     enforced: past the radius the inequality is expected to fail on
     extremal slices, and a witness search is the right tool instead.
 
-    A False result means the certified upper bound exceeds 1 + tol.  If the
-    returned value's *lower* bound also exceeds 1, the slice genuinely
-    violates the inequality: this can happen for the squared and p = 2
-    functionals when several components dominate different coefficient
-    orders (e.g. the slice (t, t^2, t^3)), a regime in which the nominal
-    radii do not apply.  Single-component slices and slices whose
-    components agree up to unimodular factors never trigger it.
+    A False result means the certified upper bound exceeds 1 + :data:`VERIFY_TOL`,
+    the one tolerance of every verification.  If the returned value's *lower*
+    bound also exceeds 1, the slice genuinely violates the inequality: this
+    can happen for the squared and p = 2 functionals when several components
+    dominate different coefficient orders (e.g. the slice (t, t^2, t^3)), a
+    regime in which the nominal radii do not apply.  Single-component slices
+    and slices whose components agree up to unimodular factors never trigger
+    it.
     """
     radius = closed_form_radius(spec)
     if r > radius + 1e-12:
@@ -236,4 +241,4 @@ def verify_theorem(
             f"r = {r} exceeds the sharp radius {radius}; run a witness search instead"
         )
     value = eval_functional(s, spec, r, phases=phases)
-    return value.upper <= 1.0 + tol, value
+    return value.upper <= 1.0 + VERIFY_TOL, value

@@ -11,10 +11,8 @@ and solves the composed functional's radius equation
 
     (1 - r^k) / (1 + r^k) - 2 r / (1 - r) = 0
 
-by bisection with an explicit bracket, residual, and iteration count.
-
-An index-based dispatcher :func:`aux_function` exposes the nine scalar
-functions as a single numbered family for sweep-style callers.
+by bisection on the fixed bracket :data:`SOLVER_BRACKET`, reporting the final
+bracket, the residual and the iteration count.
 """
 
 from __future__ import annotations
@@ -64,23 +62,6 @@ def squared_functional_slack(x: float, r: float) -> float:
     _check_unit(r, "r")
     u = (x + r) / (1.0 + x * r)
     return u * u + r * r * (1.0 - x * x) ** 2 / (1.0 - x * x * r * r) - 1.0
-
-
-def squared_functional_slack_dr(x: float, r: float) -> float:
-    """Closed-form radial derivative of :func:`squared_functional_slack`.
-
-    2 (1-x^2)(x+r)/(1+xr)^3 + 2 r (1-x^2)^2/(1-r^2 x^2)
-    + 2 r^3 x^2 (1-x^2)^2/(1-r^2 x^2)^2, nonnegative on the whole domain.
-    """
-    _check_unit(x, "x")
-    _check_unit(r, "r")
-    one_m = 1.0 - x * x
-    d = 1.0 - r * r * x * x
-    return (
-        2.0 * one_m * (x + r) / (1.0 + x * r) ** 3
-        + 2.0 * r * one_m**2 / d
-        + 2.0 * r**3 * x * x * one_m**2 / (d * d)
-    )
 
 
 def slack_polynomial(x: float) -> float:
@@ -207,30 +188,6 @@ def composed_extremal_excess(lam: float, r: float, k: int) -> float:
     return -(1.0 - rk) / (1.0 + lam * rk) + (1.0 + lam) * r / (1.0 - r)
 
 
-#: Numbered access to the scalar family, in the order used across the
-#: radius derivations: 1-2 squared functional, 3-6 refined, 7-9 composed.
-AUX_FUNCTIONS: dict[int, Callable[..., float]] = {
-    1: squared_functional_slack,
-    2: slack_polynomial,
-    3: refined_slack_p1,
-    4: refined_slack_p2,
-    5: refined_extremal_excess_p1,
-    6: refined_extremal_excess_p2,
-    7: composed_functional_bound,
-    8: composed_radius_equation,
-    9: composed_extremal_excess,
-}
-
-
-def aux_function(index: int, *args: float, **kwargs: float) -> float:
-    """Evaluate scalar function ``index`` in 1..9 with its natural arguments."""
-    try:
-        fn = AUX_FUNCTIONS[index]
-    except KeyError:
-        raise DomainError(f"index must lie in 1..9, got {index}") from None
-    return fn(*args, **kwargs)
-
-
 @dataclass(frozen=True)
 class RadiusResult:
     """Solved radius with its final bracket, residual, and iteration count."""
@@ -246,38 +203,36 @@ class RadiusResult:
             raise SolverError("radius must lie inside its bracket")
 
 
-DEFAULT_BRACKET = (1e-9, 1.0 - 1e-9)
+#: Bisection settings: the search bracket inside (0, 1), the final bracket
+#: width, the iteration cap, and the samples of the monotonicity check.
+SOLVER_BRACKET = (1e-9, 1.0 - 1e-9)
+SOLVER_TOL = 1e-12
+SOLVER_MAX_ITERATIONS = 200
+MONOTONICITY_SAMPLES = 64
 
 
-def solve_decreasing_root(
-    func: Callable[[float], float],
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-    tol: float = 1e-12,
-    max_iterations: int = 200,
-    monotonicity_samples: int = 64,
-) -> RadiusResult:
-    """Bisect a strictly decreasing function to a bracket of width <= tol.
+def solve_decreasing_root(func: Callable[[float], float]) -> RadiusResult:
+    """Bisect a strictly decreasing function on :data:`SOLVER_BRACKET` to a
+    bracket of width <= :data:`SOLVER_TOL`.
 
     Verifies the sign change and (by coarse sampling) the claimed
     monotonicity before iterating; both failures raise :class:`SolverError`
     rather than returning a spurious root.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    lo, hi = bracket
+    lo, hi = SOLVER_BRACKET
     flo, fhi = func(lo), func(hi)
     if not (flo > 0.0 > fhi):
         raise SolverError(
             f"no sign change on [{lo}, {hi}]: f(lo) = {flo}, f(hi) = {fhi}"
         )
     prev = flo
-    for j in range(1, monotonicity_samples + 1):
-        value = func(lo + (hi - lo) * j / monotonicity_samples)
+    for j in range(1, MONOTONICITY_SAMPLES + 1):
+        value = func(lo + (hi - lo) * j / MONOTONICITY_SAMPLES)
         if value >= prev:
             raise SolverError("target function is not strictly decreasing on the bracket")
         prev = value
     iterations = 0
-    while hi - lo > tol and iterations < max_iterations:
+    while hi - lo > SOLVER_TOL and iterations < SOLVER_MAX_ITERATIONS:
         mid = 0.5 * (lo + hi)
         if func(mid) > 0.0:
             lo = mid
@@ -294,20 +249,10 @@ def solve_decreasing_root(
     )
 
 
-def solve_radius(k: int | None = None, func: Callable[[float], float] | None = None, tol: float = 1e-12) -> RadiusResult:
-    """Solve for a sharp radius.
-
-    With ``k`` given, solves the composed functional's radius equation for
-    that order; with ``func`` given, bisects an arbitrary strictly
-    decreasing function on (0, 1).  Exactly one of the two must be supplied.
-    """
-    if (k is None) == (func is None):
-        raise DomainError("supply exactly one of k or func")
-    if k is not None:
-        _check_order(k)
-        func = lambda r: composed_radius_equation(r, k)  # noqa: E731
-    assert func is not None
-    return solve_decreasing_root(func, tol=tol)
+def solve_radius(k: int) -> RadiusResult:
+    """Solve the composed functional's radius equation for order ``k``."""
+    _check_order(k)
+    return solve_decreasing_root(lambda r: composed_radius_equation(r, k))
 
 
 @functools.lru_cache(maxsize=64)

@@ -27,7 +27,6 @@ the stored coefficients of one seed can differ from one CPU to another.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
@@ -52,22 +51,10 @@ SYNTH_CHUNK = 64
 CIRCLE_CACHE_SIZE = 8
 
 
-class BoundKind(enum.Enum):
-    """Provenance of a tail bound."""
-
-    #: Geometric majorant from the Schur coefficient bound |c_n| <= 1-|a0|^2.
-    COEFFICIENT_GEOMETRIC = "coefficient_geometric"
-    #: Exact geometric tail of a Moebius map's coefficient sequence.
-    MOBIUS_EXACT = "mobius_exact"
-    #: Caller-supplied bound.
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class TailBudget:
     """Upper bound on the part of a functional term lost to truncation."""
 
-    kind: BoundKind
     value: float
 
     def __post_init__(self) -> None:
@@ -256,11 +243,6 @@ def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSer
     return random_schur_series_many([seed], n_terms)[0]
 
 
-def eval_series(s: TruncatedSeries, t: complex) -> complex:
-    """Evaluate a0 + sum c_n t^n at one point, |t| < 1 (see :func:`eval_series_many`)."""
-    return complex(eval_series_many(s, t))
-
-
 def eval_series_many(s: TruncatedSeries, ts: np.ndarray) -> np.ndarray:
     """Evaluate a0 + sum c_n t^n at every point of ``ts`` (any shape), |t| < 1.
 
@@ -317,14 +299,4 @@ def tail_bound(s: TruncatedSeries, r: float, term_kind: TailTermKind) -> TailBud
         value = m * m * r ** (2 * n + 2) / (1.0 - r * r)
     else:
         raise DomainError(f"unknown tail term kind {term_kind!r}")
-    return TailBudget(kind=BoundKind.COEFFICIENT_GEOMETRIC, value=float(value))
-
-
-def mobius_tail_exact(lam: float, r: float, n_terms: int) -> TailBudget:
-    """Exact linear-sum tail of a Moebius series: geometric with ratio lam*r."""
-    if not 0.0 <= lam < 1.0:
-        raise DomainError(f"lambda must lie in [0, 1), got {lam}")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
-    value = (1.0 - lam * lam) * lam**n_terms * r ** (n_terms + 1) / (1.0 - lam * r)
-    return TailBudget(kind=BoundKind.MOBIUS_EXACT, value=float(value))
+    return TailBudget(value=float(value))

@@ -107,14 +107,15 @@ def extremal_slice(
     return PolydiscSlice(components=(g,) * m, equimodular=True)
 
 
-def witness_lambda_grid(spec: FunctionalSpec, depth: int = DEFAULT_LAMBDA_GRID) -> list[float]:
+def witness_lambda_grid(spec: FunctionalSpec) -> list[float]:
     """Search grid for the extremal parameter, in fixed scan order.
 
-    The dyadic points 1 - 2^-j resolve the lam -> 1 regime; the squared
-    kind additionally gets its known interior extremal parameter first, so
-    its witnesses land there deterministically.
+    The dyadic points 1 - 2^-j, j = 1 .. :data:`DEFAULT_LAMBDA_GRID`,
+    resolve the lam -> 1 regime; the squared kind additionally gets its
+    known interior extremal parameter first, so its witnesses land there
+    deterministically.
     """
-    grid = [1.0 - 0.5**j for j in range(1, depth + 1)]
+    grid = [1.0 - 0.5**j for j in range(1, DEFAULT_LAMBDA_GRID + 1)]
     if spec.kind == "improved_squared":
         grid.insert(0, SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA)
     return grid
@@ -123,7 +124,6 @@ def witness_lambda_grid(spec: FunctionalSpec, depth: int = DEFAULT_LAMBDA_GRID) 
 def find_witness(
     spec: FunctionalSpec,
     r: float,
-    lambda_grid: int = DEFAULT_LAMBDA_GRID,
     m: int = 1,
     n_terms: int = DEFAULT_ORDER,
     phases: int = DEFAULT_PHASES,
@@ -143,12 +143,12 @@ def find_witness(
         raise PreconditionError(
             f"witness search needs r above the sharp radius {radius}, got {r}"
         )
-    for lam in witness_lambda_grid(spec, lambda_grid):
+    for lam in witness_lambda_grid(spec):
         value = eval_functional(extremal_slice(spec, lam, m, n_terms), spec, r, phases=phases)
         if value.lower > 1.0 + WITNESS_MARGIN:
             return SharpnessWitness(spec=spec, lam=lam, r=r, value_lower=value.lower)
     raise WitnessSearchError(
-        f"no witness for {spec.kind} at r = {r} on a depth-{lambda_grid} grid"
+        f"no witness for {spec.kind} at r = {r} on a depth-{DEFAULT_LAMBDA_GRID} grid"
     )
 
 

@@ -216,3 +216,22 @@ class TestConfigAndUsage:
 
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         assert run(capsys, "radius", "--config", str(tmp_path / "nope.cfg"))[0] == 2
+
+    def test_config_values_are_validated_like_flags(self, capsys, tmp_path):
+        # `--format xml` and `--m 7` exit 2; the same values from a file must too.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theorem = classical\nformat = xml\n")
+        code, out, err = run(capsys, "radius", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and "invalid choice: 'xml'" in err
+        cfg.write_text("theorem = refined_p\np = 1\nm = 7\n")
+        code, out, _ = run(capsys, "verify", "--seeds", "2", "--phases", "4", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+
+    def test_bad_config_entry_exits_2_even_when_a_flag_overrides_it(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theorem = classical\nformat = xml\nseeds = many\n")
+        assert run(capsys, "radius", "--config", str(cfg), "--format", "json", "--seeds", "3")[0] == 2
+        cfg.write_text("theorem = classical\nformat = xml\n")
+        assert run(capsys, "radius", "--config", str(cfg), "--format", "json")[0] == 2

@@ -11,6 +11,7 @@ The corpus tests pin the true mathematical boundary of the inequalities:
   library detects those with a rigorous lower bound above 1.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from polybohr import (
     SQUARED_FUNCTIONAL_RADIUS,
     TruncatedSeries,
     eval_functional,
+    find_witness,
     mobius_series,
     random_equimodular_slice,
     solve_radius,
@@ -76,6 +78,19 @@ class TestSpecValidation:
             FunctionalSpec(kind="composed_k")
         with pytest.raises(DomainError):
             FunctionalSpec(kind="classical", k=2)
+
+    def test_integral_float_and_numpy_orders_act_as_ints(self):
+        # 2.0 once broke the t -> t^k slicing; np.int64(2) made every field np.float64.
+        s = random_equimodular_slice(5)
+        for make, n in ((FunctionalSpec.composed, 2), (FunctionalSpec.refined, 2), (FunctionalSpec.refined, 1)):
+            expected = dataclasses.astuple(eval_functional(s, make(n), 0.2))
+            for alias in (float(n), np.int64(n)):
+                spec = make(alias)
+                assert spec == make(n) and type(spec.p or spec.k) is int
+                fields = dataclasses.astuple(eval_functional(s, spec, 0.2))
+                assert fields == expected
+                assert all(type(f) is float for f in fields)
+        assert find_witness(FunctionalSpec.composed(2.0), 0.3) == find_witness(FunctionalSpec.composed(2), 0.3)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

@@ -13,7 +13,6 @@ from polybohr import (
     SolverError,
     SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA,
     SQUARED_FUNCTIONAL_RADIUS,
-    aux_function,
     check_slack_factorization,
     closed_form_radius,
     composed_extremal_excess,
@@ -28,7 +27,6 @@ from polybohr import (
     solve_decreasing_root,
     solve_radius,
     squared_functional_slack,
-    squared_functional_slack_dr,
 )
 
 
@@ -56,18 +54,6 @@ class TestSquaredFunctionalSlack:
     def test_zero_at_extremal_point(self):
         slack = squared_functional_slack(SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, SQUARED_FUNCTIONAL_RADIUS)
         assert abs(slack) < 1e-12
-
-    def test_radial_derivative_matches_finite_differences(self):
-        h = 1e-6
-        for x in np.linspace(0.0, 0.95, 12):
-            for r in np.linspace(0.01, 0.9, 12):
-                fd = (squared_functional_slack(x, r + h) - squared_functional_slack(x, r - h)) / (2 * h)
-                assert squared_functional_slack_dr(x, r) == pytest.approx(fd, abs=1e-6)
-
-    def test_radial_derivative_nonnegative(self):
-        for x in np.linspace(0.0, 0.99, 40):
-            for r in np.linspace(0.0, 0.99, 40):
-                assert squared_functional_slack_dr(x, r) >= 0.0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -160,23 +146,6 @@ class TestComposedFunctions:
         assert composed_extremal_excess(0.95, 0.3, 1) == pytest.approx(0.29096720400222353, abs=1e-12)
 
 
-class TestAuxDispatcher:
-    def test_all_indices_dispatch(self):
-        assert aux_function(1, 0.5, 0.2) == squared_functional_slack(0.5, 0.2)
-        assert aux_function(2, 0.5) == slack_polynomial(0.5)
-        assert aux_function(3, 0.5, 0.1) == refined_slack_p1(0.5, 0.1)
-        assert aux_function(4, 0.1) == refined_slack_p2(0.1)
-        assert aux_function(5, 0.5, 0.1) == refined_extremal_excess_p1(0.5, 0.1)
-        assert aux_function(6, 0.5, 0.1) == refined_extremal_excess_p2(0.5, 0.1)
-        assert aux_function(7, 0.5, 0.1, 2) == composed_functional_bound(0.5, 0.1, 2)
-        assert aux_function(8, 0.1, 2) == composed_radius_equation(0.1, 2)
-        assert aux_function(9, 0.5, 0.1, k=2) == composed_extremal_excess(0.5, 0.1, 2)
-
-    def test_bad_index(self):
-        with pytest.raises(DomainError):
-            aux_function(10, 0.5)
-
-
 class TestSolver:
     def test_order_one_root_is_sqrt5_minus_2(self):
         result = solve_radius(k=1)
@@ -195,14 +164,8 @@ class TestSolver:
         assert all(r < 1.0 / 3.0 for r in radii)
 
     def test_custom_function(self):
-        result = solve_radius(func=lambda r: 0.25 - r)
+        result = solve_decreasing_root(lambda r: 0.25 - r)
         assert result.radius == pytest.approx(0.25, abs=1e-10)
-
-    def test_requires_exactly_one_target(self):
-        with pytest.raises(DomainError):
-            solve_radius()
-        with pytest.raises(DomainError):
-            solve_radius(k=1, func=lambda r: -r)
 
     def test_no_sign_change_raises(self):
         with pytest.raises(SolverError):

@@ -20,6 +20,7 @@ from polybohr import (
     reproduce_counterexample,
     witness_lambda_grid,
 )
+from polybohr.sharpness import DEFAULT_LAMBDA_GRID
 
 ALL_THEOREM_SPECS = [
     FunctionalSpec.improved_squared(),
@@ -66,13 +67,15 @@ class TestExtremalSlice:
 
 class TestWitnessGrid:
     def test_squared_grid_leads_with_extremal_parameter(self):
-        grid = witness_lambda_grid(FunctionalSpec.improved_squared(), 5)
+        grid = witness_lambda_grid(FunctionalSpec.improved_squared())
         assert grid[0] == SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA
-        assert grid[1:] == [0.5, 0.75, 0.875, 0.9375, 0.96875]
+        assert grid[1:6] == [0.5, 0.75, 0.875, 0.9375, 0.96875]
+        assert grid[1:] == witness_lambda_grid(FunctionalSpec.refined(1))
 
     def test_dyadic_grid_for_other_kinds(self):
-        grid = witness_lambda_grid(FunctionalSpec.refined(1), 4)
-        assert grid == [0.5, 0.75, 0.875, 0.9375]
+        grid = witness_lambda_grid(FunctionalSpec.refined(1))
+        assert grid[:4] == [0.5, 0.75, 0.875, 0.9375]
+        assert grid == [1.0 - 0.5**j for j in range(1, DEFAULT_LAMBDA_GRID + 1)]
 
 
 class TestFindWitness:
