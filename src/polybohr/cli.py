@@ -4,7 +4,7 @@ Five subcommands (``radius``, ``verify``, ``witness``, ``sweep``,
 ``counterexample``) over the library, with human-readable output by default
 and ``--format csv|json`` for machine consumption.  Exit codes: 0 when all
 assertions pass or a witness is found, 1 when an assertion fails or no
-witness exists, 2 for usage or domain errors.
+witness exists, 2 for usage, domain or I/O errors.
 """
 
 from __future__ import annotations
@@ -123,8 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_argv(path: str) -> list[str]:
     """The file's ``key = value`` lines as ``--flag=value`` arguments, in file order."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
     argv = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -418,7 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     except PolybohrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(cfg, code, rows, lines)
+    try:
+        _emit(cfg, code, rows, lines)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

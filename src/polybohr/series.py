@@ -20,9 +20,11 @@ rigorous two-sided enclosure of the untruncated value.
 Reproducibility: Schur synthesis is bit-reproducible for a given seed on
 one machine, whether series are synthesized alone or in batches.  Across
 machines it may not be: the truncated quotient's dot products run OpenBLAS
-``zdotu``, whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds), and
-the numerator/denominator recursion amplifies rounding by up to 3.1e-5, so
-the stored coefficients of one seed can differ from one CPU to another.
+``cblas_zdotu_sub`` (through ``np.dot``, or numpy's stacked ``matmul``, one
+call per row), whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds),
+and the numerator/denominator recursion amplifies rounding by up to 3.1e-5,
+so the stored coefficients of one seed can differ from one CPU to another.
+``tests/test_synthesis_blocks.py`` pins that both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -135,29 +137,19 @@ def mobius_series(lam: float, sign: MobiusSign, n_terms: int = DEFAULT_ORDER) ->
     return TruncatedSeries(a0=lam, coeffs=coeffs.astype(np.complex128), schur_certified=True)
 
 
-def _truncated_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Coefficients of num/den to their common length, assuming den[0] = 1.
-
-    The result is built reversed in one contiguous buffer (coefficient n at
-    index -1 - n), so the coefficients n-1, ..., 0 that each dot product
-    needs form a contiguous slice and numpy hands them to BLAS uncopied.
-    """
-    width = num.size
-    rev = np.empty(width, dtype=np.complex128)
-    rev[-1] = num[0]
-    for n in range(1, width):
-        rev[-1 - n] = num[n] - np.dot(den[1 : n + 1], rev[width - n :])
-    return rev[::-1]
-
-
 def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     """Coefficients a0, c_1 .. c_N of the Schur function of each parameter row.
 
-    Runs the numerator/denominator recursion of
-    :func:`schur_series_from_params` once per parameter index over a block
-    of rows (each row sees the same elementwise arithmetic as a single
-    series), then the truncated quotient row by row.  Works through
-    :data:`SYNTH_CHUNK` rows at a time to bound the temporaries.
+    Works through :data:`SYNTH_CHUNK` rows at a time to bound the
+    temporaries.  Each block runs the numerator/denominator recursion of
+    :func:`schur_series_from_params` once per parameter index, then the
+    truncated quotient p/q once per coefficient: coefficient n of every row
+    is p_n minus one stacked (1, n) @ (n, 1) product of q_1 .. q_n with the
+    row's coefficients n - 1, ..., 0, which are built reversed (coefficient
+    n at index -1 - n) so that each product reads contiguous slices.  A
+    block of one row takes ``np.dot`` instead, in less than half the time.
+    Every row sees the same elementwise arithmetic and the same BLAS dot as
+    a block of its own, so its bits do not depend on its block.
 
     Args:
         params: (rows, K) block of Schur parameters, K >= 1.
@@ -172,16 +164,30 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     out = np.empty((rows, width), dtype=np.complex128)
     for start in range(0, rows, SYNTH_CHUNK):
         block = params[start : start + SYNTH_CHUNK]
-        conj = np.conj(block)
-        p = np.zeros((block.shape[0], width), dtype=np.complex128)  # tail f = 0
-        q = np.zeros_like(p)
-        q[:, 0] = 1.0
-        tp = np.zeros_like(p)
+        # gammas[j] multiplies (q, t p) by (g_j, conj g_j), row by row.
+        gammas = np.stack((block.T, np.conj(block.T)), axis=1)[..., np.newaxis]
+        pq = np.zeros((2, block.shape[0], width), dtype=np.complex128)  # tail f = 0
+        pq[1, :, 0] = 1.0
+        factors = np.zeros_like(pq)
         for j in range(block.shape[1] - 1, -1, -1):
-            tp[:, 1:] = p[:, :-1]  # t * p, truncated
-            p, q = block[:, j : j + 1] * q + tp, q + conj[:, j : j + 1] * tp
-        for i in range(block.shape[0]):
-            out[start + i] = _truncated_quotient(p[i], q[i])
+            factors[0] = pq[1]
+            factors[1, :, 1:] = pq[0, :, :-1]  # t * p, truncated
+            # gamma first, as in g * q: numpy's complex multiply is not
+            # bitwise symmetric in its operands.
+            np.multiply(gammas[j], factors, out=pq)  # (g q, conj(g) t p)
+            pq += factors[::-1]  # (g q + t p, conj(g) t p + q)
+        p, q = pq
+        rev = np.empty_like(p)
+        rev[:, -1] = p[:, 0]
+        if block.shape[0] == 1:
+            p1, q1, rev1 = p[0], q[0], rev[0]
+            for n in range(1, width):
+                rev1[-1 - n] = p1[n] - np.dot(q1[1 : n + 1], rev1[width - n :])
+        else:
+            for n in range(1, width):
+                dots = q[:, np.newaxis, 1 : n + 1] @ rev[:, width - n :, np.newaxis]
+                rev[:, -1 - n] = p[:, n] - dots[:, 0, 0]
+        out[start : start + block.shape[0]] = rev[:, ::-1]
     return out
 
 

@@ -217,6 +217,20 @@ class TestConfigAndUsage:
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         assert run(capsys, "radius", "--config", str(tmp_path / "nope.cfg"))[0] == 2
 
+    def test_config_file_not_utf8_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"theorem = classical\n\xff\xfe\n")
+        code, out, err = run(capsys, "radius", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "UTF-8" in err
+
+    def test_unwritable_output_path_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing_dir" / "x.json"
+        code, out, err = run(capsys, "radius", "--theorem", "classical", "--out", str(target))
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "missing_dir" in err
+        assert not target.parent.exists()
+
     def test_config_values_are_validated_like_flags(self, capsys, tmp_path):
         # `--format xml` and `--m 7` exit 2; the same values from a file must too.
         cfg = tmp_path / "run.cfg"
