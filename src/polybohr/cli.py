@@ -14,19 +14,15 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from .errors import DomainError, PolybohrError, PreconditionError, SolverError, WitnessSearchError
-from .functionals import VERIFY_TOL, FunctionalSpec, eval_functional, verify_theorem
+from .errors import DomainError, PolybohrError, SolverError, WitnessSearchError
+from .functionals import VERIFY_TOL, FunctionalSpec, FunctionalValue, eval_functional, verify_theorem
 from .radii import closed_form_radius, solve_radius
-from .series import SYNTH_CHUNK, random_schur_series_many
+from .series import DEFAULT_ORDER, SYNTH_CHUNK, random_schur_series_many
 from .sharpness import extremal_slice, find_witness, reproduce_counterexample
-from .slices import PolydiscSlice, random_equimodular_slices
-
-#: CSV column order for sweep reports.
-SWEEP_COLUMNS = ("theorem", "p", "k", "lambda_or_seed", "r", "value_lower", "value_upper", "tail", "bound_ok")
+from .slices import DEFAULT_PHASES, PolydiscSlice, random_equimodular_slices
 
 #: The flags every subcommand takes, declared once.  Each is also a config-file
 #: key: the long flag without dashes (``rmin``, ``lambda``, ``format``, ...).
@@ -41,8 +37,8 @@ _FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("--lambda", dict(dest="lam", type=float, help="extremal-family parameter")),
     ("--seeds", dict(type=int, help="verify: corpus size; sweep: the RNG seed")),
     ("--m", dict(type=int, choices=[1, 2, 3], help="component count (default: mixed 1..3)")),
-    ("--truncation", dict(type=int, help="series truncation order (default 64)")),
-    ("--phases", dict(type=int, help="circle-sampling phase count (default 64)")),
+    ("--truncation", dict(type=int, default=DEFAULT_ORDER, help="series truncation order (default 64)")),
+    ("--phases", dict(type=int, default=DEFAULT_PHASES, help="circle-sampling phase count (default 64)")),
     ("--a1", dict(type=float, help="counterexample: smaller initial value")),
     ("--a2", dict(type=float, help="counterexample: larger initial value")),
     ("--format", dict(dest="fmt", choices=["csv", "json"], help="structured output")),
@@ -60,45 +56,6 @@ def _fmt(x: Any) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
-
-
-@dataclass
-class RunConfig:
-    """Validated options for one CLI invocation."""
-
-    command: str
-    spec: FunctionalSpec
-    r: float | None = None
-    r_grid: list[float] = field(default_factory=list)
-    lam: float | None = None
-    seeds: int | None = None
-    m: int | None = None
-    truncation: int = 64
-    phases: int = 64
-    a1: float | None = None
-    a2: float | None = None
-    output_format: str | None = None
-    output_path: str | None = None
-
-    def echo(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "command": self.command,
-            "theorem": self.spec.kind,
-            "p": self.spec.p,
-            "k": self.spec.k,
-            "r": self.r,
-            "r_grid": self.r_grid or None,
-            "lambda": self.lam,
-            "seeds": self.seeds,
-            "m": self.m,
-            "truncation": self.truncation,
-            "phases": self.phases,
-            "a1": self.a1,
-            "a2": self.a2,
-            "format": self.output_format,
-            "out": self.output_path,
-        }
-        return {k: v for k, v in d.items() if v is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,20 +116,19 @@ def _check_radius_value(r: float | None, name: str = "--r") -> None:
         raise DomainError(f"{name} must lie in [0, 1), got {r}")
 
 
-def _build_runconfig(args: argparse.Namespace) -> RunConfig:
-    spec = _build_spec(args)
-    truncation = args.truncation if args.truncation is not None else 64
-    phases = args.phases if args.phases is not None else 64
-    if truncation < 8:
-        raise DomainError(f"--truncation must be >= 8, got {truncation}")
+def _check(args: argparse.Namespace) -> None:
+    """Validate the parsed options; set the functional ``spec`` and the sweep grid ``r_grid`` on them."""
+    args.spec = _build_spec(args)
+    if args.truncation < 8:
+        raise DomainError(f"--truncation must be >= 8, got {args.truncation}")
     if args.seeds is not None and args.command == "verify" and args.seeds < 1:
         raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
     if args.seeds is not None and args.seeds < 0:
         raise DomainError(f"--seeds must be >= 0, got {args.seeds}")
-    if phases < 1:
-        raise DomainError(f"--phases must be >= 1, got {phases}")
+    if args.phases < 1:
+        raise DomainError(f"--phases must be >= 1, got {args.phases}")
     _check_radius_value(args.r)
-    r_grid: list[float] = []
+    args.r_grid = None
     if args.command == "sweep":
         rmin = args.rmin if args.rmin is not None else 0.0
         rmax = args.rmax if args.rmax is not None else 0.95
@@ -184,36 +140,59 @@ def _build_runconfig(args: argparse.Namespace) -> RunConfig:
         if rmax < rmin:
             raise DomainError("--r-max must not be below --r-min")
         step = (rmax - rmin) / (rsteps - 1) if rsteps > 1 else 0.0
-        r_grid = [rmin + j * step for j in range(rsteps)]
-    return RunConfig(
-        command=args.command,
-        spec=spec,
-        r=args.r,
-        r_grid=r_grid,
-        lam=args.lam,
-        seeds=args.seeds,
-        m=args.m,
-        truncation=truncation,
-        phases=phases,
-        a1=args.a1,
-        a2=args.a2,
-        output_format=args.fmt,
-        output_path=args.out,
-    )
+        args.r_grid = [rmin + j * step for j in range(rsteps)]
+    # Fail before the computation, not after it, when the report cannot be written.
+    if args.out and not Path(args.out).parent.is_dir():
+        raise DomainError(f"--out: directory {str(Path(args.out).parent)!r} does not exist")
 
 
-def _spec_cells(cfg: RunConfig) -> dict[str, Any]:
-    return {"theorem": cfg.spec.kind, "p": cfg.spec.p, "k": cfg.spec.k}
+def _echo(args: argparse.Namespace) -> dict[str, Any]:
+    """The JSON report's ``config``: the options in effect, unset ones left out."""
+    d: dict[str, Any] = {
+        "command": args.command,
+        "theorem": args.spec.kind,
+        "p": args.spec.p,
+        "k": args.spec.k,
+        "r": args.r,
+        "r_grid": args.r_grid,
+        "lambda": args.lam,
+        "seeds": args.seeds,
+        "m": args.m,
+        "truncation": args.truncation,
+        "phases": args.phases,
+        "a1": args.a1,
+        "a2": args.a2,
+        "format": args.fmt,
+        "out": args.out,
+    }
+    return {k: v for k, v in d.items() if v is not None}
 
 
-def _run_radius(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
-    radius = closed_form_radius(cfg.spec)
-    row = {**_spec_cells(cfg), "radius": radius}
-    lines = [f"sharp radius ({cfg.spec.kind}): {_fmt(radius)}"]
+def _spec_cells(args: argparse.Namespace) -> dict[str, Any]:
+    return {"theorem": args.spec.kind, "p": args.spec.p, "k": args.spec.k}
+
+
+def _value_row(args: argparse.Namespace, label: Any, r: float, value: FunctionalValue, ok: bool) -> dict[str, Any]:
+    """One ``verify`` or ``sweep`` result row."""
+    return {
+        **_spec_cells(args),
+        "lambda_or_seed": label,
+        "r": r,
+        "value_lower": value.lower,
+        "value_upper": value.upper,
+        "tail": value.tail,
+        "bound_ok": ok,
+    }
+
+
+def _run_radius(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+    radius = closed_form_radius(args.spec)
+    row = {**_spec_cells(args), "radius": radius}
+    lines = [f"sharp radius ({args.spec.kind}): {_fmt(radius)}"]
     code = 0
-    if cfg.spec.kind == "composed_k":
-        assert cfg.spec.k is not None
-        result = solve_radius(k=cfg.spec.k)
+    if args.spec.kind == "composed_k":
+        assert args.spec.k is not None
+        result = solve_radius(k=args.spec.k)
         row.update(
             bracket_lo=result.bracket_lo,
             bracket_hi=result.bracket_hi,
@@ -229,16 +208,16 @@ def _run_radius(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
     return code, [row], lines
 
 
-def _slices_for_seeds(cfg: RunConfig, seeds: Sequence[int]) -> list[PolydiscSlice]:
-    if cfg.spec.kind == "classical":
-        return [PolydiscSlice.from_components([s]) for s in random_schur_series_many(seeds, cfg.truncation)]
-    return random_equimodular_slices(seeds, m=cfg.m, n_terms=cfg.truncation)
+def _slices_for_seeds(args: argparse.Namespace, seeds: Sequence[int]) -> list[PolydiscSlice]:
+    if args.spec.kind == "classical":
+        return [PolydiscSlice.from_components([s]) for s in random_schur_series_many(seeds, args.truncation)]
+    return random_equimodular_slices(seeds, m=args.m, n_terms=args.truncation)
 
 
-def _run_verify(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
-    radius = closed_form_radius(cfg.spec)
-    r = cfg.r if cfg.r is not None else radius
-    count = cfg.seeds if cfg.seeds is not None else 100
+def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+    radius = closed_form_radius(args.spec)
+    r = args.r if args.r is not None else radius
+    count = args.seeds if args.seeds is not None else 100
     rows = []
     failures = genuine = 0
     max_upper = 0.0
@@ -246,25 +225,15 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
     # next, so the resident corpus stays bounded.
     for start in range(0, count, SYNTH_CHUNK):
         seeds = range(start, min(start + SYNTH_CHUNK, count))
-        for seed, sl in zip(seeds, _slices_for_seeds(cfg, seeds)):
-            ok, value = verify_theorem(sl, cfg.spec, r, phases=cfg.phases)
+        for seed, sl in zip(seeds, _slices_for_seeds(args, seeds)):
+            ok, value = verify_theorem(sl, args.spec, r, phases=args.phases)
             failures += (not ok)
             genuine += (not ok) and value.lower > 1.0
             max_upper = max(max_upper, value.upper)
-            rows.append(
-                {
-                    **_spec_cells(cfg),
-                    "lambda_or_seed": seed,
-                    "r": r,
-                    "value_lower": value.lower,
-                    "value_upper": value.upper,
-                    "tail": value.tail,
-                    "bound_ok": ok,
-                }
-            )
+            rows.append(_value_row(args, seed, r, value, ok))
     passed = count - failures
     lines = [
-        f"verify {cfg.spec.kind} at r = {_fmt(r)}: {passed}/{count} pass, "
+        f"verify {args.spec.kind} at r = {_fmt(r)}: {passed}/{count} pass, "
         f"max upper value {_fmt(max_upper)}"
     ]
     if failures:
@@ -275,65 +244,55 @@ def _run_verify(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
     return (0 if failures == 0 else 1), rows, lines
 
 
-def _run_witness(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
-    if cfg.r is None:
+def _run_witness(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+    if args.r is None:
         raise DomainError("witness search requires --r above the sharp radius")
-    witness = find_witness(cfg.spec, cfg.r, n_terms=cfg.truncation, phases=cfg.phases)
+    witness = find_witness(args.spec, args.r, n_terms=args.truncation, phases=args.phases)
     row = {
-        **_spec_cells(cfg),
+        **_spec_cells(args),
         "lambda_or_seed": witness.lam,
         "r": witness.r,
         "value_lower": witness.value_lower,
         "margin": witness.margin,
     }
     lines = [
-        f"witness for {cfg.spec.kind} at r = {_fmt(cfg.r)}: lambda = {_fmt(witness.lam)}, "
+        f"witness for {args.spec.kind} at r = {_fmt(args.r)}: lambda = {_fmt(witness.lam)}, "
         f"value {_fmt(witness.value_lower)} > 1 (margin {_fmt(witness.margin)})"
     ]
     return 0, [row], lines
 
 
-def _run_sweep(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
-    radius = closed_form_radius(cfg.spec)
-    if cfg.lam is not None:
-        sl = extremal_slice(cfg.spec, cfg.lam, m=cfg.m or 1, n_terms=cfg.truncation)
-        label: Any = cfg.lam
+def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+    radius = closed_form_radius(args.spec)
+    if args.lam is not None:
+        sl = extremal_slice(args.spec, args.lam, m=args.m or 1, n_terms=args.truncation)
+        label: Any = args.lam
     else:
-        seed = cfg.seeds if cfg.seeds is not None else 0
-        sl = _slices_for_seeds(cfg, [seed])[0]
+        seed = args.seeds if args.seeds is not None else 0
+        sl = _slices_for_seeds(args, [seed])[0]
         label = seed
     rows = []
     all_pass = True
-    for r in cfg.r_grid:
-        value = eval_functional(sl, cfg.spec, r, phases=cfg.phases)
+    for r in args.r_grid:
+        value = eval_functional(sl, args.spec, r, phases=args.phases)
         ok = value.upper <= 1.0 + VERIFY_TOL
         if r <= radius + 1e-12 and not ok:
             all_pass = False
-        rows.append(
-            {
-                **_spec_cells(cfg),
-                "lambda_or_seed": label,
-                "r": r,
-                "value_lower": value.lower,
-                "value_upper": value.upper,
-                "tail": value.tail,
-                "bound_ok": ok,
-            }
-        )
+        rows.append(_value_row(args, label, r, value, ok))
     lines = [
-        f"sweep {cfg.spec.kind} over {len(rows)} radii (slice: "
-        f"{'lambda = ' + _fmt(cfg.lam) if cfg.lam is not None else 'seed ' + str(label)}); "
+        f"sweep {args.spec.kind} over {len(rows)} radii (slice: "
+        f"{'lambda = ' + _fmt(args.lam) if args.lam is not None else 'seed ' + str(label)}); "
         f"bound holds on {sum(1 for w in rows if w['bound_ok'])}/{len(rows)} points"
     ]
     return (0 if all_pass else 1), rows, lines
 
 
-def _run_counterexample(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list[str]]:
-    if cfg.a1 is None or cfg.a2 is None or cfg.r is None:
+def _run_counterexample(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+    if args.a1 is None or args.a2 is None or args.r is None:
         raise DomainError("counterexample requires --a1, --a2 and --r")
-    report = reproduce_counterexample(cfg.spec, cfg.a1, cfg.a2, cfg.r, n_terms=cfg.truncation, phases=cfg.phases)
+    report = reproduce_counterexample(args.spec, args.a1, args.a2, args.r, n_terms=args.truncation, phases=args.phases)
     row = {
-        **_spec_cells(cfg),
+        **_spec_cells(args),
         "a1": report.a1,
         "a2": report.a2,
         "r": report.r,
@@ -343,7 +302,7 @@ def _run_counterexample(cfg: RunConfig) -> tuple[int, list[dict[str, Any]], list
         "succeeded": report.succeeded,
     }
     lines = [
-        f"counterexample {cfg.spec.kind} (a1 = {_fmt(cfg.a1)}, a2 = {_fmt(cfg.a2)}, r = {_fmt(cfg.r)}): "
+        f"counterexample {args.spec.kind} (a1 = {_fmt(args.a1)}, a2 = {_fmt(args.a2)}, r = {_fmt(args.r)}): "
         f"value {_fmt(report.value_lower)} {'>' if report.succeeded else '<='} 1 "
         f"(closed-form bound {_fmt(report.analytic_bound)})"
     ]
@@ -359,27 +318,19 @@ _RUNNERS = {
 }
 
 
-def _emit_csv(rows: list[dict[str, Any]], stream: io.TextIOBase, command: str) -> None:
-    if command == "sweep":
-        columns: Sequence[str] = SWEEP_COLUMNS
-    else:
-        columns = list(rows[0].keys()) if rows else []
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c)) for c in columns])
-
-
-def _emit(cfg: RunConfig, code: int, rows: list[dict[str, Any]], lines: list[str]) -> None:
-    if cfg.output_format == "csv":
+def _emit(args: argparse.Namespace, code: int, rows: list[dict[str, Any]], lines: list[str]) -> None:
+    if args.fmt == "csv":
+        # Every runner returns at least one row, all with the same keys.
         buf = io.StringIO()
-        _emit_csv(rows, buf, cfg.command)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows([_fmt(v) for v in row.values()] for row in rows)
         payload = buf.getvalue()
-    elif cfg.output_format == "json":
+    elif args.fmt == "json":
         payload = json.dumps(
             {
-                "command": cfg.command,
-                "config": cfg.echo(),
+                "command": args.command,
+                "config": _echo(args),
                 "results": rows,
                 "all_pass": code == 0,
             },
@@ -388,9 +339,9 @@ def _emit(cfg: RunConfig, code: int, rows: list[dict[str, Any]], lines: list[str
         ) + "\n"
     else:
         payload = "".join(line + "\n" for line in lines)
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(payload, encoding="utf-8", newline="")
-        print(f"wrote {cfg.output_path}")
+    if args.out:
+        Path(args.out).write_text(payload, encoding="utf-8", newline="")
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(payload)
 
@@ -405,26 +356,15 @@ def main(argv: list[str] | None = None) -> int:
             # the explicit flags: argparse checks each entry like a flag, and
             # a repeated flag keeps its last value, so explicit flags win.
             args = parser.parse_args([argv[0], *_config_argv(args.config), *argv[1:]])
-        cfg = _build_runconfig(args)
+        _check(args)
+        code, rows, lines = _RUNNERS[args.command](args)
+        _emit(args, code, rows, lines)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (DomainError, PreconditionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code, rows, lines = _RUNNERS[cfg.command](cfg)
-    except (DomainError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (WitnessSearchError, SolverError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    except PolybohrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _emit(cfg, code, rows, lines)
-    except OSError as exc:
+    except (PolybohrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -1,15 +1,19 @@
 """The three polydisc majorant functionals and the classical majorant sum.
 
 For a certified equimodular slice with coefficient norms
-a_norm = max_i |a0^(i)| and Q_n = max_i |c_n^(i)|, and with
-w(r) = 1/(1 + a_norm) + r/(1 - r), the functionals are
+a_norm = max_i |a0^(i)| and Q_n = max_i |c_n^(i)|, each functional is a
+modulus term plus a constant plus a S1 + b S2, with S1 = sum Q_n r^n,
+S2 = sum Q_n^2 r^(2n) and w(r) = 1/(1 + a_norm) + r/(1 - r):
 
-* ``improved_squared``:  max_i sup |g_i|^2            + sum Q_n^2 r^(2n)
-* ``refined_p``:         max_i sup |g_i - a0^(i)|
-                         + a_norm^p + sum Q_n r^n + w(r) sum Q_n^2 r^(2n)
-* ``composed_k``:        max_i sup |g_i(t^k)|
-                         + sum Q_n r^n + w(r) sum Q_n^2 r^(2n)
-* ``classical`` (m = 1): |a0| + sum |c_n| r^n
+    kind                 modulus term               constant   a   b
+    improved_squared     max_i sup |g_i|^2          0          0   1
+    refined_p            max_i sup |g_i - a0^(i)|   a_norm^p   1   w(r)
+    composed_k           max_i sup |g_i(t^k)|       0          1   w(r)
+    classical (m = 1)    |a0|                       0          1   0
+
+:func:`eval_functional` holds one such row per kind, with an upper bound,
+a lower bound and a tail budget for the modulus term, and assembles every
+kind from its row the same way.
 
 Every evaluation is two-sided.  The *upper* value replaces each modulus
 term by a closed-form bound and adds the geometric tail budgets of the
@@ -121,16 +125,6 @@ class FunctionalValue:
             raise DomainError("lower bound exceeds upper bound")
 
 
-def _weight(a_norm: float, r: float) -> float:
-    return 1.0 / (1.0 + a_norm) + r / (1.0 - r)
-
-
-def _sampled_diff_sup(s: PolydiscSlice, r: float, phases: int) -> float:
-    """Sampled sup of max_i |g_i(t) - g_i(0)| over |t| = r."""
-    a0 = np.array([[comp.a0] for comp in s.components])
-    return float(np.max(np.abs(_circle_values(s, r, phases) - a0)))
-
-
 def eval_functional(
     s: PolydiscSlice,
     spec: FunctionalSpec,
@@ -165,51 +159,40 @@ def eval_functional(
     rn = r ** np.arange(1, n + 1)
     s1 = float(np.dot(norms.q, rn))
     s2 = float(np.dot(norms.q**2, rn**2))
+    # The modulus budget M r^(N+1)/(1 - r) is the linear-sum budget, bit for bit.
     t_lin = slice_tail_bound(s, r, "linear_sum").value
     t_sq = slice_tail_bound(s, r, "square_sum").value
-    t_mod = slice_tail_bound(s, r, "modulus").value
+    w = 1.0 / (1.0 + x) + r / (1.0 - r)
 
+    # The term row: modulus upper, lower and tail, then constant, a and b.
     if spec.kind == "classical":
-        truncated = x + s1
-        return FunctionalValue(truncated=truncated, tail=t_lin, lower=truncated, upper=truncated + t_lin)
-
-    if spec.kind == "improved_squared":
+        up, low, t_up, const, a, b = x, x, 0.0, 0.0, 1.0, 0.0
+    elif spec.kind == "improved_squared":
         u_up = schwarz_pick_bound(x, r)
-        u_low = max(sup_modulus(s, r, phases) - t_mod, 0.0)
-        truncated = u_up * u_up + s2
-        return FunctionalValue(
-            truncated=truncated,
-            tail=t_sq,
-            lower=u_low * u_low + s2,
-            upper=truncated + t_sq,
-        )
-
-    w = _weight(x, r)
-    if spec.kind == "refined_p":
+        u_low = max(sup_modulus(s, r, phases) - t_lin, 0.0)
+        up, low, t_up, const, a, b = u_up * u_up, u_low * u_low, 0.0, 0.0, 0.0, 1.0
+    elif spec.kind == "refined_p":
         assert spec.p is not None
         # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
         # componentwise max Q_n would mix components); one t_lin covers its tail
         d_up = float(np.max(norms.moduli @ rn))
-        d_low = max(_sampled_diff_sup(s, r, phases) - t_mod, 0.0)
-        truncated = d_up + x**spec.p + s1 + w * s2
-        tail = 2.0 * t_lin + w * t_sq
-        return FunctionalValue(
-            truncated=truncated,
-            tail=tail,
-            lower=d_low + x**spec.p + s1 + w * s2,
-            upper=truncated + tail,
-        )
-
-    assert spec.kind == "composed_k" and spec.k is not None
-    c_up = schwarz_pick_bound(x, r**spec.k)
-    # g_i(t^k) keeps a0^(i) and the truncation order, so t_mod is its budget too
-    c_low = max(sup_modulus(schwarz_compose(s, spec.k), r, phases) - t_mod, 0.0)
-    truncated = c_up + s1 + w * s2
-    tail = t_lin + w * t_sq
+        a0 = np.array([[comp.a0] for comp in s.components])
+        d_low = max(float(np.max(np.abs(_circle_values(s, r, phases) - a0))) - t_lin, 0.0)
+        up, low, t_up, const, a, b = d_up, d_low, t_lin, x**spec.p, 1.0, w
+    else:
+        assert spec.kind == "composed_k" and spec.k is not None
+        c_up = schwarz_pick_bound(x, r**spec.k)
+        # g_i(t^k) keeps a0^(i) and the truncation order, so t_lin is its budget too
+        c_low = max(sup_modulus(schwarz_compose(s, spec.k), r, phases) - t_lin, 0.0)
+        up, low, t_up, const, a, b = c_up, c_low, 0.0, 0.0, 1.0, w
+    # Adding 0.0 and multiplying by 1.0 or 0.0 are exact, so each kind keeps
+    # the bits of its own written-out formula.
+    truncated = up + const + a * s1 + b * s2
+    tail = t_up + a * t_lin + b * t_sq
     return FunctionalValue(
         truncated=truncated,
         tail=tail,
-        lower=c_low + s1 + w * s2,
+        lower=low + const + a * s1 + b * s2,
         upper=truncated + tail,
     )
 

@@ -249,3 +249,54 @@ class TestConfigAndUsage:
         assert run(capsys, "radius", "--config", str(cfg), "--format", "json", "--seeds", "3")[0] == 2
         cfg.write_text("theorem = classical\nformat = xml\n")
         assert run(capsys, "radius", "--config", str(cfg), "--format", "json")[0] == 2
+
+    def test_missing_output_directory_exits_2_before_computing(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed although the report cannot be written")
+
+        monkeypatch.setattr("polybohr.cli.verify_theorem", fail)
+        monkeypatch.setattr("polybohr.cli.eval_functional", fail)
+        target = tmp_path / "missing_dir" / "x.json"
+        for argv in (
+            ("verify", "--theorem", "classical", "--seeds", "3"),
+            ("sweep", "--theorem", "classical", "--lambda", "0.5", "--r-steps", "2"),
+        ):
+            code, out, err = run(capsys, *argv, "--format", "json", "--out", str(target))
+            assert code == 2
+            assert out == "" and err.startswith("error: ") and "missing_dir" in err
+        assert not target.parent.exists()
+
+
+class TestReportLayout:
+    def test_json_config_echo(self, capsys):
+        def config(*argv):
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            assert code == 0
+            return json.loads(out)["config"]
+
+        # Keys in a fixed order, unset options left out, the p/k of other kinds dropped.
+        echo = config("verify", "--theorem", "classical", "--seeds", "2", "--k", "3")
+        assert list(echo.items()) == [
+            ("command", "verify"), ("theorem", "classical"), ("seeds", 2),
+            ("truncation", 64), ("phases", 64), ("format", "json"),
+        ]
+        echo = config(
+            "sweep", "--theorem", "refined_p", "--p", "1", "--lambda", "0.5", "--m", "2",
+            "--r-min", "0.1", "--r-max", "0.2", "--r-steps", "2", "--phases", "8",
+        )
+        assert list(echo.items()) == [
+            ("command", "sweep"), ("theorem", "refined_p"), ("p", 1), ("r_grid", [0.1, 0.2]),
+            ("lambda", 0.5), ("m", 2), ("truncation", 64), ("phases", 8), ("format", "json"),
+        ]
+        echo = config("radius", "--theorem", "composed_k", "--k", "2", "--r", "0.25", "--a1", "0.5", "--a2", "0.9")
+        assert list(echo.items()) == [
+            ("command", "radius"), ("theorem", "composed_k"), ("k", 2), ("r", 0.25),
+            ("truncation", 64), ("phases", 64), ("a1", 0.5), ("a2", 0.9), ("format", "json"),
+        ]
+
+    def test_verify_csv_has_the_sweep_columns(self, capsys):
+        _, verify, _ = run(capsys, "verify", "--theorem", "classical", "--seeds", "2", "--format", "csv")
+        _, sweep, _ = run(capsys, "sweep", "--theorem", "classical", "--r-steps", "2", "--format", "csv")
+        assert verify.splitlines()[0] == sweep.splitlines()[0]
+        assert verify.splitlines()[0] == "theorem,p,k,lambda_or_seed,r,value_lower,value_upper,tail,bound_ok"
+        assert len(verify.splitlines()) == 3
