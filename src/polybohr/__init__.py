@@ -32,9 +32,11 @@ from .slices import (
     DEFAULT_PHASES,
     CoefficientNorms,
     PolydiscSlice,
+    SliceBatch,
     coefficient_norms,
     random_equimodular_slice,
     random_equimodular_slices,
+    random_slice_batch,
     schwarz_compose,
     schwarz_pick_bound,
     slice_tail_bound,
@@ -45,6 +47,8 @@ from .functionals import (
     FunctionalSpec,
     FunctionalValue,
     eval_functional,
+    eval_functional_batch,
+    verify_batch,
     verify_theorem,
 )
 from .radii import (

@@ -18,11 +18,11 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import DomainError, PolybohrError, SolverError, WitnessSearchError
-from .functionals import VERIFY_TOL, FunctionalSpec, FunctionalValue, eval_functional, verify_theorem
+from .functionals import VERIFY_TOL, FunctionalSpec, FunctionalValue, eval_functional, verify_batch
 from .radii import closed_form_radius, solve_radius
-from .series import DEFAULT_ORDER, SYNTH_CHUNK, random_schur_series_many
+from .series import DEFAULT_ORDER, SYNTH_CHUNK
 from .sharpness import extremal_slice, find_witness, reproduce_counterexample
-from .slices import DEFAULT_PHASES, PolydiscSlice, random_equimodular_slices
+from .slices import DEFAULT_PHASES, SliceBatch, random_slice_batch
 
 #: The flags every subcommand takes, declared once.  Each is also a config-file
 #: key: the long flag without dashes (``rmin``, ``lambda``, ``format``, ...).
@@ -144,6 +144,8 @@ def _check(args: argparse.Namespace) -> None:
     # Fail before the computation, not after it, when the report cannot be written.
     if args.out and not Path(args.out).parent.is_dir():
         raise DomainError(f"--out: directory {str(Path(args.out).parent)!r} does not exist")
+    if args.out and Path(args.out).is_dir():
+        raise DomainError(f"--out: {args.out!r} is a directory")
 
 
 def _echo(args: argparse.Namespace) -> dict[str, Any]:
@@ -208,10 +210,9 @@ def _run_radius(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
     return code, [row], lines
 
 
-def _slices_for_seeds(args: argparse.Namespace, seeds: Sequence[int]) -> list[PolydiscSlice]:
-    if args.spec.kind == "classical":
-        return [PolydiscSlice.from_components([s]) for s in random_schur_series_many(seeds, args.truncation)]
-    return random_equimodular_slices(seeds, m=args.m, n_terms=args.truncation)
+def _batch_for_seeds(args: argparse.Namespace, seeds: Sequence[int]) -> SliceBatch:
+    """The seeds' slices: scalar series for the classical sum, equimodular slices otherwise."""
+    return random_slice_batch(seeds, m=args.m, n_terms=args.truncation, scalar=args.spec.kind == "classical")
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
@@ -221,12 +222,12 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
     rows = []
     failures = genuine = 0
     max_upper = 0.0
-    # Synthesize one chunk of seeds at a time and evaluate it before the
-    # next, so the resident corpus stays bounded.
+    # Synthesize, validate and evaluate one chunk of seeds at a time as one
+    # batch, so the resident corpus stays bounded.
     for start in range(0, count, SYNTH_CHUNK):
         seeds = range(start, min(start + SYNTH_CHUNK, count))
-        for seed, sl in zip(seeds, _slices_for_seeds(args, seeds)):
-            ok, value = verify_theorem(sl, args.spec, r, phases=args.phases)
+        results = verify_batch(_batch_for_seeds(args, seeds), args.spec, r, phases=args.phases)
+        for seed, (ok, value) in zip(seeds, results):
             failures += (not ok)
             genuine += (not ok) and value.lower > 1.0
             max_upper = max(max_upper, value.upper)
@@ -269,7 +270,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], lis
         label: Any = args.lam
     else:
         seed = args.seeds if args.seeds is not None else 0
-        sl = _slices_for_seeds(args, [seed])[0]
+        sl = _batch_for_seeds(args, [seed]).slices()[0]
         label = seed
     rows = []
     all_pass = True

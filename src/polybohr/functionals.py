@@ -11,9 +11,10 @@ S2 = sum Q_n^2 r^(2n) and w(r) = 1/(1 + a_norm) + r/(1 - r):
     composed_k           max_i sup |g_i(t^k)|       0          1   w(r)
     classical (m = 1)    |a0|                       0          1   0
 
-:func:`eval_functional` holds one such row per kind, with an upper bound,
-a lower bound and a tail budget for the modulus term, and assembles every
-kind from its row the same way.
+Each kind has one such row, with an upper bound, a lower bound and a tail
+budget for the modulus term, and one function assembles every kind from
+its row, for :func:`eval_functional` on one slice and for
+:func:`eval_functional_batch` on every slice of a ``SliceBatch``.
 
 Every evaluation is two-sided.  The *upper* value replaces each modulus
 term by a closed-form bound and adds the geometric tail budgets of the
@@ -39,11 +40,14 @@ import numpy as np
 
 from .errors import DomainError, CertificationError, PreconditionError
 from .radii import closed_form_radius
+from .series import _power_table, _tail_value
 from .slices import (
     DEFAULT_PHASES,
     PolydiscSlice,
+    SliceBatch,
     _circle_values,
     coefficient_norms,
+    phase_grid,
     schwarz_compose,
     schwarz_pick_bound,
     slice_tail_bound,
@@ -154,7 +158,6 @@ def eval_functional(
         )
 
     norms = coefficient_norms(s)
-    x = norms.a_norm
     n = s.truncation_order
     rn = r ** np.arange(1, n + 1)
     s1 = float(np.dot(norms.q, rn))
@@ -162,29 +165,48 @@ def eval_functional(
     # The modulus budget M r^(N+1)/(1 - r) is the linear-sum budget, bit for bit.
     t_lin = slice_tail_bound(s, r, "linear_sum").value
     t_sq = slice_tail_bound(s, r, "square_sum").value
-    w = 1.0 / (1.0 + x) + r / (1.0 - r)
-
-    # The term row: modulus upper, lower and tail, then constant, a and b.
-    if spec.kind == "classical":
-        up, low, t_up, const, a, b = x, x, 0.0, 0.0, 1.0, 0.0
-    elif spec.kind == "improved_squared":
-        u_up = schwarz_pick_bound(x, r)
-        u_low = max(sup_modulus(s, r, phases) - t_lin, 0.0)
-        up, low, t_up, const, a, b = u_up * u_up, u_low * u_low, 0.0, 0.0, 0.0, 1.0
+    sampled = termwise = None
+    if spec.kind == "improved_squared":
+        sampled = sup_modulus(s, r, phases)
     elif spec.kind == "refined_p":
-        assert spec.p is not None
         # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
         # componentwise max Q_n would mix components); one t_lin covers its tail
-        d_up = float(np.max(norms.moduli @ rn))
+        termwise = float(np.max(norms.moduli @ rn))
         a0 = np.array([[comp.a0] for comp in s.components])
-        d_low = max(float(np.max(np.abs(_circle_values(s, r, phases) - a0))) - t_lin, 0.0)
-        up, low, t_up, const, a, b = d_up, d_low, t_lin, x**spec.p, 1.0, w
-    else:
-        assert spec.kind == "composed_k" and spec.k is not None
-        c_up = schwarz_pick_bound(x, r**spec.k)
+        sampled = float(np.max(np.abs(_circle_values(s, r, phases) - a0)))
+    elif spec.kind == "composed_k":
         # g_i(t^k) keeps a0^(i) and the truncation order, so t_lin is its budget too
-        c_low = max(sup_modulus(schwarz_compose(s, spec.k), r, phases) - t_lin, 0.0)
-        up, low, t_up, const, a, b = c_up, c_low, 0.0, 0.0, 1.0, w
+        sampled = sup_modulus(schwarz_compose(s, spec.k), r, phases)
+    return _assemble(spec, r, norms.a_norm, s1, s2, t_lin, t_sq, sampled, termwise)
+
+
+def _assemble(
+    spec: FunctionalSpec, r: float, x: float, s1: float, s2: float, t_lin: float, t_sq: float,
+    sampled: float | None, termwise: float | None,
+) -> FunctionalValue:
+    """Pick the kind's term row and assemble its value.
+
+    ``x`` is a_norm, ``s1`` and ``s2`` the truncated sums, ``t_lin`` and
+    ``t_sq`` their tail budgets, ``sampled`` the phase-sampled sup of the
+    kind's modulus term (None for classical) and ``termwise`` the refined
+    kind's per-component upper bound.  The row is modulus upper, lower and
+    tail, then constant, a and b.
+    """
+    w = 1.0 / (1.0 + x) + r / (1.0 - r)
+    if spec.kind == "classical":
+        up, low, t_up, const, a, b = x, x, 0.0, 0.0, 1.0, 0.0
+    else:
+        assert sampled is not None
+        low = max(sampled - t_lin, 0.0)
+        if spec.kind == "improved_squared":
+            u_up = schwarz_pick_bound(x, r)
+            up, low, t_up, const, a, b = u_up * u_up, low * low, 0.0, 0.0, 0.0, 1.0
+        elif spec.kind == "refined_p":
+            assert spec.p is not None and termwise is not None
+            up, t_up, const, a, b = termwise, t_lin, x**spec.p, 1.0, w
+        else:
+            assert spec.kind == "composed_k" and spec.k is not None
+            up, t_up, const, a, b = schwarz_pick_bound(x, r**spec.k), 0.0, 0.0, 1.0, w
     # Adding 0.0 and multiplying by 1.0 or 0.0 are exact, so each kind keeps
     # the bits of its own written-out formula.
     truncated = up + const + a * s1 + b * s2
@@ -195,6 +217,60 @@ def eval_functional(
         lower=low + const + a * s1 + b * s2,
         upper=truncated + tail,
     )
+
+
+def eval_functional_batch(
+    batch: SliceBatch, spec: FunctionalSpec, r: float, phases: int = DEFAULT_PHASES
+) -> list[FunctionalValue]:
+    """:func:`eval_functional` on every slice of a batch, bit for bit.
+
+    The reductions run over the whole batch: a_norm, Q_n and the tail bound
+    M by ``np.maximum.reduceat`` over each slice's rows, S1 and S2 as stacked
+    per-row products, and every component's circle values from one power
+    table and one stacked product with the coefficients (the composed kind's
+    coefficients spread to every k-th index, as ``schwarz_compose`` does).
+    Each such product runs the same BLAS call per row as the per-slice path.
+    The refined kind's per-component sum stays one (m, N) @ r^n product per
+    slice: that matrix-vector call's bits depend on m.  Each value is then
+    assembled as :func:`eval_functional` assembles it.  The batch is
+    certified and equimodular by construction; the classical kind still
+    demands one component per slice.
+    """
+    if not 0.0 <= r < 1.0:
+        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    if spec.kind == "classical" and np.any(batch.counts != 1):
+        raise PreconditionError("classical majorant sum is defined for single-component slices")
+    if len(batch) == 0:
+        return []
+    n, starts = batch.truncation_order, batch.starts
+    rn = r ** np.arange(1, n + 1)
+    q = np.maximum.reduceat(batch.coeff_moduli, starts, axis=0)
+    s1 = (q[:, np.newaxis, :] @ rn[:, np.newaxis])[:, 0, 0]
+    s2 = ((q**2)[:, np.newaxis, :] @ (rn**2)[:, np.newaxis])[:, 0, 0]
+    cap = np.maximum(np.maximum.reduceat(batch.caps, starts), 0.0)
+    t_lin = _tail_value(cap, r, n, "linear_sum")
+    t_sq = _tail_value(cap, r, n, "square_sum")
+    sampled = termwise = [None] * len(batch)
+    if spec.kind != "classical":
+        coeffs = batch.coeffs
+        if spec.kind == "composed_k" and spec.k > 1:
+            coeffs = np.zeros_like(coeffs)
+            coeffs[:, spec.k - 1 :: spec.k] = batch.coeffs[:, : n // spec.k]
+        ts = phase_grid(r, phases)
+        a0 = batch.rows[:, :1]
+        values = a0 + (_power_table(ts.tobytes(), ts.shape, n) @ coeffs[:, :, np.newaxis])[:, :, 0]
+        if spec.kind == "refined_p":
+            values = values - a0
+            termwise = [
+                float(np.max(batch.coeff_moduli[start : start + count] @ rn))
+                for start, count in zip(starts.tolist(), batch.counts.tolist())
+            ]
+        sampled = np.maximum.reduceat(np.abs(values).max(axis=1), starts).tolist()
+    x = np.maximum.reduceat(batch.a0_moduli, starts)
+    return [
+        _assemble(spec, r, *row)
+        for row in zip(x.tolist(), s1.tolist(), s2.tolist(), t_lin.tolist(), t_sq.tolist(), sampled, termwise)
+    ]
 
 
 def verify_theorem(
@@ -218,10 +294,22 @@ def verify_theorem(
     and slices whose components agree up to unimodular factors never trigger
     it.
     """
+    _check_below_radius(spec, r)
+    value = eval_functional(s, spec, r, phases=phases)
+    return value.upper <= 1.0 + VERIFY_TOL, value
+
+
+def verify_batch(
+    batch: SliceBatch, spec: FunctionalSpec, r: float, phases: int = DEFAULT_PHASES
+) -> list[tuple[bool, FunctionalValue]]:
+    """:func:`verify_theorem` on every slice of a batch, through :func:`eval_functional_batch`."""
+    _check_below_radius(spec, r)
+    return [(value.upper <= 1.0 + VERIFY_TOL, value) for value in eval_functional_batch(batch, spec, r, phases)]
+
+
+def _check_below_radius(spec: FunctionalSpec, r: float) -> None:
     radius = closed_form_radius(spec)
     if r > radius + 1e-12:
         raise PreconditionError(
             f"r = {r} exceeds the sharp radius {radius}; run a witness search instead"
         )
-    value = eval_functional(s, spec, r, phases=phases)
-    return value.upper <= 1.0 + VERIFY_TOL, value

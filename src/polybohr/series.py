@@ -25,6 +25,13 @@ call per row), whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds),
 and the numerator/denominator recursion amplifies rounding by up to 3.1e-5,
 so the stored coefficients of one seed can differ from one CPU to another.
 ``tests/test_synthesis_blocks.py`` pins that both paths give the same bits.
+The batched evaluation of ``functionals.eval_functional_batch`` keeps the
+per-slice bits the same way: its sums and circle values are stacked
+per-row products (one BLAS call per row, as a single slice makes), |a0| is
+``np.hypot`` (Python's ``abs`` of a complex; ``np.abs`` differs in the last
+bit on some inputs) and 1 - |a0|^2 squares by Python's ``pow`` (numpy's
+square differs from it on some inputs); ``tests/test_slice_batch.py`` pins
+the result.
 """
 
 from __future__ import annotations
@@ -228,16 +235,45 @@ def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_O
     return _certified(_synthesize_rows(gams[np.newaxis, :], n_terms)[0])
 
 
-def random_schur_series_many(seeds: Iterable[int], n_terms: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
-    """:func:`random_schur_series` for each seed, synthesized as one block."""
-    rows = []
+def _seeded_rows(
+    seeds: Iterable[int], n_terms: int, m: int | None = None, scalar: bool = False
+) -> tuple[np.ndarray, list[int]]:
+    """Synthesized rows a0, c_1, ..., c_N of every seed's components, and the count per seed.
+
+    The draw and synthesis behind every seeded constructor.  ``scalar`` draws
+    one unconstrained series per seed (:func:`random_schur_series`); otherwise
+    a seed draws its component count (unless ``m`` is given) and one shared
+    initial modulus rho, then each component's parameters, as
+    ``slices.random_equimodular_slice`` documents.  A component's 2(N + 1)
+    uniforms come from one ``rng.random`` call: ``uniform(0, h)`` is
+    ``0.0 + h u`` for the same u, so the radii sqrt(u) and the angles 2 pi u
+    keep the bits of separate ``uniform`` draws.  The square roots, angles
+    and exponentials then run over all components at once, followed by one
+    :func:`_synthesize_rows` call.
+    """
+    if m is not None and m < 1:
+        raise DomainError(f"component count must be >= 1, got {m}")
+    width = n_terms + 1
+    uniforms, rhos, counts = [], [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        radius = np.sqrt(rng.uniform(0.0, 1.0, size=n_terms + 1))
-        angle = rng.uniform(0.0, 2.0 * np.pi, size=n_terms + 1)
-        rows.append(radius * np.exp(1j * angle))
-    params = np.array(rows, dtype=np.complex128).reshape(len(rows), n_terms + 1)
-    return [_certified(row) for row in _synthesize_rows(params, n_terms)]
+        count = 1
+        if not scalar:
+            count = int(rng.integers(1, 4)) if m is None else m
+            rhos += [rng.random()] * count
+        uniforms.append(rng.random((count, 2, width)))
+        counts.append(count)
+    u = np.concatenate(uniforms) if uniforms else np.empty((0, 2, width))
+    phase = np.exp(1j * (2.0 * np.pi * u[:, 1]))
+    params = np.sqrt(u[:, 0]) * phase
+    if not scalar:
+        params[:, 0] = np.sqrt(np.array(rhos, dtype=np.float64)) * phase[:, 0]
+    return _synthesize_rows(params, n_terms), counts
+
+
+def random_schur_series_many(seeds: Iterable[int], n_terms: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
+    """:func:`random_schur_series` for each seed, synthesized as one block."""
+    return [_certified(row) for row in _seeded_rows(seeds, n_terms, scalar=True)[0]]
 
 
 def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -298,12 +334,14 @@ def tail_bound(s: TruncatedSeries, r: float, term_kind: TailTermKind) -> TailBud
         raise DomainError(f"radius must lie in [0, 1), got {r}")
     if not s.schur_certified:
         raise CertificationError("tail bounds require a Schur-certified series")
-    m = max(1.0 - abs(s.a0) ** 2, 0.0)
-    n = s.truncation_order
+    return TailBudget(value=float(_tail_value(max(1.0 - abs(s.a0) ** 2, 0.0), r, s.truncation_order, term_kind)))
+
+
+def _tail_value(m, r: float, n: int, term_kind: TailTermKind):
+    """The :func:`tail_bound` formula for coefficient bound ``m`` (a float, or
+    an array for a batch: the same IEEE operations element by element)."""
     if term_kind in ("linear_sum", "modulus"):
-        value = m * r ** (n + 1) / (1.0 - r)
-    elif term_kind == "square_sum":
-        value = m * m * r ** (2 * n + 2) / (1.0 - r * r)
-    else:
-        raise DomainError(f"unknown tail term kind {term_kind!r}")
-    return TailBudget(value=float(value))
+        return m * r ** (n + 1) / (1.0 - r)
+    if term_kind == "square_sum":
+        return m * m * r ** (2 * n + 2) / (1.0 - r * r)
+    raise DomainError(f"unknown tail term kind {term_kind!r}")

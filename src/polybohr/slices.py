@@ -15,7 +15,7 @@ the only consumer allowed to bypass it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,12 +23,13 @@ import numpy as np
 from .errors import CertificationError, DomainError, PreconditionError
 from .series import (
     CIRCLE_CACHE_SIZE,
+    COEFF_SLACK,
     DEFAULT_ORDER,
     TailBudget,
     TailTermKind,
     TruncatedSeries,
     _certified,
-    _synthesize_rows,
+    _seeded_rows,
     eval_series_many,
     tail_bound,
 )
@@ -188,6 +189,106 @@ def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> Tai
     return tail_bound(max(s.components, key=lambda c: 1.0 - abs(c.a0) ** 2), r, term_kind)
 
 
+@dataclass(frozen=True, eq=False)
+class SliceBatch:
+    """Certified equimodular slices as one struct of arrays.
+
+    ``rows`` (shape (R, N + 1)) holds a0, c_1, ..., c_N of every component,
+    slice after slice, and ``counts`` the component count of each slice.
+    Construction runs the checks of ``TruncatedSeries(schur_certified=True)``
+    on every row and of ``PolydiscSlice(equimodular=True)`` on every slice,
+    vectorised, with the same thresholds and exception types, and keeps the
+    reductions they compute: the moduli |a0| (``a0_moduli``, as Python's
+    ``abs`` gives them, by ``np.hypot``), the coefficient bounds
+    1 - |a0|^2 (``caps``, squared by Python's ``pow`` like ``tail_bound``,
+    whose bits numpy's square does not always share), the coefficients
+    (``coeffs``, contiguous (R, N)), their moduli (``coeff_moduli``) and the
+    first row of each slice (``starts``).
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray
+    coeffs: np.ndarray = field(init=False, repr=False)
+    coeff_moduli: np.ndarray = field(init=False, repr=False)
+    a0_moduli: np.ndarray = field(init=False, repr=False)
+    caps: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.rows, dtype=np.complex128)
+        counts = np.array(self.counts, dtype=np.intp).reshape(-1)
+        if rows.ndim != 2 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, 1:])):
+            raise DomainError("coeffs must be a nonempty finite 1-d sequence")
+        if np.any(counts < 1):
+            raise DomainError("a slice needs at least one component")
+        if counts.sum() != rows.shape[0]:
+            raise DomainError(f"component counts add up to {counts.sum()}, not to the {rows.shape[0]} rows")
+        a0_moduli = np.hypot(rows[:, 0].real, rows[:, 0].imag)
+        above = ~(a0_moduli <= 1.0 + 1e-15)  # also flags a NaN a0
+        if above.any():
+            raise DomainError(f"|a0| = {a0_moduli[above][0]} must be finite and at most 1")
+        caps = 1.0 - np.array([x**2 for x in a0_moduli.tolist()], dtype=np.float64)
+        coeffs = np.ascontiguousarray(rows[:, 1:])
+        coeff_moduli = np.abs(coeffs)
+        worst = coeff_moduli.max(axis=1)
+        bad = np.flatnonzero(worst > caps + COEFF_SLACK)
+        if bad.size:
+            raise CertificationError(
+                f"certified series violates coefficient bound: "
+                f"max |c_n| = {worst[bad[0]]} > 1 - |a0|^2 = {caps[bad[0]]}"
+            )
+        starts = np.cumsum(counts) - counts
+        if starts.size:
+            spread = np.maximum.reduceat(a0_moduli, starts) - np.minimum.reduceat(a0_moduli, starts)
+            if np.any(spread > EQUIMODULAR_TOL):
+                raise PreconditionError(
+                    f"slice marked equimodular but initial moduli spread {spread.max()} exceeds {EQUIMODULAR_TOL}"
+                )
+        arrays = dict(
+            rows=rows, counts=counts, coeffs=coeffs, coeff_moduli=coeff_moduli, a0_moduli=a0_moduli, caps=caps, starts=starts
+        )
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return int(self.counts.size)
+
+    @property
+    def truncation_order(self) -> int:
+        return int(self.coeffs.shape[1])
+
+    def slices(self) -> list[PolydiscSlice]:
+        """The batch as per-slice objects, bit for bit."""
+        return _slices(self.rows, self.counts.tolist())
+
+
+def _slices(rows: np.ndarray, counts: Sequence[int]) -> list[PolydiscSlice]:
+    """Certified equimodular slices of ``counts[i]`` consecutive rows each."""
+    comps = [_certified(row) for row in rows]
+    out, start = [], 0
+    for count in counts:
+        out.append(PolydiscSlice(components=tuple(comps[start : start + count]), equimodular=True))
+        start += count
+    return out
+
+
+def random_slice_batch(
+    seeds: Iterable[int],
+    m: int | None = None,
+    n_terms: int = DEFAULT_ORDER,
+    scalar: bool = False,
+) -> SliceBatch:
+    """The slices of :func:`random_equimodular_slice` for each seed, as one batch.
+
+    With ``scalar``, the one-component slices of ``random_schur_series``
+    instead (``m`` is then ignored).  One parameter draw and one batched
+    synthesis call cover every seed.
+    """
+    rows, counts = _seeded_rows(seeds, n_terms, m=m, scalar=scalar)
+    return SliceBatch(rows=rows, counts=counts)
+
+
 def random_equimodular_slices(
     seeds: Iterable[int],
     m: int | None = None,
@@ -195,30 +296,10 @@ def random_equimodular_slices(
 ) -> list[PolydiscSlice]:
     """:func:`random_equimodular_slice` for each seed, synthesized as one block.
 
-    Draws every seed's parameters in the single-seed order, then makes one
-    batched synthesis call over all components.
+    The rows of :func:`random_slice_batch`, not the batch itself: each
+    series and slice object runs its own checks, so a batch's would repeat them.
     """
-    if m is not None and m < 1:
-        raise DomainError(f"component count must be >= 1, got {m}")
-    rows, counts = [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        count = int(rng.integers(1, 4)) if m is None else m
-        rho = np.sqrt(rng.uniform(0.0, 1.0))
-        for _ in range(count):
-            radius = np.sqrt(rng.uniform(0.0, 1.0, size=n_terms + 1))
-            angle = rng.uniform(0.0, 2.0 * np.pi, size=n_terms + 1)
-            params = radius * np.exp(1j * angle)
-            params[0] = rho * np.exp(1j * angle[0])
-            rows.append(params)
-        counts.append(count)
-    params = np.array(rows, dtype=np.complex128).reshape(len(rows), n_terms + 1)
-    comps = [_certified(row) for row in _synthesize_rows(params, n_terms)]
-    out, start = [], 0
-    for count in counts:
-        out.append(PolydiscSlice(components=tuple(comps[start : start + count]), equimodular=True))
-        start += count
-    return out
+    return _slices(*_seeded_rows(seeds, n_terms, m=m))
 
 
 def random_equimodular_slice(

@@ -254,9 +254,10 @@ class TestConfigAndUsage:
         def fail(*args, **kwargs):
             raise AssertionError("computed although the report cannot be written")
 
-        monkeypatch.setattr("polybohr.cli.verify_theorem", fail)
-        monkeypatch.setattr("polybohr.cli.eval_functional", fail)
+        for name in ("verify_batch", "eval_functional", "random_slice_batch", "extremal_slice"):
+            monkeypatch.setattr(f"polybohr.cli.{name}", fail)
         target = tmp_path / "missing_dir" / "x.json"
+        (tmp_path / "sub").mkdir()
         for argv in (
             ("verify", "--theorem", "classical", "--seeds", "3"),
             ("sweep", "--theorem", "classical", "--lambda", "0.5", "--r-steps", "2"),
@@ -264,7 +265,12 @@ class TestConfigAndUsage:
             code, out, err = run(capsys, *argv, "--format", "json", "--out", str(target))
             assert code == 2
             assert out == "" and err.startswith("error: ") and "missing_dir" in err
+            # An existing directory cannot take the report either.
+            code, out, err = run(capsys, *argv, "--out", str(tmp_path / "sub"))
+            assert code == 2
+            assert out == "" and err.startswith("error: ") and "is a directory" in err
         assert not target.parent.exists()
+        assert list((tmp_path / "sub").iterdir()) == []
 
 
 class TestReportLayout:
