@@ -24,18 +24,16 @@ from .series import (
     eval_series_many,
     mobius_series,
     random_schur_series,
-    random_schur_series_many,
     schur_series_from_params,
     tail_bound,
 )
 from .slices import (
-    DEFAULT_PHASES,
+    PHASES,
     CoefficientNorms,
     PolydiscSlice,
     SliceBatch,
     coefficient_norms,
     random_equimodular_slice,
-    random_equimodular_slices,
     random_slice_batch,
     schwarz_compose,
     schwarz_pick_bound,

@@ -22,7 +22,7 @@ from .functionals import VERIFY_TOL, FunctionalSpec, FunctionalValue, eval_funct
 from .radii import closed_form_radius, solve_radius
 from .series import DEFAULT_ORDER, SYNTH_CHUNK
 from .sharpness import extremal_slice, find_witness, reproduce_counterexample
-from .slices import DEFAULT_PHASES, SliceBatch, random_slice_batch
+from .slices import SliceBatch, random_slice_batch
 
 #: The flags every subcommand takes, declared once.  Each is also a config-file
 #: key: the long flag without dashes (``rmin``, ``lambda``, ``format``, ...).
@@ -38,7 +38,6 @@ _FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("--seeds", dict(type=int, help="verify: corpus size; sweep: the RNG seed")),
     ("--m", dict(type=int, choices=[1, 2, 3], help="component count (default: mixed 1..3)")),
     ("--truncation", dict(type=int, default=DEFAULT_ORDER, help="series truncation order (default 64)")),
-    ("--phases", dict(type=int, default=DEFAULT_PHASES, help="circle-sampling phase count (default 64)")),
     ("--a1", dict(type=float, help="counterexample: smaller initial value")),
     ("--a2", dict(type=float, help="counterexample: larger initial value")),
     ("--format", dict(dest="fmt", choices=["csv", "json"], help="structured output")),
@@ -125,8 +124,6 @@ def _check(args: argparse.Namespace) -> None:
         raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
     if args.seeds is not None and args.seeds < 0:
         raise DomainError(f"--seeds must be >= 0, got {args.seeds}")
-    if args.phases < 1:
-        raise DomainError(f"--phases must be >= 1, got {args.phases}")
     _check_radius_value(args.r)
     args.r_grid = None
     if args.command == "sweep":
@@ -161,7 +158,6 @@ def _echo(args: argparse.Namespace) -> dict[str, Any]:
         "seeds": args.seeds,
         "m": args.m,
         "truncation": args.truncation,
-        "phases": args.phases,
         "a1": args.a1,
         "a2": args.a2,
         "format": args.fmt,
@@ -226,7 +222,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
     # batch, so the resident corpus stays bounded.
     for start in range(0, count, SYNTH_CHUNK):
         seeds = range(start, min(start + SYNTH_CHUNK, count))
-        results = verify_batch(_batch_for_seeds(args, seeds), args.spec, r, phases=args.phases)
+        results = verify_batch(_batch_for_seeds(args, seeds), args.spec, r)
         for seed, (ok, value) in zip(seeds, results):
             failures += (not ok)
             genuine += (not ok) and value.lower > 1.0
@@ -248,7 +244,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
 def _run_witness(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
     if args.r is None:
         raise DomainError("witness search requires --r above the sharp radius")
-    witness = find_witness(args.spec, args.r, n_terms=args.truncation, phases=args.phases)
+    witness = find_witness(args.spec, args.r, m=args.m or 1, n_terms=args.truncation)
     row = {
         **_spec_cells(args),
         "lambda_or_seed": witness.lam,
@@ -275,7 +271,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], lis
     rows = []
     all_pass = True
     for r in args.r_grid:
-        value = eval_functional(sl, args.spec, r, phases=args.phases)
+        value = eval_functional(sl, args.spec, r)
         ok = value.upper <= 1.0 + VERIFY_TOL
         if r <= radius + 1e-12 and not ok:
             all_pass = False
@@ -291,7 +287,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], lis
 def _run_counterexample(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
     if args.a1 is None or args.a2 is None or args.r is None:
         raise DomainError("counterexample requires --a1, --a2 and --r")
-    report = reproduce_counterexample(args.spec, args.a1, args.a2, args.r, n_terms=args.truncation, phases=args.phases)
+    report = reproduce_counterexample(args.spec, args.a1, args.a2, args.r, n_terms=args.truncation)
     row = {
         **_spec_cells(args),
         "a1": report.a1,

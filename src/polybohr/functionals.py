@@ -27,9 +27,18 @@ The *lower* value replaces each modulus term by a phase-sampled evaluation
 minus its truncation budget and keeps the (under-counted) truncated sums,
 so "lower > 1" witnesses are equally rigorous up to the evaluation's
 rounding.  Verification never mixes the two directions.
-All three modulus terms sample one circle primitive, every component on
-``phases`` equally spaced points by one power-table product each
-(:func:`eval_series_many`, rounding error about 1e-16 at the default order).
+All three modulus terms sample every component on :data:`slices.PHASES`
+equally spaced points by a product with one memoized power table
+(rounding error about 1e-16 at the default order): one
+:func:`eval_series_many` call per component on a single slice, one
+stacked product over a batch's rows.
+
+The batch keeps the per-slice bits: its sums and circle values are stacked
+per-row products (one BLAS call per row, as a single slice makes), |a0| is
+``np.hypot`` (Python's ``abs`` of a complex; ``np.abs`` differs in the last
+bit on some inputs) and 1 - |a0|^2 squares by Python's ``pow`` (numpy's
+square differs from it on some inputs); ``tests/test_slice_batch.py`` pins
+the result.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ from .errors import DomainError, CertificationError, PreconditionError
 from .radii import closed_form_radius
 from .series import _power_table, _tail_value
 from .slices import (
-    DEFAULT_PHASES,
     PolydiscSlice,
     SliceBatch,
     _circle_values,
@@ -133,7 +141,6 @@ def eval_functional(
     s: PolydiscSlice,
     spec: FunctionalSpec,
     r: float,
-    phases: int = DEFAULT_PHASES,
     allow_non_equimodular: bool = False,
 ) -> FunctionalValue:
     """Evaluate a functional on a slice at radius r, with tail budgets.
@@ -167,16 +174,16 @@ def eval_functional(
     t_sq = slice_tail_bound(s, r, "square_sum").value
     sampled = termwise = None
     if spec.kind == "improved_squared":
-        sampled = sup_modulus(s, r, phases)
+        sampled = sup_modulus(s, r)
     elif spec.kind == "refined_p":
         # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
         # componentwise max Q_n would mix components); one t_lin covers its tail
         termwise = float(np.max(norms.moduli @ rn))
         a0 = np.array([[comp.a0] for comp in s.components])
-        sampled = float(np.max(np.abs(_circle_values(s, r, phases) - a0)))
+        sampled = float(np.max(np.abs(_circle_values(s, r) - a0)))
     elif spec.kind == "composed_k":
         # g_i(t^k) keeps a0^(i) and the truncation order, so t_lin is its budget too
-        sampled = sup_modulus(schwarz_compose(s, spec.k), r, phases)
+        sampled = sup_modulus(schwarz_compose(s, spec.k), r)
     return _assemble(spec, r, norms.a_norm, s1, s2, t_lin, t_sq, sampled, termwise)
 
 
@@ -219,9 +226,7 @@ def _assemble(
     )
 
 
-def eval_functional_batch(
-    batch: SliceBatch, spec: FunctionalSpec, r: float, phases: int = DEFAULT_PHASES
-) -> list[FunctionalValue]:
+def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[FunctionalValue]:
     """:func:`eval_functional` on every slice of a batch, bit for bit.
 
     The reductions run over the whole batch: a_norm, Q_n and the tail bound
@@ -256,7 +261,7 @@ def eval_functional_batch(
         if spec.kind == "composed_k" and spec.k > 1:
             coeffs = np.zeros_like(coeffs)
             coeffs[:, spec.k - 1 :: spec.k] = batch.coeffs[:, : n // spec.k]
-        ts = phase_grid(r, phases)
+        ts = phase_grid(r)
         a0 = batch.rows[:, :1]
         values = a0 + (_power_table(ts.tobytes(), ts.shape, n) @ coeffs[:, :, np.newaxis])[:, :, 0]
         if spec.kind == "refined_p":
@@ -273,12 +278,7 @@ def eval_functional_batch(
     ]
 
 
-def verify_theorem(
-    s: PolydiscSlice,
-    spec: FunctionalSpec,
-    r: float,
-    phases: int = DEFAULT_PHASES,
-) -> tuple[bool, FunctionalValue]:
+def verify_theorem(s: PolydiscSlice, spec: FunctionalSpec, r: float) -> tuple[bool, FunctionalValue]:
     """Check that a functional stays at most 1 on a slice at radius r.
 
     Only meaningful at or below the functional's sharp radius, which is
@@ -295,16 +295,14 @@ def verify_theorem(
     it.
     """
     _check_below_radius(spec, r)
-    value = eval_functional(s, spec, r, phases=phases)
+    value = eval_functional(s, spec, r)
     return value.upper <= 1.0 + VERIFY_TOL, value
 
 
-def verify_batch(
-    batch: SliceBatch, spec: FunctionalSpec, r: float, phases: int = DEFAULT_PHASES
-) -> list[tuple[bool, FunctionalValue]]:
+def verify_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[tuple[bool, FunctionalValue]]:
     """:func:`verify_theorem` on every slice of a batch, through :func:`eval_functional_batch`."""
     _check_below_radius(spec, r)
-    return [(value.upper <= 1.0 + VERIFY_TOL, value) for value in eval_functional_batch(batch, spec, r, phases)]
+    return [(value.upper <= 1.0 + VERIFY_TOL, value) for value in eval_functional_batch(batch, spec, r)]
 
 
 def _check_below_radius(spec: FunctionalSpec, r: float) -> None:

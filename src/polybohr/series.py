@@ -25,13 +25,6 @@ call per row), whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds),
 and the numerator/denominator recursion amplifies rounding by up to 3.1e-5,
 so the stored coefficients of one seed can differ from one CPU to another.
 ``tests/test_synthesis_blocks.py`` pins that both paths give the same bits.
-The batched evaluation of ``functionals.eval_functional_batch`` keeps the
-per-slice bits the same way: its sums and circle values are stacked
-per-row products (one BLAS call per row, as a single slice makes), |a0| is
-``np.hypot`` (Python's ``abs`` of a complex; ``np.abs`` differs in the last
-bit on some inputs) and 1 - |a0|^2 squares by Python's ``pow`` (numpy's
-square differs from it on some inputs); ``tests/test_slice_batch.py`` pins
-the result.
 """
 
 from __future__ import annotations
@@ -271,11 +264,6 @@ def _seeded_rows(
     return _synthesize_rows(params, n_terms), counts
 
 
-def random_schur_series_many(seeds: Iterable[int], n_terms: int = DEFAULT_ORDER) -> list[TruncatedSeries]:
-    """:func:`random_schur_series` for each seed, synthesized as one block."""
-    return [_certified(row) for row in _seeded_rows(seeds, n_terms, scalar=True)[0]]
-
-
 def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Draw a reproducible certified Schur-class series.
 
@@ -283,7 +271,7 @@ def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSer
     unit disc with a seeded generator, so membership in the Schur class is
     guaranteed by construction rather than by rejection.
     """
-    return random_schur_series_many([seed], n_terms)[0]
+    return _certified(_seeded_rows([seed], n_terms, scalar=True)[0][0])
 
 
 def eval_series_many(s: TruncatedSeries, ts: np.ndarray) -> np.ndarray:

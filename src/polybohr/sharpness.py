@@ -34,7 +34,7 @@ from .errors import DomainError, PreconditionError, WitnessSearchError
 from .functionals import FunctionalSpec, eval_functional
 from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, closed_form_radius
 from .series import DEFAULT_ORDER, mobius_series
-from .slices import DEFAULT_PHASES, PolydiscSlice
+from .slices import PolydiscSlice
 
 #: A witness must clear 1 by at least this much to be reported.
 WITNESS_MARGIN = 1e-12
@@ -126,7 +126,6 @@ def find_witness(
     r: float,
     m: int = 1,
     n_terms: int = DEFAULT_ORDER,
-    phases: int = DEFAULT_PHASES,
 ) -> SharpnessWitness:
     """Scan the extremal family for a functional value above 1 at radius r.
 
@@ -144,7 +143,7 @@ def find_witness(
             f"witness search needs r above the sharp radius {radius}, got {r}"
         )
     for lam in witness_lambda_grid(spec):
-        value = eval_functional(extremal_slice(spec, lam, m, n_terms), spec, r, phases=phases)
+        value = eval_functional(extremal_slice(spec, lam, m, n_terms), spec, r)
         if value.lower > 1.0 + WITNESS_MARGIN:
             return SharpnessWitness(spec=spec, lam=lam, r=r, value_lower=value.lower)
     raise WitnessSearchError(
@@ -184,7 +183,6 @@ def reproduce_counterexample(
     a2: float,
     r: float,
     n_terms: int = DEFAULT_ORDER,
-    phases: int = DEFAULT_PHASES,
 ) -> CounterexampleReport:
     """Evaluate a functional on the two-component unequal-modulus slice.
 
@@ -209,7 +207,7 @@ def reproduce_counterexample(
         components=(mobius_series(a1, sign, n_terms), mobius_series(a2, sign, n_terms)),
         equimodular=False,
     )
-    value = eval_functional(slice_, spec, r, phases=phases, allow_non_equimodular=True)
+    value = eval_functional(slice_, spec, r, allow_non_equimodular=True)
     return CounterexampleReport(
         spec=spec,
         a1=a1,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +37,9 @@ from .series import (
 #: Modulus spread below which initial values count as equimodular.
 EQUIMODULAR_TOL = 1e-14
 
-#: Default number of equally spaced phases for circle sampling.
-DEFAULT_PHASES = 64
+#: Number of equally spaced phases on every sampled circle.  Only lower
+#: bounds sample the circle, so no verdict of an upper bound depends on it.
+PHASES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,20 +90,13 @@ class PolydiscSlice:
         return all(c.schur_certified for c in self.components)
 
 
-@dataclass(frozen=True)
-class CoefficientNorms:
+class CoefficientNorms(NamedTuple):
     """Sup-norm reductions a_norm = max_i |a0^(i)| and Q_n = max_i |c_n^(i)|,
     with the per-component moduli |c_n^(i)| they reduce (``moduli``, shape (m, N))."""
 
     a_norm: float
     q: np.ndarray
     moduli: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("q", "moduli"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def coefficient_norms(s: PolydiscSlice) -> CoefficientNorms:
@@ -122,37 +116,36 @@ def schwarz_pick_bound(a_norm: float, r: float) -> float:
 
 
 @functools.lru_cache(maxsize=CIRCLE_CACHE_SIZE)
-def phase_grid(r: float, phases: int) -> np.ndarray:
-    """Points r * exp(2 pi i j / phases), j = 0 .. phases-1, as a read-only array.
+def phase_grid(r: float) -> np.ndarray:
+    """Points r * exp(2 pi i j / PHASES), j = 0 .. PHASES-1, as a read-only array.
 
-    Memoized per ``(r, phases)`` for the last :data:`CIRCLE_CACHE_SIZE`
-    distinct pairs (1 KB each at 64 phases); every caller shares the returned array.
+    Memoized per radius for the last :data:`CIRCLE_CACHE_SIZE` distinct
+    radii (1 KB each); every caller shares the returned array.
     """
-    if phases < 1:
-        raise DomainError(f"phases must be >= 1, got {phases}")
-    theta = 2.0 * np.pi * np.arange(phases) / phases
+    theta = 2.0 * np.pi * np.arange(PHASES) / PHASES
     grid = r * np.exp(1j * theta)
     grid.flags.writeable = False
     return grid
 
 
-def _circle_values(s: PolydiscSlice, r: float, phases: int) -> np.ndarray:
-    """Values g_i(t) on the phase grid of radius r, shape (m, phases): one
-    :func:`eval_series_many` call per component, for every sampled modulus term."""
+def _circle_values(s: PolydiscSlice, r: float) -> np.ndarray:
+    """Values g_i(t) on the phase grid of radius r, shape (m, PHASES): one
+    :func:`eval_series_many` call per component, for every sampled modulus
+    term of :func:`functionals.eval_functional`."""
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
-    ts = phase_grid(r, phases)
+    ts = phase_grid(r)
     return np.array([eval_series_many(comp, ts) for comp in s.components])
 
 
-def sup_modulus(s: PolydiscSlice, r: float, phases: int = DEFAULT_PHASES) -> float:
-    """Sampled sup of max_i |g_i(t)| over |t| = r.
+def sup_modulus(s: PolydiscSlice, r: float) -> float:
+    """Sampled sup of max_i |g_i(t)| over |t| = r, at :data:`PHASES` phases.
 
     A lower bound on the true sup (the grid always contains t = r itself);
     pair it with :func:`schwarz_pick_bound` for a two-sided enclosure.  The
     power-table rounding of :func:`eval_series_many` (about 1e-16) is not subtracted.
     """
-    return float(np.max(np.abs(_circle_values(s, r, phases))))
+    return float(np.max(np.abs(_circle_values(s, r))))
 
 
 def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
@@ -289,19 +282,6 @@ def random_slice_batch(
     return SliceBatch(rows=rows, counts=counts)
 
 
-def random_equimodular_slices(
-    seeds: Iterable[int],
-    m: int | None = None,
-    n_terms: int = DEFAULT_ORDER,
-) -> list[PolydiscSlice]:
-    """:func:`random_equimodular_slice` for each seed, synthesized as one block.
-
-    The rows of :func:`random_slice_batch`, not the batch itself: each
-    series and slice object runs its own checks, so a batch's would repeat them.
-    """
-    return _slices(*_seeded_rows(seeds, n_terms, m=m))
-
-
 def random_equimodular_slice(
     seed: int,
     m: int | None = None,
@@ -317,4 +297,4 @@ def random_equimodular_slice(
         seed: RNG seed; output is reproducible.
         m: component count; drawn from {1, 2, 3} when omitted.
     """
-    return random_equimodular_slices([seed], m=m, n_terms=n_terms)[0]
+    return _slices(*_seeded_rows([seed], n_terms, m=m))[0]

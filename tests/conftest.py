@@ -3,21 +3,33 @@
 import numpy as np
 import pytest
 
-from polybohr import PolydiscSlice, TruncatedSeries, random_equimodular_slices, random_schur_series_many
+from polybohr import PolydiscSlice, TruncatedSeries, random_slice_batch
 
 CORPUS_SIZE = 1000
 
 
 @pytest.fixture(scope="session")
-def corpus_slices():
-    """1000 random certified equimodular slices, m in {1, 2, 3}, order 64."""
-    return random_equimodular_slices(range(CORPUS_SIZE))
+def corpus_batch():
+    """1000 random certified equimodular slices, m in {1, 2, 3}, order 64, as one batch."""
+    return random_slice_batch(range(CORPUS_SIZE))
 
 
 @pytest.fixture(scope="session")
-def corpus_series():
-    """1000 random certified scalar series, order 64."""
-    return random_schur_series_many(range(CORPUS_SIZE))
+def corpus_series_batch():
+    """1000 random certified scalar series, order 64, as one batch of one-component slices."""
+    return random_slice_batch(range(CORPUS_SIZE), scalar=True)
+
+
+@pytest.fixture(scope="session")
+def corpus_slices(corpus_batch):
+    """The slices of :func:`corpus_batch`."""
+    return corpus_batch.slices()
+
+
+@pytest.fixture(scope="session")
+def corpus_series(corpus_series_batch):
+    """The series of :func:`corpus_series_batch`."""
+    return [s.components[0] for s in corpus_series_batch.slices()]
 
 
 def monomial_series(power: int, n_terms: int = 64) -> TruncatedSeries:

@@ -9,6 +9,7 @@ bounds do not depend on circle sampling and must match it bit for bit;
 lower bounds use the sampled values and may move by rounding only.
 """
 
+import functools
 import math
 
 import mpmath
@@ -20,6 +21,7 @@ from polybohr import (
     PolydiscSlice,
     closed_form_radius,
     eval_functional,
+    eval_functional_batch,
     eval_series_many,
     tail_bound,
 )
@@ -36,8 +38,14 @@ KINDS = (
     FunctionalSpec.improved_squared(),
     FunctionalSpec.refined(1),
     FunctionalSpec.refined(2),
+    FunctionalSpec.composed(1),
     FunctionalSpec.composed(2),
+    FunctionalSpec.composed(3),
 )
+
+
+def kind_id(spec):
+    return f"{spec.kind}{spec.p or spec.k or ''}"
 
 
 def horner_rows(a0, coeffs, ts):
@@ -51,7 +59,7 @@ def horner_rows(a0, coeffs, ts):
     return np.asarray(a0)[:, np.newaxis] + acc * ts
 
 
-def reference_enclosures(slices, spec, r, phases=64):
+def reference_enclosures(slices, spec, r):
     """(lower, upper) of ``eval_functional`` for each slice, by the Horner reference path.
 
     The circle samples of all components come from one :func:`horner_rows`
@@ -68,7 +76,7 @@ def reference_enclosures(slices, spec, r, phases=64):
         samples = np.zeros_like(coeffs)
         kept = n // k
         samples[:, k * np.arange(1, kept + 1) - 1] = coeffs[:, :kept]
-    values = horner_rows(a0, samples, phase_grid(r, phases))
+    values = horner_rows(a0, samples, phase_grid(r))
     if spec.kind == "refined_p":
         values = values - a0[:, np.newaxis]
     sampled = np.maximum.reduceat(np.abs(values).max(axis=1), starts)
@@ -107,7 +115,7 @@ class TestPowerTableAgainstOracle:
             coeffs = [mpmath.mpc(c.real, c.imag) for c in np.r_[comp.a0, comp.coeffs][::-1]]
             for r in RADII:
                 interior = r * np.sqrt(rng.uniform(0.0, 1.0, 8)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 8))
-                ts = np.concatenate([phase_grid(r, 64), interior])
+                ts = np.concatenate([phase_grid(r), interior])
                 values = eval_series_many(comp, ts)
                 with mpmath.workdps(80):
                     exact = [mpmath.polyval(coeffs, mpmath.mpc(t.real, t.imag)) for t in ts]
@@ -123,23 +131,39 @@ class TestPowerTableAgainstOracle:
             assert np.max(np.abs(values - reference)) <= 1e-14
 
 
+@pytest.fixture(scope="module")
+def corpus_reference(corpus_slices):
+    """The Horner reference of every corpus slice at the kind's radius, computed once per kind."""
+    return functools.cache(lambda spec: reference_enclosures(corpus_slices, spec, closed_form_radius(spec)))
+
+
 class TestEnclosuresAgainstHornerReference:
-    @pytest.mark.parametrize("spec", KINDS, ids=lambda spec: f"{spec.kind}{spec.p or spec.k or ''}")
-    def test_corpus_slices(self, corpus_slices, spec):
+    @pytest.mark.parametrize("spec", KINDS, ids=kind_id)
+    def test_corpus_slices(self, corpus_slices, corpus_reference, spec):
         r = closed_form_radius(spec)
-        reference = reference_enclosures(corpus_slices, spec, r)
-        for seed, (s, (lower, upper)) in enumerate(zip(corpus_slices, reference)):
+        for seed, (s, (lower, upper)) in enumerate(zip(corpus_slices, corpus_reference(spec))):
             value = eval_functional(s, spec, r)
             assert value.upper == upper, seed
             assert abs(value.lower - lower) <= LOWER_TOL, seed
 
-    def test_corpus_series_classical(self, corpus_series):
+    @pytest.mark.parametrize("spec", KINDS, ids=kind_id)
+    def test_corpus_batch(self, corpus_batch, corpus_reference, spec):
+        values = eval_functional_batch(corpus_batch, spec, closed_form_radius(spec))
+        assert len(values) == len(corpus_reference(spec))
+        for seed, (value, (lower, upper)) in enumerate(zip(values, corpus_reference(spec))):
+            assert value.upper == upper, seed
+            assert abs(value.lower - lower) <= LOWER_TOL, seed
+
+    def test_corpus_series_classical(self, corpus_series, corpus_series_batch):
         spec = FunctionalSpec.classical()
         slices = [PolydiscSlice.from_components([series]) for series in corpus_series]
         reference = reference_enclosures(slices, spec, 1.0 / 3.0)
-        for seed, (s, bounds) in enumerate(zip(slices, reference)):
+        batch_values = eval_functional_batch(corpus_series_batch, spec, 1.0 / 3.0)
+        assert len(batch_values) == len(reference)
+        for seed, (s, batch_value, bounds) in enumerate(zip(slices, batch_values, reference)):
             value = eval_functional(s, spec, 1.0 / 3.0)
             assert (value.lower, value.upper) == bounds, seed
+            assert (batch_value.lower, batch_value.upper) == bounds, seed
 
 
 def clear_circle_caches():
@@ -160,25 +184,26 @@ class TestCircleCache:
         s = corpus_series[0]
         for j in range(3 * CIRCLE_CACHE_SIZE):
             r = 0.1 + 0.01 * j
-            eval_series_many(s, phase_grid(r, 16))
+            eval_series_many(s, phase_grid(r))
         assert _power_table.cache_info().currsize <= CIRCLE_CACHE_SIZE
         assert phase_grid.cache_info().currsize <= CIRCLE_CACHE_SIZE
 
     def test_cached_arrays_are_read_only(self):
-        grid = phase_grid(0.5, 8)
+        grid = phase_grid(0.5)
         with pytest.raises(ValueError):
             grid[0] = 0.0
         with pytest.raises(ValueError):
             _power_table(grid.tobytes(), grid.shape, 4)[0, 0] = 0.0
 
-    @pytest.mark.parametrize("spec", KINDS, ids=lambda spec: f"{spec.kind}{spec.p or spec.k or ''}")
+    # Composed k = 1 samples the squared kind's circle, and k = 3 takes k = 2's path.
+    @pytest.mark.parametrize("spec", [spec for spec in KINDS if spec.k in (None, 2)], ids=kind_id)
     def test_cold_and_warm_calls_agree_bitwise(self, corpus_slices, spec):
         r = closed_form_radius(spec)
         for seed, s in enumerate(corpus_slices):
             sampled = schwarz_compose(s, spec.k) if spec.kind == "composed_k" else s
             clear_circle_caches()
-            cold_values = _circle_values(sampled, r, 64)
-            assert np.array_equal(cold_values, _circle_values(sampled, r, 64)), seed
+            cold_values = _circle_values(sampled, r)
+            assert np.array_equal(cold_values, _circle_values(sampled, r)), seed
             clear_circle_caches()
             cold = eval_functional(s, spec, r)
             assert cold == eval_functional(s, spec, r), seed

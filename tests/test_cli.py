@@ -7,6 +7,7 @@ import json
 import pytest
 
 from polybohr.cli import main
+from polybohr.sharpness import find_witness
 
 
 def run(capsys, *argv):
@@ -39,13 +40,13 @@ class TestRadiusCommand:
 
 class TestVerifyCommand:
     def test_refined_p1_all_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "--theorem", "refined_p", "--p", "1", "--seeds", "30", "--phases", "4")
+        code, out, _ = run(capsys, "verify", "--theorem", "refined_p", "--p", "1", "--seeds", "30")
         assert code == 0
         assert "30/30 pass" in out
 
     def test_squared_single_component_all_pass(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--theorem", "improved_squared", "--seeds", "30", "--m", "1", "--phases", "4"
+            capsys, "verify", "--theorem", "improved_squared", "--seeds", "30", "--m", "1"
         )
         assert code == 0
         assert "30/30 pass" in out
@@ -53,7 +54,7 @@ class TestVerifyCommand:
     def test_squared_mixed_components_reports_genuine_failures(self, capsys):
         # Mixed-m corpora contain slices that genuinely exceed the bound.
         code, out, _ = run(
-            capsys, "verify", "--theorem", "improved_squared", "--seeds", "200", "--phases", "4"
+            capsys, "verify", "--theorem", "improved_squared", "--seeds", "200"
         )
         assert code == 1
         assert "/200 pass" in out
@@ -72,7 +73,7 @@ class TestVerifyCommand:
         assert "100/100 pass" in out
 
     def test_classical_verify(self, capsys):
-        code, out, _ = run(capsys, "verify", "--theorem", "classical", "--seeds", "20", "--phases", "4")
+        code, out, _ = run(capsys, "verify", "--theorem", "classical", "--seeds", "20")
         assert code == 0
 
     def test_rejects_radius_beyond_sharp(self, capsys):
@@ -94,6 +95,20 @@ class TestWitnessCommand:
     def test_below_radius_is_usage_error(self, capsys):
         code, _, err = run(capsys, "witness", "--theorem", "classical", "--r", "0.2")
         assert code == 2
+
+    def test_component_count_reaches_the_search(self, capsys, monkeypatch):
+        calls = []
+        search = find_witness
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr("polybohr.cli.find_witness", spy)
+        code, out, _ = run(capsys, "witness", "--theorem", "refined_p", "--p", "2", "--r", "0.4", "--m", "3", "--format", "json")
+        assert code == 0
+        assert [call["m"] for call in calls] == [3]
+        assert json.loads(out)["config"]["m"] == 3
 
 
 class TestSweepCommand:
@@ -209,6 +224,17 @@ class TestConfigAndUsage:
         cfg.write_text("theorems = classical\n")
         assert run(capsys, "radius", "--config", str(cfg))[0] == 2
 
+    def test_phase_count_is_not_an_option(self, capsys, tmp_path):
+        # Every circle is sampled at slices.PHASES; neither a flag nor a key sets it.
+        code, out, err = run(capsys, "verify", "--theorem", "classical", "--seeds", "2", "--phases", "4")
+        assert code == 2
+        assert out == "" and "--phases" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theorem = classical\nphases = 4\n")
+        code, out, err = run(capsys, "verify", "--seeds", "2", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and "unknown key 'phases'" in err
+
     def test_malformed_config_line_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("theorem classical\n")
@@ -239,7 +265,7 @@ class TestConfigAndUsage:
         assert code == 2
         assert out == "" and "invalid choice: 'xml'" in err
         cfg.write_text("theorem = refined_p\np = 1\nm = 7\n")
-        code, out, _ = run(capsys, "verify", "--seeds", "2", "--phases", "4", "--config", str(cfg))
+        code, out, _ = run(capsys, "verify", "--seeds", "2", "--config", str(cfg))
         assert code == 2
         assert out == ""
 
@@ -284,20 +310,20 @@ class TestReportLayout:
         echo = config("verify", "--theorem", "classical", "--seeds", "2", "--k", "3")
         assert list(echo.items()) == [
             ("command", "verify"), ("theorem", "classical"), ("seeds", 2),
-            ("truncation", 64), ("phases", 64), ("format", "json"),
+            ("truncation", 64), ("format", "json"),
         ]
         echo = config(
             "sweep", "--theorem", "refined_p", "--p", "1", "--lambda", "0.5", "--m", "2",
-            "--r-min", "0.1", "--r-max", "0.2", "--r-steps", "2", "--phases", "8",
+            "--r-min", "0.1", "--r-max", "0.2", "--r-steps", "2",
         )
         assert list(echo.items()) == [
             ("command", "sweep"), ("theorem", "refined_p"), ("p", 1), ("r_grid", [0.1, 0.2]),
-            ("lambda", 0.5), ("m", 2), ("truncation", 64), ("phases", 8), ("format", "json"),
+            ("lambda", 0.5), ("m", 2), ("truncation", 64), ("format", "json"),
         ]
         echo = config("radius", "--theorem", "composed_k", "--k", "2", "--r", "0.25", "--a1", "0.5", "--a2", "0.9")
         assert list(echo.items()) == [
             ("command", "radius"), ("theorem", "composed_k"), ("k", 2), ("r", 0.25),
-            ("truncation", 64), ("phases", 64), ("a1", 0.5), ("a2", 0.9), ("format", "json"),
+            ("truncation", 64), ("a1", 0.5), ("a2", 0.9), ("format", "json"),
         ]
 
     def test_verify_csv_has_the_sweep_columns(self, capsys):

@@ -199,7 +199,7 @@ class TestEnclosureDiscipline:
             FunctionalSpec.refined(2),
             FunctionalSpec.composed(2),
         ):
-            value = eval_functional(s, spec, 0.4, phases=16)
+            value = eval_functional(s, spec, 0.4)
             assert value.tail >= 0.0
             assert value.lower <= value.upper
             assert value.upper == pytest.approx(value.truncated + value.tail)
@@ -215,7 +215,7 @@ class TestEnclosureDiscipline:
         ]
         for s in slices:
             for spec in specs:
-                uppers = [eval_functional(s, spec, r, phases=8).upper for r in grid]
+                uppers = [eval_functional(s, spec, r).upper for r in grid]
                 assert np.all(np.diff(uppers) >= -1e-14)
 
     def test_zero_slice_verifies_with_zero_lower_value(self):
@@ -292,7 +292,7 @@ class TestCorpusBoundary:
     def test_refined_p1_holds_on_full_corpus(self, corpus_slices):
         spec = FunctionalSpec.refined(1)
         for s in corpus_slices:
-            ok, value = verify_theorem(s, spec, 0.2, phases=4)
+            ok, value = verify_theorem(s, spec, 0.2)
             assert ok, f"refined p=1 upper {value.upper} > 1 + 1e-10"
 
     def test_composed_holds_on_full_corpus(self, corpus_slices):
@@ -300,7 +300,7 @@ class TestCorpusBoundary:
             spec = FunctionalSpec.composed(k)
             r_k = solve_radius(k=k).radius
             for s in corpus_slices:
-                ok, value = verify_theorem(s, spec, r_k, phases=4)
+                ok, value = verify_theorem(s, spec, r_k)
                 assert ok, f"composed k={k} upper {value.upper} > 1 + 1e-10"
 
     def test_squared_holds_on_single_component_corpus(self, corpus_slices):
@@ -308,14 +308,14 @@ class TestCorpusBoundary:
         singles = [s for s in corpus_slices if s.m == 1]
         assert len(singles) > 200
         for s in singles:
-            ok, value = verify_theorem(s, spec, SQUARED_FUNCTIONAL_RADIUS, phases=4)
+            ok, value = verify_theorem(s, spec, SQUARED_FUNCTIONAL_RADIUS)
             assert ok, f"squared upper {value.upper} > 1 + 1e-10 on m=1 slice"
 
     def test_refined_p2_holds_on_single_component_corpus(self, corpus_slices):
         spec = FunctionalSpec.refined(2)
         for s in corpus_slices:
             if s.m == 1:
-                ok, value = verify_theorem(s, spec, 1.0 / 3.0, phases=4)
+                ok, value = verify_theorem(s, spec, 1.0 / 3.0)
                 assert ok, f"refined p=2 upper {value.upper} > 1 + 1e-10 on m=1 slice"
 
     def test_squared_holds_on_rank_one_families(self):

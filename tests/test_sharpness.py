@@ -111,7 +111,7 @@ class TestFindWitness:
             radius = closed_form_radius(spec)
             for lam in np.linspace(0.01, 0.99, 100):
                 s = extremal_slice(spec, lam)
-                value = eval_functional(s, spec, radius, phases=4)
+                value = eval_functional(s, spec, radius)
                 assert value.lower <= 1.0 + 1e-10
 
     def test_requires_radius_beyond_sharp(self):

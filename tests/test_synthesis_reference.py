@@ -11,13 +11,7 @@ merely to a tolerance.
 import numpy as np
 import pytest
 
-from polybohr import (
-    random_equimodular_slice,
-    random_equimodular_slices,
-    random_schur_series,
-    random_schur_series_many,
-    schur_series_from_params,
-)
+from polybohr import random_equimodular_slice, random_schur_series, random_slice_batch, schur_series_from_params
 from polybohr.series import SYNTH_CHUNK
 
 
@@ -115,17 +109,17 @@ def test_explicit_parameters_match_reference(params, n_terms):
 
 def test_batches_across_chunk_boundaries_match_reference():
     seeds = range(SYNTH_CHUNK + 10)
-    batch = random_schur_series_many(seeds, 24)
+    batch = random_slice_batch(seeds, n_terms=24, scalar=True).slices()
     assert len(batch) == len(seeds)
-    for seed, series in zip(seeds, batch):
-        assert_same_series(series, reference_scalar(seed, 24))
+    for seed, sl in zip(seeds, batch):
+        assert_same_slice(sl, [reference_scalar(seed, 24)])
     seeds = range(100, 100 + SYNTH_CHUNK)  # 3 rows per seed: two chunk boundaries
-    slices = random_equimodular_slices(seeds, m=3, n_terms=24)
+    slices = random_slice_batch(seeds, m=3, n_terms=24).slices()
     assert len(slices) == len(seeds)
     for seed, sl in zip(seeds, slices):
         assert_same_slice(sl, reference_slice(seed, 3, 24))
 
 
 def test_empty_batches():
-    assert random_schur_series_many([]) == []
-    assert random_equimodular_slices([]) == []
+    assert random_slice_batch([], scalar=True).slices() == []
+    assert random_slice_batch([]).slices() == []
