@@ -125,6 +125,8 @@ def _check(args: argparse.Namespace) -> None:
     if args.seeds is not None and args.seeds < 0:
         raise DomainError(f"--seeds must be >= 0, got {args.seeds}")
     _check_radius_value(args.r)
+    if args.m is not None and args.command == "witness":
+        raise DomainError("--m does not apply to witness: the extremal family's components are identical")
     args.r_grid = None
     if args.command == "sweep":
         rmin = args.rmin if args.rmin is not None else 0.0
@@ -244,7 +246,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
 def _run_witness(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
     if args.r is None:
         raise DomainError("witness search requires --r above the sharp radius")
-    witness = find_witness(args.spec, args.r, m=args.m or 1, n_terms=args.truncation)
+    witness = find_witness(args.spec, args.r, n_terms=args.truncation)
     row = {
         **_spec_cells(args),
         "lambda_or_seed": witness.lam,

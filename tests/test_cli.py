@@ -7,7 +7,6 @@ import json
 import pytest
 
 from polybohr.cli import main
-from polybohr.sharpness import find_witness
 
 
 def run(capsys, *argv):
@@ -96,19 +95,11 @@ class TestWitnessCommand:
         code, _, err = run(capsys, "witness", "--theorem", "classical", "--r", "0.2")
         assert code == 2
 
-    def test_component_count_reaches_the_search(self, capsys, monkeypatch):
-        calls = []
-        search = find_witness
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr("polybohr.cli.find_witness", spy)
-        code, out, _ = run(capsys, "witness", "--theorem", "refined_p", "--p", "2", "--r", "0.4", "--m", "3", "--format", "json")
-        assert code == 0
-        assert [call["m"] for call in calls] == [3]
-        assert json.loads(out)["config"]["m"] == 3
+    def test_component_count_is_rejected(self, capsys):
+        code, out, err = run(capsys, "witness", "--theorem", "refined_p", "--p", "2", "--r", "0.4", "--m", "3")
+        assert code == 2
+        assert out == ""
+        assert "--m" in err
 
 
 class TestSweepCommand:
