@@ -36,7 +36,8 @@ _FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("--r-steps", dict(dest="rsteps", type=int, help="sweep grid size")),
     ("--lambda", dict(dest="lam", type=float, help="extremal-family parameter")),
     ("--seeds", dict(type=int, help="verify: corpus size; sweep: the RNG seed")),
-    ("--m", dict(type=int, choices=[1, 2, 3], help="component count (default: mixed 1..3)")),
+    ("--m", dict(type=int, choices=[1, 2, 3], help="verify and sweep: component count (default: mixed 1..3, "
+                 "1 with --lambda); radius, witness and counterexample reject it")),
     ("--truncation", dict(type=int, default=DEFAULT_ORDER, help="series truncation order (default 64)")),
     ("--a1", dict(type=float, help="counterexample: smaller initial value")),
     ("--a2", dict(type=float, help="counterexample: larger initial value")),
@@ -116,7 +117,8 @@ def _check_radius_value(r: float | None, name: str = "--r") -> None:
 
 
 def _check(args: argparse.Namespace) -> None:
-    """Validate the parsed options; set the functional ``spec`` and the sweep grid ``r_grid`` on them."""
+    """Validate the parsed options; set the functional ``spec``, the sweep grid ``r_grid`` and the
+    component count of ``sweep --lambda`` (1 unless given) on them."""
     args.spec = _build_spec(args)
     if args.truncation < 8:
         raise DomainError(f"--truncation must be >= 8, got {args.truncation}")
@@ -125,8 +127,10 @@ def _check(args: argparse.Namespace) -> None:
     if args.seeds is not None and args.seeds < 0:
         raise DomainError(f"--seeds must be >= 0, got {args.seeds}")
     _check_radius_value(args.r)
-    if args.m is not None and args.command == "witness":
-        raise DomainError("--m does not apply to witness: the extremal family's components are identical")
+    if args.m is not None and args.command not in ("verify", "sweep"):
+        raise DomainError(f"--m applies to verify and sweep, not to {args.command}")
+    if args.command == "sweep" and args.lam is not None and args.m is None:
+        args.m = 1
     args.r_grid = None
     if args.command == "sweep":
         rmin = args.rmin if args.rmin is not None else 0.0
@@ -264,7 +268,7 @@ def _run_witness(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], l
 def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
     radius = closed_form_radius(args.spec)
     if args.lam is not None:
-        sl = extremal_slice(args.spec, args.lam, m=args.m or 1, n_terms=args.truncation)
+        sl = extremal_slice(args.spec, args.lam, m=args.m, n_terms=args.truncation)
         label: Any = args.lam
     else:
         seed = args.seeds if args.seeds is not None else 0

@@ -44,8 +44,8 @@ DEFAULT_ORDER = 64
 #: Well above double-precision accumulation error at the default order.
 COEFF_SLACK = 1e-12
 
-#: Parameter rows per block of the batched Schur synthesis; bounds the
-#: (rows, N + 1) temporaries of the recursion.
+#: Seeds per ``verify`` chunk, one synthesis block of about two rows a seed;
+#: bounds the temporaries of synthesis and batch evaluation.
 SYNTH_CHUNK = 64
 
 #: Distinct point sets whose power tables (and radii whose phase grids) stay
@@ -140,14 +140,17 @@ def mobius_series(lam: float, sign: MobiusSign, n_terms: int = DEFAULT_ORDER) ->
 def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     """Coefficients a0, c_1 .. c_N of the Schur function of each parameter row.
 
-    Works through :data:`SYNTH_CHUNK` rows at a time to bound the
-    temporaries.  Each block runs the numerator/denominator recursion of
-    :func:`schur_series_from_params` once per parameter index, then the
-    truncated quotient p/q once per coefficient: coefficient n of every row
-    is p_n minus one stacked (1, n) @ (n, 1) product of q_1 .. q_n with the
-    row's coefficients n - 1, ..., 0, which are built reversed (coefficient
-    n at index -1 - n) so that each product reads contiguous slices.  A
-    block of one row, as the per-slice constructors synthesize, takes
+    The whole call is one block; the callers bound its rows.  The recursion
+    of :func:`schur_series_from_params` runs rows innermost.  After s levels
+    p and q have degree below s, so a level updates only the orders below
+    the first cap (8, 16, 32, 48, N + 1) that is at least s, on contiguous
+    (2, cap, rows) prefixes of two buffers, with views made once per cap: a
+    ufunc over a slice of a wider array costs about 1 us more.  The
+    truncated quotient p/q of the transposed, contiguous p and q runs once
+    per coefficient: coefficient n of every row is p_n minus one stacked
+    (1, n) @ (n, 1) product of q_1 .. q_n with the row's coefficients
+    n - 1, ..., 0, which are built reversed (coefficient n at index -1 - n)
+    so that each product reads contiguous slices.  A block of one row takes
     ``np.dot`` instead, which costs less than a stacked product of one.
     Every row sees the same elementwise arithmetic and the same BLAS dot as
     a block of its own, so its bits do not depend on its block.
@@ -161,35 +164,42 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     """
     if n_terms < 1:
         raise DomainError(f"truncation order must be >= 1, got {n_terms}")
-    rows, width = params.shape[0], n_terms + 1
-    out = np.empty((rows, width), dtype=np.complex128)
-    for start in range(0, rows, SYNTH_CHUNK):
-        block = params[start : start + SYNTH_CHUNK]
-        # gammas[j] multiplies (q, t p) by (g_j, conj g_j), row by row.
-        gammas = np.stack((block.T, np.conj(block.T)), axis=1)[..., np.newaxis]
-        pq = np.zeros((2, block.shape[0], width), dtype=np.complex128)  # tail f = 0
-        pq[1, :, 0] = 1.0
-        factors = np.zeros_like(pq)
-        for j in range(block.shape[1] - 1, -1, -1):
-            factors[0] = pq[1]
-            factors[1, :, 1:] = pq[0, :, :-1]  # t * p, truncated
+    (rows, k), width = params.shape, n_terms + 1
+    # gammas[j] multiplies (q, t p) by (g_j, conj g_j), order by order.
+    gammas = np.stack((params.T, np.conj(params.T)), axis=1)[:, :, np.newaxis]
+    pq_flat, factors_flat = np.zeros((2, 2 * width * rows), dtype=np.complex128)
+    pq = np.array([0.0, 1.0]).reshape(2, 1, 1)  # (p, q) = (0, 1): tail f = 0
+    end = k
+    for cap in (*(c for c in (8, 16, 32, 48) if c < width), width):
+        grown, factors = (a[: 2 * cap * rows].reshape(2, cap, rows) for a in (pq_flat, factors_flat))
+        grown[1, : pq.shape[1]] = pq[1]  # q moves up; p's new orders held q
+        grown[0, pq.shape[1] :] = 0.0
+        pq, factors[1, 0] = grown, 0.0  # t p has no constant term
+        p, q, p_in, q_out, tp, tp_out = pq[0], pq[1], pq[0, :-1], factors[0], factors[1], factors[1, 1:]
+        stop = max(k - cap, 0) if cap < width else 0  # level k - j is at most cap
+        for j in range(end - 1, stop - 1, -1):
+            q_out[...] = q
+            tp_out[...] = p_in  # t * p, truncated
             # gamma first, as in g * q: numpy's complex multiply is not
             # bitwise symmetric in its operands.
             np.multiply(gammas[j], factors, out=pq)  # (g q, conj(g) t p)
-            pq += factors[::-1]  # (g q + t p, conj(g) t p + q)
-        p, q = pq
-        rev = np.empty_like(p)
-        rev[:, -1] = p[:, 0]
-        if block.shape[0] == 1:
-            p1, q1, rev1 = p[0], q[0], rev[0]
-            for n in range(1, width):
-                rev1[-1 - n] = p1[n] - np.dot(q1[1 : n + 1], rev1[width - n :])
-        else:
-            for n in range(1, width):
-                dots = q[:, np.newaxis, 1 : n + 1] @ rev[:, width - n :, np.newaxis]
-                rev[:, -1 - n] = p[:, n] - dots[:, 0, 0]
-        out[start : start + block.shape[0]] = rev[:, ::-1]
-    return out
+            p += tp  # g q + t p
+            q += q_out  # conj(g) t p + q
+        end = stop
+    # The transposed p and q reuse the factor buffer, and rev the p/q one.
+    p, q = transposed = factors_flat.reshape(2, rows, width)
+    transposed[...] = pq.transpose(0, 2, 1)
+    rev = pq_flat[: rows * width].reshape(rows, width)
+    rev[:, -1] = p[:, 0]
+    if rows == 1:
+        p1, q1, rev1 = p[0], q[0], rev[0]
+        for n in range(1, width):
+            rev1[-1 - n] = p1[n] - np.dot(q1[1 : n + 1], rev1[width - n :])
+    else:
+        for n in range(1, width):
+            dots = q[:, np.newaxis, 1 : n + 1] @ rev[:, width - n :, np.newaxis]
+            rev[:, -1 - n] = p[:, n] - dots[:, 0, 0]
+    return np.ascontiguousarray(rev[:, ::-1])
 
 
 def _certified(row: np.ndarray) -> TruncatedSeries:

@@ -27,6 +27,12 @@ class TestRadiusCommand:
         assert code == 0
         assert "0.638284738504" in out
 
+    def test_component_count_is_rejected(self, capsys):
+        code, out, err = run(capsys, "radius", "--theorem", "classical", "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert "--m" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "radius", "--theorem", "refined_p", "--p", "1", "--format", "json")
         assert code == 0
@@ -143,6 +149,14 @@ class TestSweepCommand:
         report = json.loads(out)
         assert report["results"][0]["lambda_or_seed"] == 3
 
+    def test_lambda_sweep_echoes_its_one_component(self, capsys):
+        argv = ("sweep", "--theorem", "refined_p", "--p", "1", "--lambda", "0.5", "--r-steps", "2", "--format", "json")
+        _, out, _ = run(capsys, *argv)
+        _, one, _ = run(capsys, *argv, "--m", "1")
+        report = json.loads(out)
+        assert report["config"]["m"] == 1
+        assert report["results"] == json.loads(one)["results"]
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(
@@ -171,6 +185,15 @@ class TestCounterexampleCommand:
             "--a1", "0.5", "--a2", "0.9999", "--r", "0.7",
         )
         assert code == 2
+
+    def test_component_count_is_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "counterexample", "--theorem", "improved_squared",
+            "--a1", "0.6", "--a2", "0.9999", "--r", "0.7", "--m", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--m" in err
 
 
 class TestConfigAndUsage:

@@ -31,7 +31,7 @@ SPECS = {
     "classical": FunctionalSpec.classical(),
 }
 SEEDS = range(200)
-BATCH_SIZES = [1, 2, SYNTH_CHUNK - 1, SYNTH_CHUNK, SYNTH_CHUNK + 1]
+BATCH_SIZES = sorted({1, 2, 63, 64, 65, SYNTH_CHUNK})  # SYNTH_CHUNK: one verify chunk
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,7 +112,7 @@ def test_a_slice_keeps_its_bits_at_every_position(label):
     probe = next(sl for sl in reversed(slices_of(label)) if sl.m == (1 if label == "classical" else 3))
     expected = bits(eval_functional(probe, spec, r))
     blocks, counts = [component_rows(sl) for sl in others], [sl.m for sl in others]
-    for position in range(SYNTH_CHUNK + 1):
+    for position in range(len(others)):
         batch = SliceBatch(
             rows=np.concatenate([*blocks[:position], component_rows(probe), *blocks[position + 1 :]]),
             counts=[*counts[:position], probe.m, *counts[position + 1 :]],

@@ -1,21 +1,24 @@
 """A synthesized row's bits do not depend on the block it is synthesized in.
 
-``_synthesize_rows`` takes two paths through the truncated quotient: a block
-of several rows runs one stacked product per coefficient, and a block of one
-row runs ``np.dot``.  Every row of every block below must equal, bit for bit,
-both a one-row call on the same parameters and the one-series reference of
-``test_synthesis_reference``.  The block sizes put rows on both sides of the
-:data:`SYNTH_CHUNK` boundaries, including a trailing chunk of one row, which
-takes the ``np.dot`` path inside a larger call.
+``_synthesize_rows`` takes each call as one block and two paths through the
+truncated quotient: a block of several rows runs one stacked product per
+coefficient, and a block of one row runs ``np.dot``.  Every row of every block
+below must equal, bit for bit, both a one-row call on the same parameters and
+the one-series reference of ``test_synthesis_reference``.  The block sizes are
+the ones the callers form: one to three rows for a per-slice constructor, and
+for a ``verify`` chunk of :data:`SYNTH_CHUNK` = 64 seeds 64 rows (classical) or
+64 to 192 (mixed component counts).  The recursion updates only the orders
+below a cap of 8, 16, 32, 48 or N + 1, so K and N + 1 also fall on both sides
+of each cap.
 """
 
 import numpy as np
 import pytest
 
-from polybohr.series import SYNTH_CHUNK, _synthesize_rows
+from polybohr.series import _synthesize_rows
 from test_synthesis_reference import reference_synthesis
 
-BLOCK_SIZES = [1, 2, SYNTH_CHUNK - 1, SYNTH_CHUNK, SYNTH_CHUNK + 1, 2 * SYNTH_CHUNK + 1]
+BLOCK_SIZES = [1, 2, 3, 63, 64, 65, 129]
 
 
 def random_params(rows, k, seed):
@@ -42,11 +45,22 @@ def test_every_row_matches_its_one_row_synthesis(rows, n_terms, extra_params):
         assert same_bits(alone, reference_synthesis(params[i], n_terms)), f"row {i} of {rows}"
 
 
+@pytest.mark.parametrize("n_terms", [7, 8, 15, 16, 47, 48])
+@pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 48, 49])
+def test_rows_keep_their_bits_on_both_sides_of_each_cap(k, n_terms):
+    params = random_params(2, k, seed=[k, n_terms])
+    block = _synthesize_rows(params, n_terms)
+    for i in range(2):
+        alone = _synthesize_rows(params[i : i + 1], n_terms)[0]
+        assert same_bits(block[i], alone), f"row {i}"
+        assert same_bits(alone, reference_synthesis(params[i], n_terms)), f"row {i}"
+
+
 def test_a_row_keeps_its_bits_at_every_position():
-    params = random_params(SYNTH_CHUNK + 1, 70, seed=1)
+    params = random_params(65, 70, seed=1)
     row = params[:1]
     alone = _synthesize_rows(row, 64)[0]
-    for position in range(SYNTH_CHUNK + 1):
+    for position in range(len(params)):
         block = params.copy()
         block[position] = row[0]
         assert same_bits(_synthesize_rows(block, 64)[position], alone), f"position {position}"

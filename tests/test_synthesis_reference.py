@@ -64,8 +64,10 @@ def reference_slice(seed, m, n_terms):
 
 
 def assert_same_series(series, expected):
-    assert np.array_equal(np.complex128(series.a0), expected[0])
-    assert np.array_equal(series.coeffs, expected[1:])
+    """Bit for bit, as uint64: ``np.array_equal`` would take -0.0 for +0.0."""
+    got = np.concatenate(([series.a0], series.coeffs)).astype(np.complex128)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def assert_same_slice(sl, expected):
@@ -101,6 +103,18 @@ def test_short_truncations_of_slices_match_reference(n_terms):
         ([0.3 + 0.4j, 0.2, -0.7j], 8),
         ([0.0] * 9, 8),
         ([0.9j, -0.5, 0.1 + 0.1j, 1.0], 24),
+        # Edges of the live orders: K = 1, K << N + 1, K and N + 1 on both
+        # sides of a cap, and real Moebius maps, whose coefficients have
+        # imaginary parts exactly zero, so that a signed zero would show.
+        ([0.7j], 64),
+        ([0.3, -0.2, 0.1], 64),
+        ([-0.6, 1.0], 64),
+        ([-0.6, 1.0], 7),
+        ([0.5, -1.0], 64),
+        ([0.25, 1.0], 8),
+        ([0.9, -0.6, 0.3, 0.0, -0.3, 0.6, -0.9, 0.45, 1.0], 15),
+        ([0.2 - 0.1j] * 17, 16),
+        ([-0.1 + 0.3j] * 49, 48),
     ],
 )
 def test_explicit_parameters_match_reference(params, n_terms):
@@ -113,7 +127,7 @@ def test_batches_across_chunk_boundaries_match_reference():
     assert len(batch) == len(seeds)
     for seed, sl in zip(seeds, batch):
         assert_same_slice(sl, [reference_scalar(seed, 24)])
-    seeds = range(100, 100 + SYNTH_CHUNK)  # 3 rows per seed: two chunk boundaries
+    seeds = range(100, 100 + SYNTH_CHUNK)  # 3 rows per seed: the largest block of a verify chunk
     slices = random_slice_batch(seeds, m=3, n_terms=24).slices()
     assert len(slices) == len(seeds)
     for seed, sl in zip(seeds, slices):
