@@ -5,8 +5,9 @@ the sharp radius r_k grows with k.  It solves
 
     (1 - r^k) / (1 + r^k) - 2 r / (1 - r) = 0,
 
-a strictly decreasing function of r, which the bracketing solver pins to a
-2^-40 bracket.  k = 1 reduces algebraically to r^2 + 4r - 1 = 0, i.e.
+a strictly decreasing function of r.  The solver bisects it in floats down
+to two adjacent floats and checks their signs exactly, so r_k is the largest
+float below the root.  k = 1 reduces algebraically to r^2 + 4r - 1 = 0, i.e.
 r_1 = sqrt(5) - 2; as k grows the radii climb toward 1/3, the classical
 majorant-sum radius.
 """

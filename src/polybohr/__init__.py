@@ -67,7 +67,6 @@ from .radii import (
     refined_slack_p2,
     slack_polynomial,
     slack_polynomial_factored,
-    solve_decreasing_root,
     solve_radius,
     squared_functional_slack,
 )

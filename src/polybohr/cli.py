@@ -37,8 +37,9 @@ _FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("--lambda", dict(dest="lam", type=float, help="extremal-family parameter")),
     ("--seeds", dict(type=int, help="verify: corpus size; sweep: the RNG seed")),
     ("--m", dict(type=int, choices=[1, 2, 3], help="verify and sweep: component count (default: mixed 1..3, "
-                 "1 with --lambda); radius, witness and counterexample reject it")),
-    ("--truncation", dict(type=int, default=DEFAULT_ORDER, help="series truncation order (default 64)")),
+                 "1 with --lambda); radius, witness, counterexample and the classical kind reject it")),
+    ("--truncation", dict(type=int, default=DEFAULT_ORDER, help="series truncation order (default 64); seeded "
+                          "synthesis fails certification (exit 2) at some orders from about 86 up")),
     ("--a1", dict(type=float, help="counterexample: smaller initial value")),
     ("--a2", dict(type=float, help="counterexample: larger initial value")),
     ("--format", dict(dest="fmt", choices=["csv", "json"], help="structured output")),
@@ -129,6 +130,8 @@ def _check(args: argparse.Namespace) -> None:
     _check_radius_value(args.r)
     if args.m is not None and args.command not in ("verify", "sweep"):
         raise DomainError(f"--m applies to verify and sweep, not to {args.command}")
+    if args.m is not None and args.spec.kind == "classical":
+        raise DomainError("--m does not apply to the classical sum, which takes one scalar series")
     if args.command == "sweep" and args.lam is not None and args.m is None:
         args.m = 1
     args.r_grid = None
@@ -190,13 +193,11 @@ def _value_row(args: argparse.Namespace, label: Any, r: float, value: Functional
 
 
 def _run_radius(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
-    radius = closed_form_radius(args.spec)
+    result = solve_radius(k=args.spec.k) if args.spec.kind == "composed_k" else None
+    radius = closed_form_radius(args.spec) if result is None else result.radius
     row = {**_spec_cells(args), "radius": radius}
     lines = [f"sharp radius ({args.spec.kind}): {_fmt(radius)}"]
-    code = 0
-    if args.spec.kind == "composed_k":
-        assert args.spec.k is not None
-        result = solve_radius(k=args.spec.k)
+    if result is not None:
         row.update(
             bracket_lo=result.bracket_lo,
             bracket_hi=result.bracket_hi,
@@ -207,9 +208,7 @@ def _run_radius(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
             f"bracket [{_fmt(result.bracket_lo)}, {_fmt(result.bracket_hi)}], "
             f"residual {_fmt(result.residual)}, iterations {result.iterations}"
         )
-        if abs(result.residual) > 1e-10:
-            code = 1
-    return code, [row], lines
+    return 0, [row], lines
 
 
 def _batch_for_seeds(args: argparse.Namespace, seeds: Sequence[int]) -> SliceBatch:
@@ -279,7 +278,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], lis
     for r in args.r_grid:
         value = eval_functional(sl, args.spec, r)
         ok = value.upper <= 1.0 + VERIFY_TOL
-        if r <= radius + 1e-12 and not ok:
+        if r <= radius and not ok:
             all_pass = False
         rows.append(_value_row(args, label, r, value, ok))
     lines = [

@@ -18,7 +18,7 @@ class PreconditionError(PolybohrError, ValueError):
 
 
 class SolverError(PolybohrError, RuntimeError):
-    """Root bracketing or monotonicity checks failed inside a solver."""
+    """A solver returned an inconsistent result, such as a radius outside its bracket."""
 
 
 class WitnessSearchError(PolybohrError, RuntimeError):

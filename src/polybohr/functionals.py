@@ -307,7 +307,7 @@ def verify_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[tupl
 
 def _check_below_radius(spec: FunctionalSpec, r: float) -> None:
     radius = closed_form_radius(spec)
-    if r > radius + 1e-12:
+    if r > radius:
         raise PreconditionError(
             f"r = {r} exceeds the sharp radius {radius}; run a witness search instead"
         )

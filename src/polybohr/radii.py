@@ -1,4 +1,4 @@
-"""Scalar margin functions, sharp radii, and a bracketing root solver.
+"""Scalar margin functions, sharp radii, and the composed radius solver.
 
 Each of the three polydisc functionals comes with a pair of scalar
 functions: a *slack* (or *bound*) function of the worst-case initial
@@ -9,10 +9,11 @@ They are plain real formulas; this module evaluates them, certifies the
 degree-six factorization identity behind the squared functional's radius,
 and solves the composed functional's radius equation
 
-    (1 - r^k) / (1 + r^k) - 2 r / (1 - r) = 0
+    (1 - r^k) / (1 + r^k) - 2 r / (1 - r) = 0.
 
-by bisection on the fixed bracket :data:`SOLVER_BRACKET`, reporting the final
-bracket, the residual and the iteration count.
+On 0 < r < 1 it has the sign of P_k(r) = 1 - 3r - r^k - r^(k+1), whose
+coefficients change sign once, so it has exactly one positive root;
+:func:`solve_radius` returns the largest float below it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, SolverError
 
@@ -190,7 +191,7 @@ def composed_extremal_excess(lam: float, r: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class RadiusResult:
-    """Solved radius with its final bracket, residual, and iteration count."""
+    """Solved radius with its final bracket, residual, and bisection count."""
 
     radius: float
     bracket_lo: float
@@ -203,56 +204,50 @@ class RadiusResult:
             raise SolverError("radius must lie inside its bracket")
 
 
-#: Bisection settings: the search bracket inside (0, 1), the final bracket
-#: width, the iteration cap, and the samples of the monotonicity check.
-SOLVER_BRACKET = (1e-9, 1.0 - 1e-9)
-SOLVER_TOL = 1e-12
-SOLVER_MAX_ITERATIONS = 200
-MONOTONICITY_SAMPLES = 64
+def _radius_polynomial_sign(r: float, k: int) -> int:
+    """Exact sign of P_k(r) = 1 - 3r - r^k - r^(k+1) at a float r >= 0.
 
-
-def solve_decreasing_root(func: Callable[[float], float]) -> RadiusResult:
-    """Bisect a strictly decreasing function on :data:`SOLVER_BRACKET` to a
-    bracket of width <= :data:`SOLVER_TOL`.
-
-    Verifies the sign change and (by coarse sampling) the claimed
-    monotonicity before iterating; both failures raise :class:`SolverError`
-    rather than returning a spurious root.
+    P_k(a/d) d^(k+1) = d^k (d - 3a) - a^k (d + a).  This is negative when
+    d <= 3a, and positive when k >= (d + a).bit_length(), because then
+    d^k > 3^k a^k and 2^k > d + a; only the remaining small k need powers.
     """
-    lo, hi = SOLVER_BRACKET
-    flo, fhi = func(lo), func(hi)
-    if not (flo > 0.0 > fhi):
-        raise SolverError(
-            f"no sign change on [{lo}, {hi}]: f(lo) = {flo}, f(hi) = {fhi}"
-        )
-    prev = flo
-    for j in range(1, MONOTONICITY_SAMPLES + 1):
-        value = func(lo + (hi - lo) * j / MONOTONICITY_SAMPLES)
-        if value >= prev:
-            raise SolverError("target function is not strictly decreasing on the bracket")
-        prev = value
+    a, d = r.as_integer_ratio()
+    if d <= 3 * a:
+        return -1
+    if k >= (d + a).bit_length():
+        return 1
+    return 1 if d**k * (d - 3 * a) > a**k * (d + a) else -1
+
+
+def solve_radius(k: int) -> RadiusResult:
+    """Solve the composed functional's radius equation for order ``k``.
+
+    Bisects the equation in floats on (0, 1/2) until the bracket ends are
+    adjacent floats, then moves the bracket one float at a time until the
+    exact sign of P_k is positive at its lower end and negative at its
+    upper end.  The radius is the lower end: the largest float below the
+    root.  P_k has no rational root in (0, 1), so neither sign is zero.
+    """
+    _check_order(k)
+    lo, hi = 0.0, 0.5
     iterations = 0
-    while hi - lo > SOLVER_TOL and iterations < SOLVER_MAX_ITERATIONS:
-        mid = 0.5 * (lo + hi)
-        if func(mid) > 0.0:
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if composed_radius_equation(mid, k) > 0.0:
             lo = mid
         else:
             hi = mid
         iterations += 1
-    root = 0.5 * (lo + hi)
+    while _radius_polynomial_sign(lo, k) < 0:
+        lo, hi = math.nextafter(lo, 0.0), lo
+    while _radius_polynomial_sign(hi, k) > 0:
+        lo, hi = hi, math.nextafter(hi, 1.0)
     return RadiusResult(
-        radius=root,
+        radius=lo,
         bracket_lo=lo,
         bracket_hi=hi,
-        residual=func(root),
+        residual=composed_radius_equation(lo, k),
         iterations=iterations,
     )
-
-
-def solve_radius(k: int) -> RadiusResult:
-    """Solve the composed functional's radius equation for order ``k``."""
-    _check_order(k)
-    return solve_decreasing_root(lambda r: composed_radius_equation(r, k))
 
 
 @functools.lru_cache(maxsize=64)

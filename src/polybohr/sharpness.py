@@ -62,7 +62,7 @@ class SharpnessWitness:
     def __post_init__(self) -> None:
         if not self.margin > 0.0:
             raise DomainError("a witness must have value_lower > 1")
-        if not self.r > closed_form_radius(self.spec) - 1e-12:
+        if not self.r > closed_form_radius(self.spec):
             raise DomainError("witness radius must exceed the sharp radius")
 
 

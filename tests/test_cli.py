@@ -81,6 +81,13 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--theorem", "classical", "--seeds", "20")
         assert code == 0
 
+    def test_classical_component_count_is_rejected(self, capsys):
+        # The classical sum takes one scalar series, whatever --m says.
+        code, out, err = run(capsys, "verify", "--theorem", "classical", "--seeds", "2", "--m", "3", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "--m" in err
+
     def test_rejects_radius_beyond_sharp(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "refined_p", "--p", "1", "--r", "0.5", "--seeds", "5")
         assert code == 2
@@ -156,6 +163,13 @@ class TestSweepCommand:
         report = json.loads(out)
         assert report["config"]["m"] == 1
         assert report["results"] == json.loads(one)["results"]
+
+    @pytest.mark.parametrize("slice_args", [("--seeds", "3"), ("--lambda", "0.5")])
+    def test_classical_component_count_is_rejected(self, capsys, slice_args):
+        code, out, err = run(capsys, "sweep", "--theorem", "classical", *slice_args, "--m", "2", "--r-steps", "2")
+        assert code == 2
+        assert out == ""
+        assert "--m" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

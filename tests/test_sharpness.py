@@ -9,6 +9,7 @@ from polybohr import (
     DomainError,
     FunctionalSpec,
     PreconditionError,
+    SharpnessWitness,
     SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA,
     SQUARED_FUNCTIONAL_RADIUS,
     closed_form_radius,
@@ -117,6 +118,11 @@ class TestFindWitness:
     def test_requires_radius_beyond_sharp(self):
         with pytest.raises(PreconditionError):
             find_witness(FunctionalSpec.refined(1), 0.19)
+
+    @pytest.mark.parametrize("spec", [*ALL_THEOREM_SPECS, FunctionalSpec.classical()])
+    def test_witness_at_the_radius_is_rejected(self, spec):
+        with pytest.raises(DomainError):
+            SharpnessWitness(spec, lam=0.5, r=closed_form_radius(spec), value_lower=1.5)
 
     def test_frozen_example_values(self):
         # Spot values of the functional on the extremal family past the radius.

@@ -10,6 +10,7 @@ tolerance.
 """
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -126,11 +127,10 @@ def test_verify_batch_applies_the_radius_precondition_and_tolerance(label):
     slices = slices_of(label)[: SYNTH_CHUNK + 1]
     batch = batch_of(slices)
     radius = closed_form_radius(spec)
-    for r in (radius, radius + 5e-13):
-        expected = [verify_theorem(sl, spec, r) for sl in slices]
-        got = verify_batch(batch, spec, r)
-        assert [(ok, bits(v)) for ok, v in got] == [(ok, bits(v)) for ok, v in expected]
-    for r in (radius + 2e-12, 0.99):
+    expected = [verify_theorem(sl, spec, radius) for sl in slices]
+    got = verify_batch(batch, spec, radius)
+    assert [(ok, bits(v)) for ok, v in got] == [(ok, bits(v)) for ok, v in expected]
+    for r in (math.nextafter(radius, 1.0), radius + 5e-13, radius + 2e-12, 0.99):
         with pytest.raises(PreconditionError):
             verify_theorem(slices[0], spec, r)
         with pytest.raises(PreconditionError):
