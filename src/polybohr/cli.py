@@ -4,7 +4,8 @@ Five subcommands (``radius``, ``verify``, ``witness``, ``sweep``,
 ``counterexample``) over the library, with human-readable output by default
 and ``--format csv|json`` for machine consumption.  Exit codes: 0 when all
 assertions pass or a witness is found, 1 when an assertion fails or no
-witness exists, 2 for usage, domain or I/O errors.
+witness exists, 2 for usage, domain or I/O errors, among them an option
+(flag or config-file key) that the subcommand does not take.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 from .errors import DomainError, PolybohrError, SolverError, WitnessSearchError
 from .functionals import VERIFY_TOL, FunctionalSpec, FunctionalValue, eval_functional, verify_batch
@@ -24,30 +25,42 @@ from .series import DEFAULT_ORDER, SYNTH_CHUNK
 from .sharpness import extremal_slice, find_witness, reproduce_counterexample
 from .slices import SliceBatch, random_slice_batch
 
-#: The flags every subcommand takes, declared once.  Each is also a config-file
-#: key: the long flag without dashes (``rmin``, ``lambda``, ``format``, ...).
-_FLAGS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("--theorem", dict(choices=["improved_squared", "refined_p", "composed_k", "classical"])),
-    ("--p", dict(type=int, choices=[1, 2], help="exponent for refined_p")),
-    ("--k", dict(type=int, help="composition order for composed_k")),
-    ("--r", dict(type=float, help="evaluation radius in [0, 1)")),
-    ("--r-min", dict(dest="rmin", type=float, help="sweep grid start")),
-    ("--r-max", dict(dest="rmax", type=float, help="sweep grid end")),
-    ("--r-steps", dict(dest="rsteps", type=int, help="sweep grid size")),
-    ("--lambda", dict(dest="lam", type=float, help="extremal-family parameter")),
-    ("--seeds", dict(type=int, help="verify: corpus size; sweep: the RNG seed")),
-    ("--m", dict(type=int, choices=[1, 2, 3], help="verify and sweep: component count (default: mixed 1..3, "
-                 "1 with --lambda); radius, witness, counterexample and the classical kind reject it")),
-    ("--truncation", dict(type=int, default=DEFAULT_ORDER, help="series truncation order (default 64); seeded "
-                          "synthesis fails certification (exit 2) at some orders from about 86 up")),
-    ("--a1", dict(type=float, help="counterexample: smaller initial value")),
-    ("--a2", dict(type=float, help="counterexample: larger initial value")),
-    ("--format", dict(dest="fmt", choices=["csv", "json"], help="structured output")),
-    ("--out", dict(type=str, help="write the report to this path instead of stdout")),
+#: Each subcommand with its help line.
+_COMMANDS = {
+    "radius": "print the sharp radius of a functional",
+    "verify": "check the functional on random certified slices at or below the radius",
+    "witness": "search the extremal family for a value above 1 past the radius",
+    "sweep": "evaluate the functional over a radius grid for a named slice",
+    "counterexample": "evaluate on a two-component unequal-modulus slice",
+}
+
+#: Each flag with the subcommands that read it, declared once: a subcommand
+#: registers only its own flags, so any other exits 2.  Each flag is also a
+#: config-file key (the long flag without dashes: ``rmin``, ``lambda``, ...)
+#: and, unless unset, a key of the JSON ``config`` echo.
+_FLAGS: tuple[tuple[str, Collection[str], dict[str, Any]], ...] = (
+    ("--theorem", _COMMANDS, dict(choices=["improved_squared", "refined_p", "composed_k", "classical"])),
+    ("--p", _COMMANDS, dict(type=int, choices=[1, 2], help="exponent for refined_p")),
+    ("--k", _COMMANDS, dict(type=int, help="composition order for composed_k")),
+    ("--r", ("verify", "witness", "counterexample"), dict(type=float, help="evaluation radius in [0, 1)")),
+    ("--r-min", ("sweep",), dict(dest="rmin", type=float, default=0.0, help="grid start (default 0)")),
+    ("--r-max", ("sweep",), dict(dest="rmax", type=float, default=0.95, help="grid end (default 0.95)")),
+    ("--r-steps", ("sweep",), dict(dest="rsteps", type=int, default=20, help="grid size (default 20)")),
+    ("--lambda", ("sweep",), dict(dest="lam", type=float, help="extremal-family parameter of the slice")),
+    ("--seeds", ("verify", "sweep"), dict(type=int, help="verify: corpus size; sweep: the slice's RNG seed")),
+    ("--m", ("verify", "sweep"), dict(type=int, choices=[1, 2, 3], help="component count (default: mixed 1..3, "
+                                      "1 with --lambda); the classical kind rejects it")),
+    ("--truncation", ("verify", "witness", "sweep", "counterexample"), dict(
+        type=int, default=DEFAULT_ORDER, help="series truncation order (default 64); seeded synthesis fails "
+        "certification (exit 2) at some orders from about 86 up")),
+    ("--a1", ("counterexample",), dict(type=float, help="smaller initial value")),
+    ("--a2", ("counterexample",), dict(type=float, help="larger initial value")),
+    ("--format", _COMMANDS, dict(dest="fmt", choices=["csv", "json"], help="structured output")),
+    ("--out", _COMMANDS, dict(type=str, help="write the report to this path instead of stdout")),
 )
 
-#: Config-file key -> the flag it stands for.
-_CONFIG_KEYS = {flag.replace("-", ""): flag for flag, _ in _FLAGS}
+#: Config-file key -> (flag, argparse dest), in table order.
+_KEYS = {flag.replace("-", ""): (flag, options.get("dest", flag[2:])) for flag, _, options in _FLAGS}
 
 
 def _fmt(x: Any) -> str:
@@ -63,18 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polybohr",
         description="Sharp majorant-functional radii for polydisc-valued maps: solve, verify, witness.",
+        allow_abbrev=False,
     )
+    # A flag a subcommand does not take reads as None.
+    ap.set_defaults(**{dest: None for _, dest in _KEYS.values()})
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_ in (
-        ("radius", "print the sharp radius of a functional"),
-        ("verify", "check the functional on random certified slices at or below the radius"),
-        ("witness", "search the extremal family for a value above 1 past the radius"),
-        ("sweep", "evaluate the functional over a radius grid for a named slice"),
-        ("counterexample", "evaluate on a two-component unequal-modulus slice"),
-    ):
-        p = sub.add_parser(name, help=help_)
-        for flag, options in _FLAGS:
-            p.add_argument(flag, **options)
+    for name, help_ in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        for flag, commands, options in _FLAGS:
+            if name in commands:
+                p.add_argument(flag, **options)
         p.add_argument("--config", type=str, help="key = value file; flags win over file entries")
     return ap
 
@@ -94,22 +105,10 @@ def _config_argv(path: str) -> list[str]:
             raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-        argv.append(f"{_CONFIG_KEYS[key]}={value.strip()}")
+        argv.append(f"{_KEYS[key][0]}={value.strip()}")
     return argv
-
-
-def _build_spec(args: argparse.Namespace) -> FunctionalSpec:
-    if args.theorem is None:
-        raise DomainError("--theorem is required (or set 'theorem' in the config file)")
-    p = args.p if args.theorem == "refined_p" else None
-    k = args.k if args.theorem == "composed_k" else None
-    if args.theorem == "refined_p" and p is None:
-        raise DomainError("--p is required for refined_p")
-    if args.theorem == "composed_k" and k is None:
-        raise DomainError("--k is required for composed_k")
-    return FunctionalSpec(kind=args.theorem, p=p, k=k)
 
 
 def _check_radius_value(r: float | None, name: str = "--r") -> None:
@@ -120,33 +119,31 @@ def _check_radius_value(r: float | None, name: str = "--r") -> None:
 def _check(args: argparse.Namespace) -> None:
     """Validate the parsed options; set the functional ``spec``, the sweep grid ``r_grid`` and the
     component count of ``sweep --lambda`` (1 unless given) on them."""
-    args.spec = _build_spec(args)
-    if args.truncation < 8:
+    if args.theorem is None:
+        raise DomainError("--theorem is required (or set 'theorem' in the config file)")
+    args.spec = FunctionalSpec(kind=args.theorem, p=args.p, k=args.k)
+    if args.truncation is not None and args.truncation < 8:
         raise DomainError(f"--truncation must be >= 8, got {args.truncation}")
-    if args.seeds is not None and args.command == "verify" and args.seeds < 1:
-        raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
-    if args.seeds is not None and args.seeds < 0:
-        raise DomainError(f"--seeds must be >= 0, got {args.seeds}")
+    least = 1 if args.command == "verify" else 0
+    if args.seeds is not None and args.seeds < least:
+        raise DomainError(f"--seeds must be >= {least}, got {args.seeds}")
     _check_radius_value(args.r)
-    if args.m is not None and args.command not in ("verify", "sweep"):
-        raise DomainError(f"--m applies to verify and sweep, not to {args.command}")
     if args.m is not None and args.spec.kind == "classical":
         raise DomainError("--m does not apply to the classical sum, which takes one scalar series")
-    if args.command == "sweep" and args.lam is not None and args.m is None:
+    if args.lam is not None and args.seeds is not None:
+        raise DomainError("sweep takes --lambda or --seeds, not both")
+    if args.lam is not None and args.m is None:
         args.m = 1
     args.r_grid = None
     if args.command == "sweep":
-        rmin = args.rmin if args.rmin is not None else 0.0
-        rmax = args.rmax if args.rmax is not None else 0.95
-        rsteps = args.rsteps if args.rsteps is not None else 20
-        _check_radius_value(rmin, "--r-min")
-        _check_radius_value(rmax, "--r-max")
-        if rsteps < 1:
-            raise DomainError(f"--r-steps must be >= 1, got {rsteps}")
-        if rmax < rmin:
+        _check_radius_value(args.rmin, "--r-min")
+        _check_radius_value(args.rmax, "--r-max")
+        if args.rsteps < 1:
+            raise DomainError(f"--r-steps must be >= 1, got {args.rsteps}")
+        if args.rmax < args.rmin:
             raise DomainError("--r-max must not be below --r-min")
-        step = (rmax - rmin) / (rsteps - 1) if rsteps > 1 else 0.0
-        args.r_grid = [rmin + j * step for j in range(rsteps)]
+        step = (args.rmax - args.rmin) / (args.rsteps - 1) if args.rsteps > 1 else 0.0
+        args.r_grid = [args.rmin + j * step for j in range(args.rsteps)]
     # Fail before the computation, not after it, when the report cannot be written.
     if args.out and not Path(args.out).parent.is_dir():
         raise DomainError(f"--out: directory {str(Path(args.out).parent)!r} does not exist")
@@ -155,24 +152,13 @@ def _check(args: argparse.Namespace) -> None:
 
 
 def _echo(args: argparse.Namespace) -> dict[str, Any]:
-    """The JSON report's ``config``: the options in effect, unset ones left out."""
-    d: dict[str, Any] = {
-        "command": args.command,
-        "theorem": args.spec.kind,
-        "p": args.spec.p,
-        "k": args.spec.k,
-        "r": args.r,
-        "r_grid": args.r_grid,
-        "lambda": args.lam,
-        "seeds": args.seeds,
-        "m": args.m,
-        "truncation": args.truncation,
-        "a1": args.a1,
-        "a2": args.a2,
-        "format": args.fmt,
-        "out": args.out,
-    }
-    return {k: v for k, v in d.items() if v is not None}
+    """The JSON report's ``config``: the options in effect in table order, unset ones left out,
+    and the sweep grid as ``r_grid`` in place of its three flags."""
+    values = {key: getattr(args, dest) for key, (_, dest) in _KEYS.items()}
+    values.update(rmin=args.r_grid, rmax=None, rsteps=None)
+    echo = {"command": args.command}
+    echo.update({"r_grid" if key == "rmin" else key: v for key, v in values.items() if v is not None})
+    return echo
 
 
 def _spec_cells(args: argparse.Namespace) -> dict[str, Any]:

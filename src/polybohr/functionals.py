@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, CertificationError, PreconditionError
-from .radii import closed_form_radius
+from .radii import _check_order, closed_form_radius
 from .series import _power_table, _tail_value
 from .slices import (
     PolydiscSlice,
@@ -73,7 +73,7 @@ class FunctionalSpec:
     """Which functional to evaluate, plus its exponent or composition order.
 
     ``p`` must be given exactly for the refined kind (1 or 2), ``k`` exactly
-    for the composed kind (a positive integer).
+    for the composed kind (a positive integer no larger than the largest float).
     """
 
     kind: str
@@ -83,14 +83,15 @@ class FunctionalSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise DomainError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if (self.kind == "refined_p") != (self.p is not None):
-            raise DomainError("exponent p is required exactly for kind 'refined_p'")
-        if (self.kind == "composed_k") != (self.k is not None):
-            raise DomainError("order k is required exactly for kind 'composed_k'")
+        for name, owner in (("p", "refined_p"), ("k", "composed_k")):
+            if self.kind == owner and getattr(self, name) is None:
+                raise DomainError(f"kind {owner!r} requires {name}")
+            if self.kind != owner and getattr(self, name) is not None:
+                raise DomainError(f"{name} applies only to kind {owner!r}, not to {self.kind!r}")
         if self.p is not None and self.p not in (1, 2):
             raise DomainError(f"p must be 1 or 2, got {self.p}")
-        if self.k is not None and (int(self.k) != self.k or self.k < 1):
-            raise DomainError(f"k must be a positive integer, got {self.k}")
+        if self.k is not None:
+            _check_order(self.k)
         # Store plain ints: a float k such as 2.0 would break slicing by k, and
         # an np.int64 would turn every r**k downstream into np.float64.
         for name in ("p", "k"):

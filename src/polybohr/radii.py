@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,8 +49,9 @@ def _check_unit(value: float, name: str) -> None:
 
 
 def _check_order(k: int) -> None:
-    if int(k) != k or k < 1:
-        raise DomainError(f"composition order k must be a positive integer, got {k}")
+    # Past the largest float, r**k overflows converting k to a float.
+    if not 1 <= k <= sys.float_info.max or int(k) != k:
+        raise DomainError(f"composition order k must be a positive integer no larger than the largest float, got {k}")
 
 
 def squared_functional_slack(x: float, r: float) -> float:

@@ -27,12 +27,6 @@ class TestRadiusCommand:
         assert code == 0
         assert "0.638284738504" in out
 
-    def test_component_count_is_rejected(self, capsys):
-        code, out, err = run(capsys, "radius", "--theorem", "classical", "--m", "2")
-        assert code == 2
-        assert out == ""
-        assert "--m" in err
-
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "radius", "--theorem", "refined_p", "--p", "1", "--format", "json")
         assert code == 0
@@ -108,12 +102,6 @@ class TestWitnessCommand:
         code, _, err = run(capsys, "witness", "--theorem", "classical", "--r", "0.2")
         assert code == 2
 
-    def test_component_count_is_rejected(self, capsys):
-        code, out, err = run(capsys, "witness", "--theorem", "refined_p", "--p", "2", "--r", "0.4", "--m", "3")
-        assert code == 2
-        assert out == ""
-        assert "--m" in err
-
 
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, capsys):
@@ -171,6 +159,16 @@ class TestSweepCommand:
         assert out == ""
         assert "--m" in err
 
+    def test_lambda_and_seeds_together_exit_2_before_computing(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed although the slice is ambiguous")
+
+        for name in ("eval_functional", "random_slice_batch", "extremal_slice"):
+            monkeypatch.setattr(f"polybohr.cli.{name}", fail)
+        code, out, err = run(capsys, "sweep", "--theorem", "classical", "--lambda", "0.5", "--seeds", "3")
+        assert code == 2
+        assert out == "" and "--lambda" in err and "--seeds" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(
@@ -200,15 +198,6 @@ class TestCounterexampleCommand:
         )
         assert code == 2
 
-    def test_component_count_is_rejected(self, capsys):
-        code, out, err = run(
-            capsys, "counterexample", "--theorem", "improved_squared",
-            "--a1", "0.6", "--a2", "0.9999", "--r", "0.7", "--m", "3",
-        )
-        assert code == 2
-        assert out == ""
-        assert "--m" in err
-
 
 class TestConfigAndUsage:
     def test_malformed_flags_exit_2(self, capsys):
@@ -221,6 +210,85 @@ class TestConfigAndUsage:
         assert run(capsys, "verify", "--theorem", "classical", "--r", "1.0")[0] == 2
         assert run(capsys, "verify", "--theorem", "classical", "--seeds", "0")[0] == 2
         assert run(capsys, "verify", "--theorem", "classical", "--truncation", "4")[0] == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("radius", "--r", "0.5"),
+        ("radius", "--r-min", "0.1"),
+        ("radius", "--r-max", "0.2"),
+        ("radius", "--r-steps", "2"),
+        ("radius", "--lambda", "0.5"),
+        ("radius", "--seeds", "3"),
+        ("radius", "--m", "1"),
+        ("radius", "--truncation", "32"),
+        ("radius", "--a1", "0.5"),
+        ("radius", "--a2", "0.9"),
+        ("verify", "--r-min", "0.1"),
+        ("verify", "--r-max", "0.2"),
+        ("verify", "--r-steps", "2"),
+        ("verify", "--lambda", "0.5"),
+        ("verify", "--a1", "0.5"),
+        ("verify", "--a2", "0.9"),
+        ("witness", "--r-min", "0.1"),
+        ("witness", "--r-max", "0.2"),
+        ("witness", "--r-steps", "2"),
+        ("witness", "--lambda", "0.5"),
+        ("witness", "--seeds", "3"),
+        ("witness", "--m", "1"),
+        ("witness", "--a1", "0.5"),
+        ("witness", "--a2", "0.9"),
+        ("sweep", "--r", "0.5"),
+        ("sweep", "--a1", "0.5"),
+        ("sweep", "--a2", "0.9"),
+        ("counterexample", "--r-min", "0.1"),
+        ("counterexample", "--r-max", "0.2"),
+        ("counterexample", "--r-steps", "2"),
+        ("counterexample", "--lambda", "0.5"),
+        ("counterexample", "--seeds", "3"),
+        ("counterexample", "--m", "1"),
+    ])
+    def test_option_the_subcommand_does_not_read_exits_2(self, capsys, tmp_path, command, flag, value):
+        base = {
+            "radius": ("--theorem", "classical"),
+            "verify": ("--theorem", "classical", "--seeds", "2"),
+            "witness": ("--theorem", "classical", "--r", "0.5"),
+            "sweep": ("--theorem", "classical", "--r-steps", "2"),
+            "counterexample": ("--theorem", "improved_squared", "--a1", "0.6", "--a2", "0.9999", "--r", "0.7"),
+        }[command]
+        code, out, err = run(capsys, command, *base, flag, value)
+        assert code == 2
+        assert out == "" and f"{flag} {value}" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag.replace('-', '')} = {value}\n")
+        code, out, err = run(capsys, command, *base, "--config", str(cfg))
+        assert code == 2
+        assert out == "" and f"{flag}={value}" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("radius", "--theorem", "classical", "--k", "3"), "k"),
+        (("verify", "--theorem", "classical", "--seeds", "2", "--k", "3"), "k"),
+        (("radius", "--theorem", "composed_k", "--k", "2", "--p", "1"), "p"),
+    ])
+    def test_parameter_of_another_kind_exits_2(self, capsys, tmp_path, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and f"error: {name} applies only to kind" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {argv[-1]}\n")
+        code, out, err = run(capsys, *argv[:-2], "--config", str(cfg))
+        assert code == 2
+        assert out == "" and f"error: {name} applies only to kind" in err
+
+    def test_abbreviated_flag_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--theorem", "classical", "--seeds", "2", "--trunc", "32")
+        assert code == 2
+        assert out == "" and "--trunc 32" in err
+
+    def test_order_past_the_largest_float_exits_2(self, capsys):
+        huge = "1" + "0" * 400
+        for argv in (("radius",), ("verify", "--seeds", "2")):
+            code, out, err = run(capsys, *argv, "--theorem", "composed_k", "--k", huge)
+            assert code == 2
+            assert out == "" and err.startswith("error: composition order k")
 
     def test_config_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -300,7 +368,7 @@ class TestConfigAndUsage:
     def test_bad_config_entry_exits_2_even_when_a_flag_overrides_it(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("theorem = classical\nformat = xml\nseeds = many\n")
-        assert run(capsys, "radius", "--config", str(cfg), "--format", "json", "--seeds", "3")[0] == 2
+        assert run(capsys, "verify", "--config", str(cfg), "--format", "json", "--seeds", "3")[0] == 2
         cfg.write_text("theorem = classical\nformat = xml\n")
         assert run(capsys, "radius", "--config", str(cfg), "--format", "json")[0] == 2
 
@@ -334,8 +402,8 @@ class TestReportLayout:
             assert code == 0
             return json.loads(out)["config"]
 
-        # Keys in a fixed order, unset options left out, the p/k of other kinds dropped.
-        echo = config("verify", "--theorem", "classical", "--seeds", "2", "--k", "3")
+        # Keys in a fixed order, unset options and those the subcommand does not take left out.
+        echo = config("verify", "--theorem", "classical", "--seeds", "2")
         assert list(echo.items()) == [
             ("command", "verify"), ("theorem", "classical"), ("seeds", 2),
             ("truncation", 64), ("format", "json"),
@@ -348,11 +416,8 @@ class TestReportLayout:
             ("command", "sweep"), ("theorem", "refined_p"), ("p", 1), ("r_grid", [0.1, 0.2]),
             ("lambda", 0.5), ("m", 2), ("truncation", 64), ("format", "json"),
         ]
-        echo = config("radius", "--theorem", "composed_k", "--k", "2", "--r", "0.25", "--a1", "0.5", "--a2", "0.9")
-        assert list(echo.items()) == [
-            ("command", "radius"), ("theorem", "composed_k"), ("k", 2), ("r", 0.25),
-            ("truncation", 64), ("a1", 0.5), ("a2", 0.9), ("format", "json"),
-        ]
+        echo = config("radius", "--theorem", "composed_k", "--k", "2")
+        assert list(echo.items()) == [("command", "radius"), ("theorem", "composed_k"), ("k", 2), ("format", "json")]
 
     def test_verify_csv_has_the_sweep_columns(self, capsys):
         _, verify, _ = run(capsys, "verify", "--theorem", "classical", "--seeds", "2", "--format", "csv")

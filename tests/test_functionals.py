@@ -78,6 +78,9 @@ class TestSpecValidation:
             FunctionalSpec(kind="composed_k")
         with pytest.raises(DomainError):
             FunctionalSpec(kind="classical", k=2)
+        # Past the largest float, r**k would overflow converting k.
+        with pytest.raises(DomainError):
+            FunctionalSpec.composed(10**400)
 
     def test_integral_float_and_numpy_orders_act_as_ints(self):
         # 2.0 once broke the t -> t^k slicing; np.int64(2) made every field np.float64.
