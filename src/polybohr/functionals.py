@@ -236,11 +236,13 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
     table and one stacked product with the coefficients (the composed kind's
     coefficients spread to every k-th index, as ``schwarz_compose`` does).
     Each such product runs the same BLAS call per row as the per-slice path.
-    The refined kind's per-component sum stays one (m, N) @ r^n product per
-    slice: that matrix-vector call's bits depend on m.  Each value is then
-    assembled as :func:`eval_functional` assembles it.  The batch is
-    certified and equimodular by construction; the classical kind still
-    demands one component per slice.
+    The refined kind's per-component sum is one stacked (B, m, N) @ r^n
+    product over the B slices of each component count m: the bits of that
+    matrix-vector call depend on m, and each slice still gets the call its
+    own (m, N) @ r^n makes.  Each value is then assembled as
+    :func:`eval_functional` assembles it.  The batch is certified and
+    equimodular by construction; the classical kind still demands one
+    component per slice.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
@@ -264,13 +266,16 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
             coeffs[:, spec.k - 1 :: spec.k] = batch.coeffs[:, : n // spec.k]
         ts = phase_grid(r)
         a0 = batch.rows[:, :1]
-        values = a0 + (_power_table(ts.tobytes(), ts.shape, n) @ coeffs[:, :, np.newaxis])[:, :, 0]
+        values = (_power_table(ts.tobytes(), ts.shape, n) @ coeffs[:, :, np.newaxis])[:, :, 0]
+        values += a0
         if spec.kind == "refined_p":
-            values = values - a0
-            termwise = [
-                float(np.max(batch.coeff_moduli[start : start + count] @ rn))
-                for start, count in zip(starts.tolist(), batch.counts.tolist())
-            ]
+            values -= a0
+            termwise = np.empty(len(batch))
+            for count in set(batch.counts.tolist()):
+                picked = np.flatnonzero(batch.counts == count)
+                stacked = batch.coeff_moduli[starts[picked, np.newaxis] + np.arange(count)]
+                termwise[picked] = (stacked @ rn).max(axis=1)
+            termwise = termwise.tolist()
         sampled = np.maximum.reduceat(np.abs(values).max(axis=1), starts).tolist()
     x = np.maximum.reduceat(batch.a0_moduli, starts)
     return [

@@ -30,6 +30,7 @@ so the stored coefficients of one seed can differ from one CPU to another.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
@@ -44,9 +45,10 @@ DEFAULT_ORDER = 64
 #: Well above double-precision accumulation error at the default order.
 COEFF_SLACK = 1e-12
 
-#: Seeds per ``verify`` chunk, one synthesis block of about two rows a seed;
-#: bounds the temporaries of synthesis and batch evaluation.
-SYNTH_CHUNK = 64
+#: Seeds per synthesis block (about two rows a seed, at most three) and per
+#: ``verify`` batch; bounds the temporaries of the draw, synthesis and batch
+#: evaluation whatever the number of seeds.
+SYNTH_CHUNK = 128
 
 #: Distinct point sets whose power tables (and radii whose phase grids) stay
 #: cached; a 64-point table at order 64 takes 64 KB.
@@ -166,7 +168,9 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
         raise DomainError(f"truncation order must be >= 1, got {n_terms}")
     (rows, k), width = params.shape, n_terms + 1
     # gammas[j] multiplies (q, t p) by (g_j, conj g_j), order by order.
-    gammas = np.stack((params.T, np.conj(params.T)), axis=1)[:, :, np.newaxis]
+    gammas = np.empty((k, 2, 1, rows), dtype=np.complex128)
+    gammas[:, 0, 0] = params.T
+    np.conj(params.T, out=gammas[:, 1, 0])
     pq_flat, factors_flat = np.zeros((2, 2 * width * rows), dtype=np.complex128)
     pq = np.array([0.0, 1.0]).reshape(2, 1, 1)  # (p, q) = (0, 1): tail f = 0
     end = k
@@ -250,28 +254,41 @@ def _seeded_rows(
     ``slices.random_equimodular_slice`` documents.  A component's 2(N + 1)
     uniforms come from one ``rng.random`` call: ``uniform(0, h)`` is
     ``0.0 + h u`` for the same u, so the radii sqrt(u) and the angles 2 pi u
-    keep the bits of separate ``uniform`` draws.  The square roots, angles
-    and exponentials then run over all components at once, followed by one
-    :func:`_synthesize_rows` call.
+    keep the bits of separate ``uniform`` draws.  Every :data:`SYNTH_CHUNK`
+    seeds are drawn and synthesized as one block, so the temporaries stay
+    bounded whatever the number of seeds; a row's bits do not depend on its
+    block.  The angles go into the imaginary part of one zeroed complex
+    array, exponentiated and scaled by the radii in place: ``1j * x`` is
+    exactly (+0.0, x), so the bits are those of ``sqrt(u) * exp(1j * 2 pi u)``.
     """
     if m is not None and m < 1:
         raise DomainError(f"component count must be >= 1, got {m}")
     width = n_terms + 1
-    uniforms, rhos, counts = [], [], []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        count = 1
+    seeds, blocks, counts = iter(seeds), [], []
+    while chunk := list(itertools.islice(seeds, SYNTH_CHUNK)):
+        uniforms, rhos = [], []
+        for seed in chunk:
+            rng = np.random.default_rng(seed)
+            count = 1
+            if not scalar:
+                count = int(rng.integers(1, 4)) if m is None else m
+                rhos += [rng.random()] * count
+            uniforms.append(rng.random((count, 2, width)))
+            counts.append(count)
+        u = np.concatenate(uniforms)
+        del uniforms
+        params = np.zeros((u.shape[0], width), dtype=np.complex128)
+        np.multiply(2.0 * np.pi, u[:, 1], out=params.imag)
+        np.exp(params, out=params)
+        radii = u[:, 0]
         if not scalar:
-            count = int(rng.integers(1, 4)) if m is None else m
-            rhos += [rng.random()] * count
-        uniforms.append(rng.random((count, 2, width)))
-        counts.append(count)
-    u = np.concatenate(uniforms) if uniforms else np.empty((0, 2, width))
-    phase = np.exp(1j * (2.0 * np.pi * u[:, 1]))
-    params = np.sqrt(u[:, 0]) * phase
-    if not scalar:
-        params[:, 0] = np.sqrt(np.array(rhos, dtype=np.float64)) * phase[:, 0]
-    return _synthesize_rows(params, n_terms), counts
+            radii[:, 0] = rhos
+        np.multiply(np.sqrt(radii, out=radii), params, out=params)
+        del u, radii
+        blocks.append(_synthesize_rows(params, n_terms))
+    if len(blocks) == 1:
+        return blocks[0], counts
+    return (np.concatenate(blocks) if blocks else np.empty((0, width), dtype=np.complex128)), counts
 
 
 def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSeries:

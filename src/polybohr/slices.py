@@ -275,9 +275,9 @@ def random_slice_batch(
     """The slices of :func:`random_equimodular_slice` for each seed, as one batch.
 
     With ``scalar``, the one-component slices of ``random_schur_series``
-    instead (``m`` is then ignored).  One parameter draw and one synthesis
-    block cover every seed, with temporaries that grow with the call, so
-    ``verify`` passes :data:`~polybohr.series.SYNTH_CHUNK` seeds at a time.
+    instead (``m`` is then ignored).  Every :data:`~polybohr.series.SYNTH_CHUNK`
+    seeds are drawn and synthesized as one block, so the temporaries stay
+    bounded on any seed range; ``verify`` passes one such chunk at a time.
     """
     rows, counts = _seeded_rows(seeds, n_terms, m=m, scalar=scalar)
     return SliceBatch(rows=rows, counts=counts)

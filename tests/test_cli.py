@@ -419,6 +419,34 @@ class TestReportLayout:
         echo = config("radius", "--theorem", "composed_k", "--k", "2")
         assert list(echo.items()) == [("command", "radius"), ("theorem", "composed_k"), ("k", 2), ("format", "json")]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("radius", "--theorem", "composed_k", "--k", "3"),
+            ("verify", "--theorem", "refined_p", "--p", "2", "--seeds", "3"),
+            ("verify", "--theorem", "classical", "--seeds", "1"),
+            ("witness", "--theorem", "improved_squared", "--r", "0.65"),
+            ("sweep", "--theorem", "composed_k", "--k", "2", "--lambda", "0.3", "--r-steps", "3"),
+            ("counterexample", "--theorem", "improved_squared", "--a1", "0.6", "--a2", "0.9", "--r", "0.5"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_json_report_is_laid_out_by_indent_2(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_json_report_file_keeps_the_layout_with_escaped_characters(self, capsys, tmp_path):
+        target = tmp_path / 'r\u00e9sum\u00e9 "\u03bb" \\ report.json'
+        code, out, _ = run(
+            capsys, "verify", "--theorem", "refined_p", "--p", "1", "--seeds", "2", "--format", "json",
+            "--out", str(target),
+        )
+        assert code == 0 and out == f"wrote {target}\n"
+        text = target.read_text(encoding="utf-8")
+        assert json.loads(text)["config"]["out"] == str(target)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
     def test_verify_csv_has_the_sweep_columns(self, capsys):
         _, verify, _ = run(capsys, "verify", "--theorem", "classical", "--seeds", "2", "--format", "csv")
         _, sweep, _ = run(capsys, "sweep", "--theorem", "classical", "--r-steps", "2", "--format", "csv")

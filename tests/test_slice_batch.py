@@ -106,6 +106,16 @@ def test_batches_match_per_slice_evaluation(label, size):
     assert got == per_slice(label, r)
 
 
+@pytest.mark.parametrize("label", ["refined_p1", "refined_p2"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_batches_of_one_component_count_match_per_slice_evaluation(label, m):
+    spec, r = SPECS[label], closed_form_radius(SPECS[label])
+    batch = random_slice_batch(range(SYNTH_CHUNK + 1), m=m)
+    assert set(batch.counts.tolist()) == {m}
+    expected = [bits(eval_functional(random_equimodular_slice(seed, m=m), spec, r)) for seed in range(len(batch))]
+    assert [bits(value) for value in eval_functional_batch(batch, spec, r)] == expected
+
+
 @pytest.mark.parametrize("label", SPECS)
 def test_a_slice_keeps_its_bits_at_every_position(label):
     spec, r = SPECS[label], closed_form_radius(SPECS[label])

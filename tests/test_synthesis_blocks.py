@@ -6,19 +6,23 @@ coefficient, and a block of one row runs ``np.dot``.  Every row of every block
 below must equal, bit for bit, both a one-row call on the same parameters and
 the one-series reference of ``test_synthesis_reference``.  The block sizes are
 the ones the callers form: one to three rows for a per-slice constructor, and
-for a ``verify`` chunk of :data:`SYNTH_CHUNK` = 64 seeds 64 rows (classical) or
-64 to 192 (mixed component counts).  The recursion updates only the orders
-below a cap of 8, 16, 32, 48 or N + 1, so K and N + 1 also fall on both sides
-of each cap.
+for a block of :data:`SYNTH_CHUNK` = 128 seeds (one ``verify`` chunk, or one
+block of a longer seed range) 128 rows (classical) or 128 to 384 (mixed
+component counts; ``test_synthesis_reference`` checks a 384-row block against
+the reference).  The recursion updates only the orders below a cap of 8,
+16, 32, 48 or N + 1, so K and N + 1 also fall on both sides of each cap.
+Blocked synthesis keeps its temporaries bounded on long seed ranges.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polybohr.series import _synthesize_rows
+from polybohr.series import _seeded_rows, _synthesize_rows
 from test_synthesis_reference import reference_synthesis
 
-BLOCK_SIZES = [1, 2, 3, 63, 64, 65, 129]
+BLOCK_SIZES = [1, 2, 3, 63, 64, 65, 128, 129]
 
 
 def random_params(rows, k, seed):
@@ -64,3 +68,15 @@ def test_a_row_keeps_its_bits_at_every_position():
         block = params.copy()
         block[position] = row[0]
         assert same_bits(_synthesize_rows(block, 64)[position], alone), f"position {position}"
+
+
+@pytest.mark.parametrize("m", [None, 3])
+def test_long_seed_ranges_peak_below_three_times_their_rows(m):
+    _seeded_rows(range(2), 64, m=m)  # lazy imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        rows, _ = _seeded_rows(range(1000), 64, m=m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rows.nbytes, f"peak {peak} B for {rows.nbytes} B of rows"
