@@ -14,12 +14,9 @@ from .errors import (
     DomainError,
     PolybohrError,
     PreconditionError,
-    SolverError,
     WitnessSearchError,
 )
 from .series import (
-    DEFAULT_ORDER,
-    TailBudget,
     TruncatedSeries,
     eval_series_many,
     mobius_series,
@@ -28,10 +25,7 @@ from .series import (
     tail_bound,
 )
 from .slices import (
-    PHASES,
-    CoefficientNorms,
     PolydiscSlice,
-    SliceBatch,
     coefficient_norms,
     random_equimodular_slice,
     random_slice_batch,
@@ -41,12 +35,9 @@ from .slices import (
     sup_modulus,
 )
 from .functionals import (
-    VERIFY_TOL,
     FunctionalSpec,
-    FunctionalValue,
     eval_functional,
     eval_functional_batch,
-    verify_batch,
     verify_theorem,
 )
 from .radii import (
@@ -55,7 +46,6 @@ from .radii import (
     REFINED_RADIUS_P2,
     SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA,
     SQUARED_FUNCTIONAL_RADIUS,
-    RadiusResult,
     check_slack_factorization,
     closed_form_radius,
     composed_extremal_excess,
@@ -71,7 +61,6 @@ from .radii import (
     squared_functional_slack,
 )
 from .sharpness import (
-    CounterexampleReport,
     SharpnessWitness,
     counterexample_analytic_bound,
     extremal_slice,
@@ -98,6 +87,5 @@ __all__ = [
     "DomainError",
     "PolybohrError",
     "PreconditionError",
-    "SolverError",
     "WitnessSearchError",
 ]

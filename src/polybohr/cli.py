@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Any, Collection, Sequence
 
-from .errors import DomainError, PolybohrError, SolverError, WitnessSearchError
+from .errors import DomainError, PolybohrError, WitnessSearchError
 from .functionals import VERIFY_TOL, FunctionalSpec, FunctionalValue, eval_functional, verify_batch
 from .radii import closed_form_radius, solve_radius
 from .series import DEFAULT_ORDER, SYNTH_CHUNK
@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(args, code, rows, lines)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (WitnessSearchError, SolverError) as exc:
+    except WitnessSearchError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
     except (PolybohrError, OSError) as exc:

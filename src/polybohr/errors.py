@@ -17,9 +17,5 @@ class PreconditionError(PolybohrError, ValueError):
     """A structural precondition (equimodularity, radius range, ...) fails."""
 
 
-class SolverError(PolybohrError, RuntimeError):
-    """A solver returned an inconsistent result, such as a radius outside its bracket."""
-
-
 class WitnessSearchError(PolybohrError, RuntimeError):
     """No sharpness witness was found on the search grid."""

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, SolverError
+from .errors import DomainError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .functionals import FunctionalSpec
@@ -200,10 +200,6 @@ class RadiusResult:
     bracket_hi: float
     residual: float
     iterations: int
-
-    def __post_init__(self) -> None:
-        if not self.bracket_lo <= self.radius <= self.bracket_hi:
-            raise SolverError("radius must lie inside its bracket")
 
 
 def _radius_polynomial_sign(r: float, k: int) -> int:

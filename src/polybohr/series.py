@@ -248,10 +248,10 @@ def _seeded_rows(
     """Synthesized rows a0, c_1, ..., c_N of every seed's components, and the count per seed.
 
     The draw and synthesis behind every seeded constructor.  ``scalar`` draws
-    one unconstrained series per seed (:func:`random_schur_series`); otherwise
-    a seed draws its component count (unless ``m`` is given) and one shared
-    initial modulus rho, then each component's parameters, as
-    ``slices.random_equimodular_slice`` documents.  A component's 2(N + 1)
+    one unconstrained series per seed (:func:`random_schur_series`) and takes
+    no ``m``; otherwise a seed draws its component count (unless ``m`` is
+    given) and one shared initial modulus rho, then each component's
+    parameters, as ``slices.random_equimodular_slice`` documents.  A component's 2(N + 1)
     uniforms come from one ``rng.random`` call: ``uniform(0, h)`` is
     ``0.0 + h u`` for the same u, so the radii sqrt(u) and the angles 2 pi u
     keep the bits of separate ``uniform`` draws.  Every :data:`SYNTH_CHUNK`
@@ -263,6 +263,8 @@ def _seeded_rows(
     """
     if m is not None and m < 1:
         raise DomainError(f"component count must be >= 1, got {m}")
+    if scalar and m is not None:
+        raise DomainError("scalar series have one component; a component count cannot be given")
     width = n_terms + 1
     seeds, blocks, counts = iter(seeds), [], []
     while chunk := list(itertools.islice(seeds, SYNTH_CHUNK)):

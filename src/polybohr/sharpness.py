@@ -104,7 +104,7 @@ def extremal_slice(
     if m < 1:
         raise DomainError(f"component count must be >= 1, got {m}")
     g = mobius_series(lam, _family_sign(spec), n_terms)
-    return PolydiscSlice(components=(g,) * m, equimodular=True)
+    return PolydiscSlice(components=(g,) * m)
 
 
 def witness_lambda_grid(spec: FunctionalSpec) -> list[float]:
@@ -203,10 +203,7 @@ def reproduce_counterexample(
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")
     sign = _family_sign(spec)
-    slice_ = PolydiscSlice(
-        components=(mobius_series(a1, sign, n_terms), mobius_series(a2, sign, n_terms)),
-        equimodular=False,
-    )
+    slice_ = PolydiscSlice(components=(mobius_series(a1, sign, n_terms), mobius_series(a2, sign, n_terms)))
     value = eval_functional(slice_, spec, r, allow_non_equimodular=True)
     return CounterexampleReport(
         spec=spec,

@@ -46,13 +46,12 @@ PHASES = 64
 class PolydiscSlice:
     """m component series with shared truncation order.
 
-    ``equimodular`` asserts that all components have initial values of the
-    same modulus (to :data:`EQUIMODULAR_TOL`); the flag is validated at
-    construction so a True value can be trusted downstream.
+    ``equimodular`` is derived from the components: True when their initial
+    values share one modulus to :data:`EQUIMODULAR_TOL`.
     """
 
     components: tuple[TruncatedSeries, ...]
-    equimodular: bool
+    equimodular: bool = field(init=False)
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
@@ -63,19 +62,12 @@ class PolydiscSlice:
             raise DomainError(f"components must share a truncation order, got {sorted(orders)}")
         object.__setattr__(self, "components", comps)
         moduli = [abs(c.a0) for c in comps]
-        spread = max(moduli) - min(moduli)
-        if self.equimodular and spread > EQUIMODULAR_TOL:
-            raise PreconditionError(
-                f"slice marked equimodular but initial moduli spread {spread} exceeds {EQUIMODULAR_TOL}"
-            )
+        object.__setattr__(self, "equimodular", max(moduli) - min(moduli) <= EQUIMODULAR_TOL)
 
     @classmethod
     def from_components(cls, components: Sequence[TruncatedSeries]) -> "PolydiscSlice":
-        """Build a slice, detecting equimodularity from the data."""
-        comps = tuple(components)
-        moduli = [abs(c.a0) for c in comps]
-        flag = bool(comps) and max(moduli) - min(moduli) <= EQUIMODULAR_TOL
-        return cls(components=comps, equimodular=flag)
+        """Build a slice from any sequence of components."""
+        return cls(components=tuple(components))
 
     @property
     def m(self) -> int:
@@ -166,7 +158,7 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
         coeffs = np.zeros(n, dtype=np.complex128)
         coeffs[k - 1 :: k] = comp.coeffs[: n // k]  # c_j to t^(k j) for k j <= n
         out.append(TruncatedSeries(a0=comp.a0, coeffs=coeffs, schur_certified=comp.schur_certified))
-    return PolydiscSlice(components=tuple(out), equimodular=s.equimodular)
+    return PolydiscSlice(components=tuple(out))
 
 
 def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> TailBudget:
@@ -189,14 +181,16 @@ class SliceBatch:
     ``rows`` (shape (R, N + 1)) holds a0, c_1, ..., c_N of every component,
     slice after slice, and ``counts`` the component count of each slice.
     Construction runs the checks of ``TruncatedSeries(schur_certified=True)``
-    on every row and of ``PolydiscSlice(equimodular=True)`` on every slice,
-    vectorised, with the same thresholds and exception types, and keeps the
-    reductions they compute: the moduli |a0| (``a0_moduli``, as Python's
-    ``abs`` gives them, by ``np.hypot``), the coefficient bounds
-    1 - |a0|^2 (``caps``, squared by Python's ``pow`` like ``tail_bound``,
-    whose bits numpy's square does not always share), the coefficients
-    (``coeffs``, contiguous (R, N)), their moduli (``coeff_moduli``) and the
-    first row of each slice (``starts``).
+    on every row, vectorised, with the same thresholds and exception types,
+    raises :class:`PreconditionError` for a slice whose ``PolydiscSlice``
+    would not be equimodular, and keeps the reductions it computes: the
+    moduli |a0| (``a0_moduli``, as Python's ``abs`` gives them, by
+    ``np.hypot``), the coefficient bounds 1 - |a0|^2 (``caps``, squared by
+    Python's ``pow`` like ``tail_bound``, whose bits numpy's square does not
+    always share), the coefficients (``coeffs``, a read-only (R, N) view of
+    ``rows``), their moduli (``coeff_moduli``) and the first row of each
+    slice (``starts``).  The batch holds about 1.5 times the bytes of its
+    rows: the copied rows and the moduli.
     """
 
     rows: np.ndarray
@@ -221,7 +215,7 @@ class SliceBatch:
         if above.any():
             raise DomainError(f"|a0| = {a0_moduli[above][0]} must be finite and at most 1")
         caps = 1.0 - np.array([x**2 for x in a0_moduli.tolist()], dtype=np.float64)
-        coeffs = np.ascontiguousarray(rows[:, 1:])
+        coeffs = rows[:, 1:]
         coeff_moduli = np.abs(coeffs)
         worst = coeff_moduli.max(axis=1)
         bad = np.flatnonzero(worst > caps + COEFF_SLACK)
@@ -235,7 +229,7 @@ class SliceBatch:
             spread = np.maximum.reduceat(a0_moduli, starts) - np.minimum.reduceat(a0_moduli, starts)
             if np.any(spread > EQUIMODULAR_TOL):
                 raise PreconditionError(
-                    f"slice marked equimodular but initial moduli spread {spread.max()} exceeds {EQUIMODULAR_TOL}"
+                    f"slice is not equimodular: initial moduli spread {spread.max()} exceeds {EQUIMODULAR_TOL}"
                 )
         arrays = dict(
             rows=rows, counts=counts, coeffs=coeffs, coeff_moduli=coeff_moduli, a0_moduli=a0_moduli, caps=caps, starts=starts
@@ -261,7 +255,7 @@ def _slices(rows: np.ndarray, counts: Sequence[int]) -> list[PolydiscSlice]:
     comps = [_certified(row) for row in rows]
     out, start = [], 0
     for count in counts:
-        out.append(PolydiscSlice(components=tuple(comps[start : start + count]), equimodular=True))
+        out.append(PolydiscSlice(components=tuple(comps[start : start + count])))
         start += count
     return out
 
@@ -275,7 +269,7 @@ def random_slice_batch(
     """The slices of :func:`random_equimodular_slice` for each seed, as one batch.
 
     With ``scalar``, the one-component slices of ``random_schur_series``
-    instead (``m`` is then ignored).  Every :data:`~polybohr.series.SYNTH_CHUNK`
+    instead; ``m`` must then be omitted.  Every :data:`~polybohr.series.SYNTH_CHUNK`
     seeds are drawn and synthesized as one block, so the temporaries stay
     bounded on any seed range; ``verify`` passes one such chunk at a time.
     """

@@ -270,7 +270,6 @@ class TestPreconditions:
     def test_equimodular_required_for_theorem_kinds(self):
         s = PolydiscSlice(
             components=(mobius_series(0.2, "plus", 16), mobius_series(0.8, "plus", 16)),
-            equimodular=False,
         )
         with pytest.raises(PreconditionError):
             eval_functional(s, FunctionalSpec.improved_squared(), 0.3)

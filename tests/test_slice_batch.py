@@ -4,9 +4,9 @@
 ``lower``, ``upper``, ``tail`` and ``truncated`` that ``eval_functional``
 gives the same slice alone, whatever the batch's size and the slice's place
 in it.  ``SliceBatch`` must reject what ``TruncatedSeries(schur_certified=True)``
-and ``PolydiscSlice(equimodular=True)`` reject, with the same exceptions, and
-``verify_batch`` must apply ``verify_theorem``'s radius precondition and
-tolerance.
+rejects, and what ``eval_functional`` rejects on a ``PolydiscSlice`` that is
+not equimodular, with the same exceptions, and ``verify_batch`` must apply
+``verify_theorem``'s radius precondition and tolerance.
 """
 
 import functools
@@ -92,8 +92,10 @@ def test_seeded_batch_holds_the_per_seed_slices(scalar):
         assert got.equimodular and [c.a0 for c in got.components] == [c.a0 for c in want.components]
 
 
-def test_scalar_batches_ignore_the_component_count():
-    assert random_slice_batch(range(5), m=3, scalar=True).counts.tolist() == [1] * 5
+def test_scalar_batches_reject_a_component_count():
+    with pytest.raises(DomainError):
+        random_slice_batch(range(5), m=3, scalar=True)
+    assert random_slice_batch(range(5), scalar=True).counts.tolist() == [1] * 5
 
 
 @pytest.mark.parametrize("label", SPECS)
@@ -167,14 +169,15 @@ def rows_of(*a0s, n=8, coeff=0.0):
 
 
 def assert_both_reject(error, rows, counts):
-    """The batch and the per-object constructors raise the same exception type."""
+    """The batch constructor raises the exception type that the per-object
+    constructors raise, or, for a modulus spread, that ``eval_functional`` raises."""
     with pytest.raises(error):
         SliceBatch(rows=rows, counts=counts)
     with pytest.raises(error):
         start = 0
         for count in counts:
             comps = [TruncatedSeries(a0=row[0], coeffs=row[1:], schur_certified=True) for row in rows[start : start + count]]
-            PolydiscSlice(components=tuple(comps), equimodular=True)
+            eval_functional(PolydiscSlice(components=tuple(comps)), SPECS["improved_squared"], 0.3)
             start += count
 
 

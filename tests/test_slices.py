@@ -9,7 +9,6 @@ from polybohr import (
     CertificationError,
     DomainError,
     PolydiscSlice,
-    PreconditionError,
     TruncatedSeries,
     coefficient_norms,
     eval_series_many,
@@ -36,10 +35,11 @@ class TestConstruction:
         with pytest.raises(DomainError):
             PolydiscSlice.from_components([])
 
-    def test_equimodular_flag_validated(self):
-        comps = (mobius_series(0.2, "plus", 4), mobius_series(0.8, "plus", 4))
-        with pytest.raises(PreconditionError):
-            PolydiscSlice(components=comps, equimodular=True)
+    def test_equimodular_flag_derived_alike_by_both_constructors(self):
+        for moduli, flag in (((0.2, 0.8), False), ((0.8, 0.8), True)):
+            comps = tuple(mobius_series(a, "plus", 4) for a in moduli)
+            assert PolydiscSlice(components=comps).equimodular is flag
+            assert PolydiscSlice.from_components(list(comps)).equimodular is flag
 
     def test_from_components_detects_equimodularity(self):
         same = PolydiscSlice.from_components(
@@ -82,7 +82,6 @@ class TestCoefficientNorms:
         # large-a component dominates the tail.
         s = PolydiscSlice(
             components=(mobius_series(0.6, "plus", 40), mobius_series(0.95, "plus", 40)),
-            equimodular=False,
         )
         norms = coefficient_norms(s)
         assert norms.a_norm == pytest.approx(0.95)
@@ -178,7 +177,6 @@ class TestSliceTailBound:
     def test_worst_component_governs(self):
         s = PolydiscSlice(
             components=(mobius_series(0.2, "plus", 8), mobius_series(0.9, "plus", 8)),
-            equimodular=False,
         )
         b = slice_tail_bound(s, 0.5, "linear_sum")
         assert b.value == pytest.approx(tail_bound(s.components[0], 0.5, "linear_sum").value)

@@ -11,7 +11,8 @@ block of a longer seed range) 128 rows (classical) or 128 to 384 (mixed
 component counts; ``test_synthesis_reference`` checks a 384-row block against
 the reference).  The recursion updates only the orders below a cap of 8,
 16, 32, 48 or N + 1, so K and N + 1 also fall on both sides of each cap.
-Blocked synthesis keeps its temporaries bounded on long seed ranges.
+Blocked synthesis keeps its temporaries bounded on long seed ranges, and so
+does a batch built from them.
 """
 
 import tracemalloc
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from polybohr.series import _seeded_rows, _synthesize_rows
+from polybohr.slices import random_slice_batch
 from test_synthesis_reference import reference_synthesis
 
 BLOCK_SIZES = [1, 2, 3, 63, 64, 65, 128, 129]
@@ -80,3 +82,16 @@ def test_long_seed_ranges_peak_below_three_times_their_rows(m):
     finally:
         tracemalloc.stop()
     assert peak < 3 * rows.nbytes, f"peak {peak} B for {rows.nbytes} B of rows"
+
+
+@pytest.mark.parametrize("m", [None, 3])
+def test_long_seed_range_batches_peak_below_three_times_their_rows(m):
+    # The batch keeps its coefficients as a view of its rows, not a second copy.
+    random_slice_batch(range(2), m=m)
+    tracemalloc.start()
+    try:
+        batch = random_slice_batch(range(1000), m=m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * batch.rows.nbytes, f"peak {peak} B for {batch.rows.nbytes} B of rows"
