@@ -53,7 +53,7 @@ for powers in ([1], [1, 2], [1, 2, 3]):
     s = PolydiscSlice.from_components([monomial(p) for p in powers])
     value = eval_functional(s, spec, radius)
     label = ", ".join(f"t^{p}" if p > 1 else "t" for p in powers)
-    verdict = "respects the bound" if value.upper <= 1 + 1e-10 else "EXCEEDS the bound rigorously"
+    verdict = "respects the bound" if value.upper <= 1 else "EXCEEDS the bound rigorously"
     print(f"  ({label}):  value {value.lower:.6f}  -> {verdict}")
 exact = 2 * radius**2 + radius**4 + radius**6
 print(f"  the three-component value is exactly 2r^2 + r^4 + r^6 = {exact:.6f}")

@@ -14,13 +14,14 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Any, Collection, Sequence
 
 from .errors import DomainError, PolybohrError, WitnessSearchError
-from .functionals import VERIFY_TOL, FunctionalSpec, FunctionalValue, eval_functional, verify_batch
-from .radii import closed_form_radius, solve_radius
+from .functionals import FunctionalSpec, FunctionalValue, eval_functional, verify_batch
+from .radii import _check_unit, closed_form_radius, solve_radius
 from .series import DEFAULT_ORDER, SYNTH_CHUNK
 from .sharpness import extremal_slice, find_witness, reproduce_counterexample
 from .slices import SliceBatch, random_slice_batch
@@ -91,14 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_argv(path: str) -> list[str]:
-    """The file's ``key = value`` lines as ``--flag=value`` arguments, in file order."""
+    """The file's ``key = value`` lines as ``--flag=value`` arguments, in file order.
+
+    A ``#`` starts a comment at the start of a line or after whitespace; any
+    other ``#`` belongs to the value (``out = res#1.json``).
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text ({exc})") from None
     argv = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -109,11 +114,6 @@ def _config_argv(path: str) -> list[str]:
             raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         argv.append(f"{_KEYS[key][0]}={value.strip()}")
     return argv
-
-
-def _check_radius_value(r: float | None, name: str = "--r") -> None:
-    if r is not None and not 0.0 <= r < 1.0:
-        raise DomainError(f"{name} must lie in [0, 1), got {r}")
 
 
 def _check(args: argparse.Namespace) -> None:
@@ -127,7 +127,9 @@ def _check(args: argparse.Namespace) -> None:
     least = 1 if args.command == "verify" else 0
     if args.seeds is not None and args.seeds < least:
         raise DomainError(f"--seeds must be >= {least}, got {args.seeds}")
-    _check_radius_value(args.r)
+    for name, value in (("--r", args.r), ("--r-min", args.rmin), ("--r-max", args.rmax)):
+        if value is not None:
+            _check_unit(value, name)
     if args.m is not None and args.spec.kind == "classical":
         raise DomainError("--m does not apply to the classical sum, which takes one scalar series")
     if args.lam is not None and args.seeds is not None:
@@ -136,8 +138,6 @@ def _check(args: argparse.Namespace) -> None:
         args.m = 1
     args.r_grid = None
     if args.command == "sweep":
-        _check_radius_value(args.rmin, "--r-min")
-        _check_radius_value(args.rmax, "--r-max")
         if args.rsteps < 1:
             raise DomainError(f"--r-steps must be >= 1, got {args.rsteps}")
         if args.rmax < args.rmin:
@@ -145,6 +145,8 @@ def _check(args: argparse.Namespace) -> None:
         step = (args.rmax - args.rmin) / (args.rsteps - 1) if args.rsteps > 1 else 0.0
         args.r_grid = [args.rmin + j * step for j in range(args.rsteps)]
     # Fail before the computation, not after it, when the report cannot be written.
+    if args.out == "":
+        raise DomainError("--out must name a file, got an empty path")
     if args.out and not Path(args.out).parent.is_dir():
         raise DomainError(f"--out: directory {str(Path(args.out).parent)!r} does not exist")
     if args.out and Path(args.out).is_dir():
@@ -226,7 +228,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
     ]
     if failures:
         lines.append(
-            f"{failures} slice(s) exceed 1 + {_fmt(VERIFY_TOL)}: {genuine} genuine (lower > 1), "
+            f"{failures} slice(s) exceed 1: {genuine} genuine (lower > 1), "
             f"{failures - genuine} inconclusive (lower <= 1 < upper)"
         )
     return (0 if failures == 0 else 1), rows, lines
@@ -263,7 +265,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], lis
     all_pass = True
     for r in args.r_grid:
         value = eval_functional(sl, args.spec, r)
-        ok = value.upper <= 1.0 + VERIFY_TOL
+        ok = value.upper <= 1.0
         if r <= radius and not ok:
             all_pass = False
         rows.append(_value_row(args, label, r, value, ok))

@@ -315,6 +315,16 @@ class TestConfigAndUsage:
         assert code == 0
         assert "0.295597742522" in out
 
+    def test_hash_starts_a_comment_only_after_whitespace(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        target = tmp_path / "res#1.json"
+        cfg.write_text(f"  # indented comment\ntheorem = classical  # the scalar sum\nformat = json\t# tab\nout = {target}\n")
+        code, out, _ = run(capsys, "radius", "--config", str(cfg))
+        assert code == 0
+        assert out == f"wrote {target}\n"
+        assert json.loads(target.read_text())["config"]["out"] == str(target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res#1.json", "run.cfg"]
+
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("theorems = classical\n")
@@ -352,6 +362,14 @@ class TestConfigAndUsage:
         assert code == 2
         assert out == "" and err.startswith("error: ") and "missing_dir" in err
         assert not target.parent.exists()
+
+    def test_empty_output_path_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out =\n")
+        for argv in (("--out", ""), ("--config", str(cfg))):
+            code, out, err = run(capsys, "radius", "--theorem", "classical", *argv)
+            assert code == 2
+            assert out == "" and err.startswith("error: --out")
 
     def test_config_values_are_validated_like_flags(self, capsys, tmp_path):
         # `--format xml` and `--m 7` exit 2; the same values from a file must too.
