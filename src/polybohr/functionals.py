@@ -31,10 +31,12 @@ All three modulus terms sample every component on :data:`slices.PHASES`
 equally spaced points by a product with one memoized power table
 (rounding error about 1e-16 at the default order): one
 :func:`eval_series_many` call per component on a single slice, one
-stacked product over a batch's rows.
+stacked product over a batch's rows.  The composed kind samples g_i itself
+on the circle |s| = r^k, since sup_{|t|=r} |g_i(t^k)| = sup_{|s|=r^k} |g_i(s)|.
 
-The batch keeps the per-slice bits: its sums and circle values are stacked
-per-row products (one BLAS call per row, as a single slice makes), |a0| is
+The batch keeps the per-slice bits: its sums, the refined kind's
+per-component sums and the circle values are stacked per-row products (one
+BLAS call per row, as a single slice makes), |a0| is
 ``np.hypot`` (Python's ``abs`` of a complex; ``np.abs`` differs in the last
 bit on some inputs) and 1 - |a0|^2 squares by Python's ``pow`` (numpy's
 square differs from it on some inputs); ``tests/test_slice_batch.py`` pins
@@ -56,7 +58,6 @@ from .slices import (
     _circle_values,
     coefficient_norms,
     phase_grid,
-    schwarz_compose,
     schwarz_pick_bound,
     slice_tail_bound,
     sup_modulus,
@@ -176,12 +177,14 @@ def eval_functional(
     elif spec.kind == "refined_p":
         # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
         # componentwise max Q_n would mix components); one t_lin covers its tail
-        termwise = float(np.max(norms.moduli @ rn))
+        termwise = max(float(np.dot(row, rn)) for row in norms.moduli)
         a0 = np.array([[comp.a0] for comp in s.components])
         sampled = float(np.max(np.abs(_circle_values(s, r) - a0)))
     elif spec.kind == "composed_k":
-        # g_i(t^k) keeps a0^(i) and the truncation order, so t_lin is its budget too
-        sampled = sup_modulus(schwarz_compose(s, spec.k), r)
+        # sup over |t| = r of |g_i(t^k)| is the sup of |g_i| over |s| = r^k.
+        # There the truncation error M r^(k(N+1))/(1 - r^k) is at most
+        # t_lin = M r^(N+1)/(1 - r), as r^k <= r.
+        sampled = sup_modulus(s, r**spec.k)
     return _assemble(spec, r, norms.a_norm, s1, s2, t_lin, t_sq, sampled, termwise)
 
 
@@ -229,17 +232,14 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
 
     The reductions run over the whole batch: a_norm, Q_n and the tail bound
     M by ``np.maximum.reduceat`` over each slice's rows, S1 and S2 as stacked
-    per-row products, and every component's circle values from one power
-    table and one stacked product with the coefficients (the composed kind's
-    coefficients spread to every k-th index, as ``schwarz_compose`` does).
-    Each such product runs the same BLAS call per row as the per-slice path.
-    The refined kind's per-component sum is one stacked (B, m, N) @ r^n
-    product over the B slices of each component count m: the bits of that
-    matrix-vector call depend on m, and each slice still gets the call its
-    own (m, N) @ r^n makes.  Each value is then assembled as
-    :func:`eval_functional` assembles it.  The batch is certified and
-    equimodular by construction; the classical kind still demands one
-    component per slice.
+    per-row products, the refined kind's per-component sums as one stacked
+    per-row product reduced per slice, and every component's circle values
+    from one power table (of the circle |s| = r^k for the composed kind) and
+    one stacked product with the coefficients.  Each such product runs the
+    same BLAS call per row as the per-slice path.  Each value is then
+    assembled as :func:`eval_functional` assembles it.  The batch is
+    certified and equimodular by construction; the classical kind still
+    demands one component per slice.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
@@ -257,22 +257,14 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
     t_sq = _tail_value(cap, r, n, "square_sum")
     sampled = termwise = [None] * len(batch)
     if spec.kind != "classical":
-        coeffs = batch.coeffs
-        if spec.kind == "composed_k" and spec.k > 1:
-            coeffs = np.zeros_like(coeffs)
-            coeffs[:, spec.k - 1 :: spec.k] = batch.coeffs[:, : n // spec.k]
-        ts = phase_grid(r)
+        ts = phase_grid(r**spec.k if spec.kind == "composed_k" else r)
         a0 = batch.rows[:, :1]
-        values = (_power_table(ts.tobytes(), ts.shape, n) @ coeffs[:, :, np.newaxis])[:, :, 0]
+        values = (_power_table(ts.tobytes(), ts.shape, n) @ batch.coeffs[:, :, np.newaxis])[:, :, 0]
         values += a0
         if spec.kind == "refined_p":
             values -= a0
-            termwise = np.empty(len(batch))
-            for count in set(batch.counts.tolist()):
-                picked = np.flatnonzero(batch.counts == count)
-                stacked = batch.coeff_moduli[starts[picked, np.newaxis] + np.arange(count)]
-                termwise[picked] = (stacked @ rn).max(axis=1)
-            termwise = termwise.tolist()
+            sums = (batch.coeff_moduli[:, np.newaxis, :] @ rn[:, np.newaxis])[:, 0, 0]
+            termwise = np.maximum.reduceat(sums, starts).tolist()
         sampled = np.maximum.reduceat(np.abs(values).max(axis=1), starts).tolist()
     x = np.maximum.reduceat(batch.a0_moduli, starts)
     return [

@@ -34,7 +34,9 @@ from .series import (
     tail_bound,
 )
 
-#: Modulus spread below which initial values count as equimodular.
+#: Modulus spread below which initial values count as equimodular.  It
+#: decides which slices the theorems cover and enters no bound: the
+#: enclosures use max |a0| and the tail budgets min |a0|.
 EQUIMODULAR_TOL = 1e-14
 
 #: Number of equally spaced phases on every sampled circle.  Only lower
@@ -146,7 +148,8 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
     The coefficient of t^(k n) in g(t^k) is c_n; indices beyond the
     truncation order are dropped (for k larger than the order only the
     constant term survives).  Schur certification is preserved: composing
-    with a disc self-map cannot leave the Schur class.
+    with a disc self-map cannot leave the Schur class.  The evaluators do not
+    call it: they sample g itself on the circle |s| = r^k instead.
     """
     if k < 1:
         raise DomainError(f"composition order k must be >= 1, got {k}")

@@ -25,8 +25,16 @@ from polybohr import (
     eval_series_many,
     tail_bound,
 )
+from polybohr.functionals import _assemble
 from polybohr.series import CIRCLE_CACHE_SIZE, _power_table
-from polybohr.slices import _circle_values, phase_grid, schwarz_compose
+from polybohr.slices import (
+    _circle_values,
+    coefficient_norms,
+    phase_grid,
+    schwarz_compose,
+    slice_tail_bound,
+    sup_modulus,
+)
 
 #: Lower bounds may differ from the Horner reference by this much: a few
 #: hundred ulps of the O(1) sampled moduli, well above the measured 6.7e-16.
@@ -70,13 +78,8 @@ def reference_enclosures(slices, spec, r):
     starts = np.cumsum([0] + [s.m for s in slices[:-1]])
     a0 = np.array([c.a0 for c in comps])
     coeffs = np.stack([c.coeffs for c in comps])
-    samples = coeffs
-    if spec.kind == "composed_k":
-        n, k = coeffs.shape[1], spec.k
-        samples = np.zeros_like(coeffs)
-        kept = n // k
-        samples[:, k * np.arange(1, kept + 1) - 1] = coeffs[:, :kept]
-    values = horner_rows(a0, samples, phase_grid(r))
+    # sup over |t| = r of |g(t^k)| is the sup of |g| over |s| = r^k.
+    values = horner_rows(a0, coeffs, phase_grid(r**spec.k if spec.kind == "composed_k" else r))
     if spec.kind == "refined_p":
         values = values - a0[:, np.newaxis]
     sampled = np.maximum.reduceat(np.abs(values).max(axis=1), starts)
@@ -98,7 +101,7 @@ def reference_enclosures(slices, spec, r):
             u_up = (x + r) / (1.0 + x * r)
             out.append((low * low + s2, (u_up * u_up + s2) + t_sq))
         elif spec.kind == "refined_p":
-            d_up = float(np.max(mods @ rn))
+            d_up = max(float(np.dot(row, rn)) for row in mods)
             out.append((low + x**spec.p + s1 + w * s2, (d_up + x**spec.p + s1 + w * s2) + (2.0 * t_lin + w * t_sq)))
         else:
             rk = r**spec.k
@@ -166,6 +169,28 @@ class TestEnclosuresAgainstHornerReference:
             assert (batch_value.lower, batch_value.upper) == bounds, seed
 
 
+class TestComposedCircle:
+    def test_even_k_lower_bound_rises_over_the_spread_coefficients(self, corpus_slices):
+        # Sampling g(t^k) on |t| = r visits only 64/gcd(k, 64) points of
+        # |s| = r^k; sampling g on |s| = r^k visits all 64, so the lower bound
+        # can only rise, up to rounding.
+        spec = FunctionalSpec.composed(2)
+        r = closed_form_radius(spec)
+        rises = 0
+        for seed, s in enumerate(corpus_slices):
+            norms = coefficient_norms(s)
+            rn = r ** np.arange(1, s.truncation_order + 1)
+            spread = _assemble(
+                spec, r, norms.a_norm, float(np.dot(norms.q, rn)), float(np.dot(norms.q**2, rn**2)),
+                slice_tail_bound(s, r, "linear_sum").value, slice_tail_bound(s, r, "square_sum").value,
+                sup_modulus(schwarz_compose(s, spec.k), r), None,
+            )
+            lower = eval_functional(s, spec, r).lower
+            assert lower >= spread.lower - 1e-15, seed
+            rises += lower > spread.lower
+        assert rises > 0
+
+
 def clear_circle_caches():
     _power_table.cache_clear()
     phase_grid.cache_clear()
@@ -195,15 +220,15 @@ class TestCircleCache:
         with pytest.raises(ValueError):
             _power_table(grid.tobytes(), grid.shape, 4)[0, 0] = 0.0
 
-    # Composed k = 1 samples the squared kind's circle, and k = 3 takes k = 2's path.
+    # Composed k = 1 and k = 3 take the squared and k = 2 paths, on other circles.
     @pytest.mark.parametrize("spec", [spec for spec in KINDS if spec.k in (None, 2)], ids=kind_id)
     def test_cold_and_warm_calls_agree_bitwise(self, corpus_slices, spec):
         r = closed_form_radius(spec)
+        circle = r**spec.k if spec.kind == "composed_k" else r
         for seed, s in enumerate(corpus_slices):
-            sampled = schwarz_compose(s, spec.k) if spec.kind == "composed_k" else s
             clear_circle_caches()
-            cold_values = _circle_values(sampled, r)
-            assert np.array_equal(cold_values, _circle_values(sampled, r)), seed
+            cold_values = _circle_values(s, circle)
+            assert np.array_equal(cold_values, _circle_values(s, circle)), seed
             clear_circle_caches()
             cold = eval_functional(s, spec, r)
             assert cold == eval_functional(s, spec, r), seed

@@ -6,7 +6,7 @@ gives the same slice alone, whatever the batch's size and the slice's place
 in it.  ``SliceBatch`` must reject what ``TruncatedSeries(schur_certified=True)``
 rejects, and what ``eval_functional`` rejects on a ``PolydiscSlice`` that is
 not equimodular, with the same exceptions, and ``verify_batch`` must apply
-``verify_theorem``'s radius precondition and tolerance.
+``verify_theorem``'s radius precondition and its ``upper <= 1`` verdict.
 """
 
 import functools

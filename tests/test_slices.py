@@ -160,6 +160,25 @@ class TestSchwarzCompose:
         with pytest.raises(DomainError):
             schwarz_compose(identity_slice(), 0)
 
+    @given(
+        k=st.integers(min_value=1, max_value=70),
+        seed=st.integers(min_value=0, max_value=10**6),
+        r=st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sampling_g_on_radius_r_to_the_k(self, k, seed, r):
+        # sup over |t| = r of |g(t^k)| is the sup of |g| over |s| = r^k.  On the
+        # phase grid, t -> t^k permutes the points of |s| = r^k for odd k, and
+        # visits 64/gcd(k, 64) of them for even k.  The terms c_j s^j with
+        # k j > N that schwarz_compose drops weigh at most 2 r^(N+1) < 1e-19 here.
+        s = random_equimodular_slice(seed, n_terms=64)
+        direct = sup_modulus(s, r**k)
+        composed = sup_modulus(schwarz_compose(s, k), r)
+        if k % 2:
+            assert abs(direct - composed) <= 1e-14
+        else:
+            assert direct >= composed - 1e-14
+
     @given(k=st.integers(min_value=1, max_value=6), seed=st.integers(min_value=0, max_value=50))
     @settings(max_examples=30, deadline=None)
     def test_composed_growth_bound(self, k, seed):
