@@ -14,7 +14,8 @@ S2 = sum Q_n^2 r^(2n) and w(r) = 1/(1 + a_norm) + r/(1 - r):
 Each kind has one such row, with an upper bound, a lower bound and a tail
 budget for the modulus term, and one function assembles every kind from
 its row, for :func:`eval_functional` on one slice and for
-:func:`eval_functional_batch` on every slice of a ``SliceBatch``.
+:func:`eval_functional_batch` on every slice of a ``SliceBatch``.  Both read
+a_norm, Q_n and the tail cap M from the ``SliceBatch`` that reduced them once.
 
 Every evaluation is two-sided.  The *upper* value replaces each modulus
 term by a closed-form bound and adds the geometric tail budgets of the
@@ -34,13 +35,10 @@ equally spaced points by a product with one memoized power table
 stacked product over a batch's rows.  The composed kind samples g_i itself
 on the circle |s| = r^k, since sup_{|t|=r} |g_i(t^k)| = sup_{|s|=r^k} |g_i(s)|.
 
-The batch keeps the per-slice bits: its sums, the refined kind's
-per-component sums and the circle values are stacked per-row products (one
-BLAS call per row, as a single slice makes), |a0| is
-``np.hypot`` (Python's ``abs`` of a complex; ``np.abs`` differs in the last
-bit on some inputs) and 1 - |a0|^2 squares by Python's ``pow`` (numpy's
-square differs from it on some inputs); ``tests/test_slice_batch.py`` pins
-the result.
+The batch keeps the per-slice bits: both read the same ``SliceBatch``
+reductions, and the batch's sums, the refined kind's per-component sums and
+the circle values are stacked per-row products (one BLAS call per row, as a
+single slice makes); ``tests/test_slice_batch.py`` pins the result.
 """
 
 from __future__ import annotations
@@ -56,10 +54,9 @@ from .slices import (
     PolydiscSlice,
     SliceBatch,
     _circle_values,
-    coefficient_norms,
+    _radius_powers,
     phase_grid,
     schwarz_pick_bound,
-    slice_tail_bound,
     sup_modulus,
 )
 
@@ -163,29 +160,27 @@ def eval_functional(
             "slice is not equimodular; the functional bounds require equal initial moduli"
         )
 
-    norms = coefficient_norms(s)
-    n = s.truncation_order
-    rn = r ** np.arange(1, n + 1)
-    s1 = float(np.dot(norms.q, rn))
-    s2 = float(np.dot(norms.q**2, rn**2))
+    batch = s._batch  # a_norm, Q_n and the tail cap, reduced once per slice
+    n, q, cap = s.truncation_order, batch.q[0], float(batch.tail_cap[0])
+    rn, rn2 = _radius_powers(r, n)
+    s1 = float(np.dot(q, rn))
+    s2 = float(np.dot(q**2, rn2))
     # The modulus budget M r^(N+1)/(1 - r) is the linear-sum budget, bit for bit.
-    t_lin = slice_tail_bound(s, r, "linear_sum").value
-    t_sq = slice_tail_bound(s, r, "square_sum").value
+    t_lin, t_sq = _tail_value(cap, r, n, "linear_sum"), _tail_value(cap, r, n, "square_sum")
     sampled = termwise = None
     if spec.kind == "improved_squared":
         sampled = sup_modulus(s, r)
     elif spec.kind == "refined_p":
         # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
         # componentwise max Q_n would mix components); one t_lin covers its tail
-        termwise = max(float(np.dot(row, rn)) for row in norms.moduli)
-        a0 = np.array([[comp.a0] for comp in s.components])
-        sampled = float(np.max(np.abs(_circle_values(s, r) - a0)))
+        termwise = max(float(np.dot(row, rn)) for row in batch.coeff_moduli)
+        sampled = float(np.max(np.abs(_circle_values(s, r) - batch.rows[:, :1])))
     elif spec.kind == "composed_k":
         # sup over |t| = r of |g_i(t^k)| is the sup of |g_i| over |s| = r^k.
         # There the truncation error M r^(k(N+1))/(1 - r^k) is at most
         # t_lin = M r^(N+1)/(1 - r), as r^k <= r.
         sampled = sup_modulus(s, r**spec.k)
-    return _assemble(spec, r, norms.a_norm, s1, s2, t_lin, t_sq, sampled, termwise)
+    return _assemble(spec, r, float(batch.a_norm[0]), s1, s2, t_lin, t_sq, sampled, termwise)
 
 
 def _assemble(
@@ -230,16 +225,15 @@ def _assemble(
 def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[FunctionalValue]:
     """:func:`eval_functional` on every slice of a batch, bit for bit.
 
-    The reductions run over the whole batch: a_norm, Q_n and the tail bound
-    M by ``np.maximum.reduceat`` over each slice's rows, S1 and S2 as stacked
-    per-row products, the refined kind's per-component sums as one stacked
-    per-row product reduced per slice, and every component's circle values
-    from one power table (of the circle |s| = r^k for the composed kind) and
-    one stacked product with the coefficients.  Each such product runs the
-    same BLAS call per row as the per-slice path.  Each value is then
-    assembled as :func:`eval_functional` assembles it.  The batch is
-    certified and equimodular by construction; the classical kind still
-    demands one component per slice.
+    a_norm, Q_n and the tail cap M are the batch's own reductions.  S1 and S2
+    are stacked per-row products, the refined kind's per-component sums one
+    stacked per-row product reduced per slice, and every component's circle
+    values one stacked product with one power table (of the circle
+    |s| = r^k for the composed kind); each runs the same BLAS call per row as
+    the per-slice path.  Each value is then assembled as
+    :func:`eval_functional` assembles it.  The batch is certified and
+    equimodular by construction; the classical kind still demands one
+    component per slice.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
@@ -247,14 +241,11 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
         raise PreconditionError("classical majorant sum is defined for single-component slices")
     if len(batch) == 0:
         return []
-    n, starts = batch.truncation_order, batch.starts
-    rn = r ** np.arange(1, n + 1)
-    q = np.maximum.reduceat(batch.coeff_moduli, starts, axis=0)
+    n, starts, q = batch.truncation_order, batch.starts, batch.q
+    rn, rn2 = _radius_powers(r, n)
     s1 = (q[:, np.newaxis, :] @ rn[:, np.newaxis])[:, 0, 0]
-    s2 = ((q**2)[:, np.newaxis, :] @ (rn**2)[:, np.newaxis])[:, 0, 0]
-    cap = np.maximum(np.maximum.reduceat(batch.caps, starts), 0.0)
-    t_lin = _tail_value(cap, r, n, "linear_sum")
-    t_sq = _tail_value(cap, r, n, "square_sum")
+    s2 = ((q**2)[:, np.newaxis, :] @ rn2[:, np.newaxis])[:, 0, 0]
+    t_lin, t_sq = _tail_value(batch.tail_cap, r, n, "linear_sum"), _tail_value(batch.tail_cap, r, n, "square_sum")
     sampled = termwise = [None] * len(batch)
     if spec.kind != "classical":
         ts = phase_grid(r**spec.k if spec.kind == "composed_k" else r)
@@ -266,11 +257,8 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
             sums = (batch.coeff_moduli[:, np.newaxis, :] @ rn[:, np.newaxis])[:, 0, 0]
             termwise = np.maximum.reduceat(sums, starts).tolist()
         sampled = np.maximum.reduceat(np.abs(values).max(axis=1), starts).tolist()
-    x = np.maximum.reduceat(batch.a0_moduli, starts)
-    return [
-        _assemble(spec, r, *row)
-        for row in zip(x.tolist(), s1.tolist(), s2.tolist(), t_lin.tolist(), t_sq.tolist(), sampled, termwise)
-    ]
+    rows = zip(batch.a_norm.tolist(), s1.tolist(), s2.tolist(), t_lin.tolist(), t_sq.tolist(), sampled, termwise)
+    return [_assemble(spec, r, *row) for row in rows]
 
 
 def verify_theorem(s: PolydiscSlice, spec: FunctionalSpec, r: float) -> tuple[bool, FunctionalValue]:

@@ -3,9 +3,9 @@
 A map F from a Banach ball into the closed unit polydisc, restricted to a
 complex line through the origin, becomes a tuple of disc slices
 (g_1(t), ..., g_m(t)) with the sup-norm structure of the polydisc.  The
-functionals downstream consume two reductions of such a tuple: the
-componentwise-max coefficient norms Q_n = max_i |c_n^(i)|, and the sampled
-sup of max_i |g_i| on circles |t| = r.
+functionals downstream consume reductions of such a tuple, which a
+:class:`SliceBatch` computes once (a slice builds its own one-slice batch on
+first use), and the sampled sup of max_i |g_i| on circles |t| = r.
 
 All verification entry points require the *equimodular* initial condition
 |a0^(i)| = max_j |a0^(j)| for every component; the counterexample driver is
@@ -30,8 +30,8 @@ from .series import (
     TruncatedSeries,
     _certified,
     _seeded_rows,
+    _tail_value,
     eval_series_many,
-    tail_bound,
 )
 
 #: Modulus spread below which initial values count as equimodular.  It
@@ -83,6 +83,15 @@ class PolydiscSlice:
     def certified(self) -> bool:
         return all(c.schur_certified for c in self.components)
 
+    @functools.cached_property
+    def _batch(self) -> "SliceBatch":
+        """The slice as a one-slice :class:`SliceBatch`, built on first use, without checks: its rows
+        passed their ``TruncatedSeries`` checks, and its readers check certification and equimodularity."""
+        rows = np.empty((self.m, self.truncation_order + 1), dtype=np.complex128)
+        for row, comp in zip(rows, self.components):
+            row[0], row[1:] = comp.a0, comp.coeffs
+        return SliceBatch._owning(rows, [self.m], check=False)
+
 
 class CoefficientNorms(NamedTuple):
     """Sup-norm reductions a_norm = max_i |a0^(i)| and Q_n = max_i |c_n^(i)|,
@@ -94,10 +103,8 @@ class CoefficientNorms(NamedTuple):
 
 
 def coefficient_norms(s: PolydiscSlice) -> CoefficientNorms:
-    """Componentwise-max initial value and coefficient moduli."""
-    stack = np.abs(np.array([c.coeffs for c in s.components]))
-    a_norm = max(abs(c.a0) for c in s.components)
-    return CoefficientNorms(a_norm=float(a_norm), q=stack.max(axis=0), moduli=stack)
+    """Componentwise-max initial value and coefficient moduli, read-only, from the slice's batch."""
+    return CoefficientNorms(a_norm=float(s._batch.a_norm[0]), q=s._batch.q[0], moduli=s._batch.coeff_moduli)
 
 
 def schwarz_pick_bound(a_norm: float, r: float) -> float:
@@ -120,6 +127,15 @@ def phase_grid(r: float) -> np.ndarray:
     grid = r * np.exp(1j * theta)
     grid.flags.writeable = False
     return grid
+
+
+@functools.lru_cache(maxsize=CIRCLE_CACHE_SIZE)
+def _radius_powers(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights r^n and r^(2n), n = 1 .. N, of the sums S1 and S2, memoized like :func:`phase_grid`."""
+    rn = r ** np.arange(1, n + 1)
+    for weights in (rn, rn2 := rn**2):
+        weights.setflags(write=False)
+    return rn, rn2
 
 
 def _circle_values(s: PolydiscSlice, r: float) -> np.ndarray:
@@ -167,79 +183,91 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
 def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> TailBudget:
     """Tail budget valid for the componentwise-max sums of a slice.
 
-    Q_n <= max_i (1 - |a0^(i)|^2) for every n, so the worst single
-    component's geometric tail bounds the Q-sum tails as well.  Components share
-    N and each budget is nondecreasing in M = 1 - |a0|^2 (IEEE rounding is
-    monotone), so the component with the largest M gives exactly the worst budget.
+    Q_n <= max_i (1 - |a0^(i)|^2) for every n, and each budget is nondecreasing
+    in M = 1 - |a0|^2 (IEEE rounding is monotone), so the budget of the largest
+    M, the slice batch's ``tail_cap``, is exactly the worst component's budget.
     """
     if not s.certified:
         raise CertificationError("tail bounds require Schur-certified components")
-    return tail_bound(max(s.components, key=lambda c: 1.0 - abs(c.a0) ** 2), r, term_kind)
+    if not 0.0 <= r < 1.0:
+        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    return TailBudget(value=_tail_value(float(s._batch.tail_cap[0]), r, s.truncation_order, term_kind))
 
 
 @dataclass(frozen=True, eq=False)
 class SliceBatch:
-    """Certified equimodular slices as one struct of arrays.
+    """Slices as one struct of arrays, with their reductions computed once.
 
     ``rows`` (shape (R, N + 1)) holds a0, c_1, ..., c_N of every component,
     slice after slice, and ``counts`` the component count of each slice.
-    Construction runs the checks of ``TruncatedSeries(schur_certified=True)``
-    on every row, vectorised, with the same thresholds and exception types,
-    raises :class:`PreconditionError` for a slice whose ``PolydiscSlice``
-    would not be equimodular, and keeps the reductions it computes: the
-    moduli |a0| (``a0_moduli``, as Python's ``abs`` gives them, by
-    ``np.hypot``), the coefficient bounds 1 - |a0|^2 (``caps``, squared by
-    Python's ``pow`` like ``tail_bound``, whose bits numpy's square does not
-    always share), the coefficients (``coeffs``, a read-only (R, N) view of
-    ``rows``), their moduli (``coeff_moduli``) and the first row of each
-    slice (``starts``).  The batch holds about 1.5 times the bytes of its
-    rows: the copied rows and the moduli.
+    The constructor copies the rows and runs the checks of
+    ``TruncatedSeries(schur_certified=True)`` on every row, vectorised, with
+    the same thresholds and exception types, plus :class:`PreconditionError`
+    for a slice that is not equimodular.  Besides ``coeffs`` (a view of
+    ``rows``), ``coeff_moduli`` and each slice's first row ``starts``, it keeps
+    the per-slice reductions that both evaluators read: ``a_norm`` =
+    max_i |a0^(i)|, ``q`` = Q_n = max_i |c_n^(i)| and ``tail_cap`` =
+    max(max_i (1 - |a0^(i)|^2), 0), by Python's ``abs`` and ``pow`` as in
+    ``tail_bound``.  The read-only arrays take 1.7 to 2 times the row bytes.
     """
 
     rows: np.ndarray
     counts: np.ndarray
     coeffs: np.ndarray = field(init=False, repr=False)
     coeff_moduli: np.ndarray = field(init=False, repr=False)
-    a0_moduli: np.ndarray = field(init=False, repr=False)
-    caps: np.ndarray = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
+    a_norm: np.ndarray = field(init=False, repr=False)
+    q: np.ndarray = field(init=False, repr=False)
+    tail_cap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=np.complex128)
-        counts = np.array(self.counts, dtype=np.intp).reshape(-1)
-        if rows.ndim != 2 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, 1:])):
-            raise DomainError("coeffs must be a nonempty finite 1-d sequence")
-        if np.any(counts < 1):
-            raise DomainError("a slice needs at least one component")
-        if counts.sum() != rows.shape[0]:
-            raise DomainError(f"component counts add up to {counts.sum()}, not to the {rows.shape[0]} rows")
-        a0_moduli = np.hypot(rows[:, 0].real, rows[:, 0].imag)
-        above = ~(a0_moduli <= 1.0 + 1e-15)  # also flags a NaN a0
-        if above.any():
-            raise DomainError(f"|a0| = {a0_moduli[above][0]} must be finite and at most 1")
-        caps = 1.0 - np.array([x**2 for x in a0_moduli.tolist()], dtype=np.float64)
-        coeffs = rows[:, 1:]
-        coeff_moduli = np.abs(coeffs)
-        worst = coeff_moduli.max(axis=1)
-        bad = np.flatnonzero(worst > caps + COEFF_SLACK)
-        if bad.size:
-            raise CertificationError(
-                f"certified series violates coefficient bound: "
-                f"max |c_n| = {worst[bad[0]]} > 1 - |a0|^2 = {caps[bad[0]]}"
-            )
-        starts = np.cumsum(counts) - counts
-        if starts.size:
-            spread = np.maximum.reduceat(a0_moduli, starts) - np.minimum.reduceat(a0_moduli, starts)
-            if np.any(spread > EQUIMODULAR_TOL):
-                raise PreconditionError(
-                    f"slice is not equimodular: initial moduli spread {spread.max()} exceeds {EQUIMODULAR_TOL}"
+        self._take(np.array(self.rows, dtype=np.complex128), self.counts, check=True)
+
+    @classmethod
+    def _owning(cls, rows: np.ndarray, counts: Sequence[int], check: bool) -> "SliceBatch":
+        """A batch that takes ``rows``, a complex128 array no one else holds, without
+        a copy; ``check=False`` skips the checks for rows that already passed them."""
+        (batch := object.__new__(cls))._take(rows, counts, check)
+        return batch
+
+    def _take(self, rows: np.ndarray, counts: Sequence[int], check: bool) -> None:
+        counts = np.array(counts, dtype=np.intp).reshape(-1)
+        if check:
+            if rows.ndim != 2 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, 1:])):
+                raise DomainError("coeffs must be a nonempty finite 1-d sequence")
+            if np.any(counts < 1):
+                raise DomainError("a slice needs at least one component")
+            if counts.sum() != rows.shape[0]:
+                raise DomainError(f"component counts add up to {counts.sum()}, not to the {rows.shape[0]} rows")
+        rows.setflags(write=False)  # and so every view of it
+        a0_moduli = [abs(a0) for a0 in rows[:, 0].tolist()]
+        caps = [1.0 - x**2 for x in a0_moduli]
+        if check and (above := [x for x in a0_moduli if not x <= 1.0 + 1e-15]):  # also flags a NaN a0
+            raise DomainError(f"|a0| = {above[0]} must be finite and at most 1")
+        # |a0|, max(1 - |a0|^2, 0) and |c_n| side by side: one reduceat gives a_norm, tail_cap and Q_n.
+        moduli = np.empty((rows.shape[0], rows.shape[1] + 1))
+        moduli[:, 0], moduli[:, 1] = a0_moduli, [max(cap, 0.0) for cap in caps]
+        np.abs(rows[:, 1:], out=moduli[:, 2:])
+        if check:
+            worst = moduli[:, 2:].max(axis=1)
+            if (bad := np.flatnonzero(worst > np.array(caps) + COEFF_SLACK)).size:
+                raise CertificationError(
+                    f"certified series violates coefficient bound: "
+                    f"max |c_n| = {worst[bad[0]]} > 1 - |a0|^2 = {caps[bad[0]]}"
                 )
-        arrays = dict(
-            rows=rows, counts=counts, coeffs=coeffs, coeff_moduli=coeff_moduli, a0_moduli=a0_moduli, caps=caps, starts=starts
+        starts = np.add.accumulate(counts) - counts
+        # On one slice, which every evaluated PolydiscSlice builds, reduceat costs about 2 us more than max.
+        maxima = moduli.max(axis=0, keepdims=True) if counts.size == 1 else np.maximum.reduceat(moduli, starts)
+        if check and np.any((spread := maxima[:, 0] - np.minimum.reduceat(moduli[:, 0], starts)) > EQUIMODULAR_TOL):
+            raise PreconditionError(
+                f"slice is not equimodular: initial moduli spread {spread.max()} exceeds {EQUIMODULAR_TOL}"
+            )
+        for arr in (counts, starts, moduli, maxima):
+            arr.setflags(write=False)
+        self.__dict__.update(
+            rows=rows, counts=counts, coeffs=rows[:, 1:], coeff_moduli=moduli[:, 2:], starts=starts,
+            a_norm=maxima[:, 0], tail_cap=maxima[:, 1], q=maxima[:, 2:],
         )
-        for name, arr in arrays.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return int(self.counts.size)
@@ -277,7 +305,7 @@ def random_slice_batch(
     bounded on any seed range; ``verify`` passes one such chunk at a time.
     """
     rows, counts = _seeded_rows(seeds, n_terms, m=m, scalar=scalar)
-    return SliceBatch(rows=rows, counts=counts)
+    return SliceBatch._owning(rows, counts, check=True)
 
 
 def random_equimodular_slice(

@@ -133,6 +133,22 @@ def test_a_slice_keeps_its_bits_at_every_position(label):
         assert bits(eval_functional_batch(batch, spec, r)[position]) == expected, f"position {position}"
 
 
+@pytest.mark.parametrize("seed", [5, 17])
+def test_evaluation_order_does_not_change_a_slice_s_bits(seed):
+    # The first evaluation of a slice builds its one-slice batch; the others read it.
+    bases = {False: random_equimodular_slice(seed, m=3), True: PolydiscSlice.from_components([random_schur_series(seed)])}
+
+    def copy(label):
+        return PolydiscSlice.from_components(bases[label == "classical"].components)
+
+    cases = [(label, r) for label in SPECS for r in (0.05, 0.3, 0.6)]
+    fresh = {(label, r): bits(eval_functional(copy(label), SPECS[label], r)) for label, r in cases}
+    for order in (cases, cases[::-1]):
+        slices = {False: copy("refined_p1"), True: copy("classical")}
+        got = {(label, r): bits(eval_functional(slices[label == "classical"], SPECS[label], r)) for label, r in order}
+        assert got == fresh
+
+
 @pytest.mark.parametrize("label", SPECS)
 def test_verify_batch_applies_the_radius_precondition_and_tolerance(label):
     spec = SPECS[label]

@@ -1,4 +1,5 @@
-"""Coefficient norms, circle sampling, composition, slice construction."""
+"""Coefficient norms, circle sampling, composition, slice construction, and
+the one-slice batch that a slice builds on first use."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from polybohr import (
     eval_series_many,
     mobius_series,
     random_equimodular_slice,
+    random_slice_batch,
     schwarz_compose,
     schwarz_pick_bound,
     slice_tail_bound,
@@ -92,6 +94,44 @@ class TestCoefficientNorms:
         )
         assert np.allclose(norms.q, expected, atol=1e-15)
         assert norms.q[30] == pytest.approx((1.0 - 0.95**2) * 0.95**30)
+
+
+class TestOneSliceBatch:
+    """``PolydiscSlice._batch``: built once, read by both evaluators."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_the_seeded_batch_of_its_seed(self, m):
+        for seed in range(50):
+            own = random_equimodular_slice(seed, m=m)._batch
+            seeded = random_slice_batch([seed], m=m)
+            for name in ("rows", "coeff_moduli", "a_norm", "q", "tail_cap"):
+                got, want = getattr(own, name), getattr(seeded, name)
+                assert got.shape == want.shape and np.array_equal(
+                    np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64)
+                ), (seed, name)
+            assert own.counts.tolist() == seeded.counts.tolist() == [m]
+
+    def test_is_built_once_and_read_only(self):
+        s = random_equimodular_slice(3, m=3)
+        batch = s._batch
+        assert s._batch is batch
+        for name in ("rows", "counts", "coeffs", "coeff_moduli", "starts", "a_norm", "q", "tail_cap"):
+            assert not getattr(batch, name).flags.writeable, name
+        norms = coefficient_norms(s)
+        assert not norms.q.flags.writeable and not norms.moduli.flags.writeable
+        with pytest.raises(ValueError):
+            norms.q[0] = 2.0
+
+    def test_norms_of_uncertified_and_non_equimodular_slices(self):
+        loose = TruncatedSeries(a0=0.5, coeffs=np.full(8, 0.9))  # |c_n| above 1 - |a0|^2
+        s = PolydiscSlice.from_components([loose, mobius_series(0.9, "plus", 8)])
+        assert not s.certified and not s.equimodular
+        norms = coefficient_norms(s)
+        assert norms.a_norm == 0.9
+        assert np.array_equal(norms.q, np.maximum(0.9, np.abs(s.components[1].coeffs)))
+        assert np.array_equal(norms.moduli[0], np.full(8, 0.9))
+        with pytest.raises(CertificationError):
+            slice_tail_bound(s, 0.5, "linear_sum")
 
 
 class TestSupModulus:

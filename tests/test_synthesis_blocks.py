@@ -86,7 +86,9 @@ def test_long_seed_ranges_peak_below_three_times_their_rows(m):
 
 @pytest.mark.parametrize("m", [None, 3])
 def test_long_seed_range_batches_peak_below_three_times_their_rows(m):
-    # The batch keeps its coefficients as a view of its rows, not a second copy.
+    # The batch takes the synthesized rows without a copy and keeps its
+    # coefficients as a view of them, so it peaks where the synthesis does
+    # (2.11 times the rows); the bound is that peak plus 10 %.
     random_slice_batch(range(2), m=m)
     tracemalloc.start()
     try:
@@ -94,4 +96,4 @@ def test_long_seed_range_batches_peak_below_three_times_their_rows(m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * batch.rows.nbytes, f"peak {peak} B for {batch.rows.nbytes} B of rows"
+    assert peak < 2.33 * batch.rows.nbytes, f"peak {peak} B for {batch.rows.nbytes} B of rows"
