@@ -13,9 +13,9 @@ S2 = sum Q_n^2 r^(2n) and w(r) = 1/(1 + a_norm) + r/(1 - r):
 
 Each kind has one such row, with an upper bound, a lower bound and a tail
 budget for the modulus term, and one function assembles every kind from
-its row, for :func:`eval_functional` on one slice and for
-:func:`eval_functional_batch` on every slice of a ``SliceBatch``.  Both read
-a_norm, Q_n and the tail cap M from the ``SliceBatch`` that reduced them once.
+its row.  :func:`eval_functional_batch` is the one evaluator: it reads
+a_norm, Q_n and the tail cap M from the ``SliceBatch`` that reduced them
+once, and :func:`eval_functional` runs it on a slice's one-slice batch.
 
 Every evaluation is two-sided.  The *upper* value replaces each modulus
 term by a closed-form bound and adds the geometric tail budgets of the
@@ -29,16 +29,13 @@ minus its truncation budget and keeps the (under-counted) truncated sums,
 so "lower > 1" witnesses are equally rigorous up to the evaluation's
 rounding.  Verification never mixes the two directions.
 All three modulus terms sample every component on :data:`slices.PHASES`
-equally spaced points by a product with one memoized power table
-(rounding error about 1e-16 at the default order): one
-:func:`eval_series_many` call per component on a single slice, one
-stacked product over a batch's rows.  The composed kind samples g_i itself
-on the circle |s| = r^k, since sup_{|t|=r} |g_i(t^k)| = sup_{|s|=r^k} |g_i(s)|.
-
-The batch keeps the per-slice bits: both read the same ``SliceBatch``
-reductions, and the batch's sums, the refined kind's per-component sums and
-the circle values are stacked per-row products (one BLAS call per row, as a
-single slice makes); ``tests/test_slice_batch.py`` pins the result.
+equally spaced points by one :func:`eval_series_many` call, a product of the
+batch's rows with one memoized power table (rounding error about 1e-16 at
+the default order).  The composed kind samples g_i itself on the circle
+|s| = r^k, since sup_{|t|=r} |g_i(t^k)| = sup_{|s|=r^k} |g_i(s)|.  A slice
+keeps its bits in any batch: its sums and circle values are per-row
+products (one BLAS call per row) and maxima are exact, as
+``tests/test_slice_batch.py`` pins.
 """
 
 from __future__ import annotations
@@ -49,15 +46,9 @@ import numpy as np
 
 from .errors import DomainError, CertificationError, PreconditionError
 from .radii import _check_order, closed_form_radius
-from .series import _power_table, _tail_value
+from .series import _tail_value, eval_series_many
 from .slices import (
-    PolydiscSlice,
-    SliceBatch,
-    _circle_values,
-    _radius_powers,
-    phase_grid,
-    schwarz_pick_bound,
-    sup_modulus,
+    PolydiscSlice, SliceBatch, _radius_powers, _slice_max, phase_grid, schwarz_pick_bound, sup_modulus,
 )
 
 _KINDS = ("improved_squared", "refined_p", "composed_k", "classical")
@@ -145,42 +136,16 @@ def eval_functional(
     and tail budgets are meaningless otherwise) and, for the three
     theorem-style kinds, an equimodular slice; ``allow_non_equimodular``
     exists for the counterexample driver, which deliberately evaluates the
-    functionals where their hypotheses fail.  The classical kind is the
-    scalar majorant sum and demands a single component.
+    functionals where their hypotheses fail.  The rest is :func:`eval_functional_batch`
+    on the slice's one-slice batch, which checks that the classical sum has one component.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
     if not s.certified:
         raise CertificationError("functional evaluation requires certified components")
-    if spec.kind == "classical":
-        if s.m != 1:
-            raise PreconditionError("classical majorant sum is defined for single-component slices")
-    elif not s.equimodular and not allow_non_equimodular:
-        raise PreconditionError(
-            "slice is not equimodular; the functional bounds require equal initial moduli"
-        )
-
-    batch = s._batch  # a_norm, Q_n and the tail cap, reduced once per slice
-    n, q, cap = s.truncation_order, batch.q[0], float(batch.tail_cap[0])
-    rn, rn2 = _radius_powers(r, n)
-    s1 = float(np.dot(q, rn))
-    s2 = float(np.dot(q**2, rn2))
-    # The modulus budget M r^(N+1)/(1 - r) is the linear-sum budget, bit for bit.
-    t_lin, t_sq = _tail_value(cap, r, n, "linear_sum"), _tail_value(cap, r, n, "square_sum")
-    sampled = termwise = None
-    if spec.kind == "improved_squared":
-        sampled = sup_modulus(s, r)
-    elif spec.kind == "refined_p":
-        # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
-        # componentwise max Q_n would mix components); one t_lin covers its tail
-        termwise = max(float(np.dot(row, rn)) for row in batch.coeff_moduli)
-        sampled = float(np.max(np.abs(_circle_values(s, r) - batch.rows[:, :1])))
-    elif spec.kind == "composed_k":
-        # sup over |t| = r of |g_i(t^k)| is the sup of |g_i| over |s| = r^k.
-        # There the truncation error M r^(k(N+1))/(1 - r^k) is at most
-        # t_lin = M r^(N+1)/(1 - r), as r^k <= r.
-        sampled = sup_modulus(s, r**spec.k)
-    return _assemble(spec, r, float(batch.a_norm[0]), s1, s2, t_lin, t_sq, sampled, termwise)
+    if spec.kind != "classical" and not s.equimodular and not allow_non_equimodular:
+        raise PreconditionError("slice is not equimodular; the functional bounds require equal initial moduli")
+    return eval_functional_batch(s._batch, spec, r)[0]
 
 
 def _assemble(
@@ -223,42 +188,42 @@ def _assemble(
 
 
 def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[FunctionalValue]:
-    """:func:`eval_functional` on every slice of a batch, bit for bit.
+    """The functional on every slice of a batch at radius r, with tail budgets.
 
-    a_norm, Q_n and the tail cap M are the batch's own reductions.  S1 and S2
-    are stacked per-row products, the refined kind's per-component sums one
-    stacked per-row product reduced per slice, and every component's circle
-    values one stacked product with one power table (of the circle
-    |s| = r^k for the composed kind); each runs the same BLAS call per row as
-    the per-slice path.  Each value is then assembled as
-    :func:`eval_functional` assembles it.  The batch is certified and
-    equimodular by construction; the classical kind still demands one
-    component per slice.
+    The squared and composed kinds sample the circle through
+    :func:`sup_modulus`, the refined kind through :func:`eval_series_many`.
+    A batch from the public constructor is certified and equimodular; the
+    classical kind also demands one component per slice.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r}")
-    if spec.kind == "classical" and np.any(batch.counts != 1):
+    # Every count is at least 1, so all are 1 exactly when there are as many rows as slices.
+    if spec.kind == "classical" and batch.rows.shape[0] != len(batch):
         raise PreconditionError("classical majorant sum is defined for single-component slices")
-    if len(batch) == 0:
-        return []
-    n, starts, q = batch.truncation_order, batch.starts, batch.q
+    n, q = batch.truncation_order, batch.q
     rn, rn2 = _radius_powers(r, n)
-    s1 = (q[:, np.newaxis, :] @ rn[:, np.newaxis])[:, 0, 0]
-    s2 = ((q**2)[:, np.newaxis, :] @ rn2[:, np.newaxis])[:, 0, 0]
-    t_lin, t_sq = _tail_value(batch.tail_cap, r, n, "linear_sum"), _tail_value(batch.tail_cap, r, n, "square_sum")
-    sampled = termwise = [None] * len(batch)
-    if spec.kind != "classical":
-        ts = phase_grid(r**spec.k if spec.kind == "composed_k" else r)
-        a0 = batch.rows[:, :1]
-        values = (_power_table(ts.tobytes(), ts.shape, n) @ batch.coeffs[:, :, np.newaxis])[:, :, 0]
-        values += a0
-        if spec.kind == "refined_p":
-            values -= a0
-            sums = (batch.coeff_moduli[:, np.newaxis, :] @ rn[:, np.newaxis])[:, 0, 0]
-            termwise = np.maximum.reduceat(sums, starts).tolist()
-        sampled = np.maximum.reduceat(np.abs(values).max(axis=1), starts).tolist()
-    rows = zip(batch.a_norm.tolist(), s1.tolist(), s2.tolist(), t_lin.tolist(), t_sq.tolist(), sampled, termwise)
-    return [_assemble(spec, r, *row) for row in rows]
+    # One BLAS dot per row, as np.dot on one row (vecdot conjugates nothing real).
+    s1, s2 = np.vecdot(q, rn), np.vecdot(q**2, rn2)
+    sampled = termwise = [None] * batch.counts.size
+    if spec.kind == "refined_p":
+        # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
+        # componentwise max Q_n would mix components); one t_lin covers its tail
+        termwise = _slice_max(np.vecdot(batch.coeff_moduli, rn), batch.starts).tolist()
+        values = eval_series_many(batch, phase_grid(r)) - batch.a0
+        sampled = _slice_max(np.abs(values).max(axis=1), batch.starts).tolist()
+    elif spec.kind != "classical":
+        # sup over |t| = r of |g_i(t^k)| is the sup of |g_i| over |s| = r^k, where the
+        # truncation error M r^(k(N+1))/(1 - r^k) is at most t_lin = M r^(N+1)/(1 - r), as r^k <= r.
+        sampled = sup_modulus(batch, r**spec.k if spec.kind == "composed_k" else r).tolist()
+    # Tail budgets per row on floats (an array's IEEE operations); the modulus budget is the linear-sum one.
+    rows = zip(batch.a_norm.tolist(), s1.tolist(), s2.tolist(), batch.tail_cap.tolist(), sampled, termwise)
+    return [
+        _assemble(
+            spec, r, x, sum1, sum2, _tail_value(cap, r, n, "linear_sum"), _tail_value(cap, r, n, "square_sum"),
+            sampled_row, termwise_row,
+        )
+        for x, sum1, sum2, cap, sampled_row, termwise_row in rows
+    ]
 
 
 def verify_theorem(s: PolydiscSlice, spec: FunctionalSpec, r: float) -> tuple[bool, FunctionalValue]:

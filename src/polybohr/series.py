@@ -303,20 +303,23 @@ def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSer
     return _certified(_seeded_rows([seed], n_terms, scalar=True)[0][0])
 
 
-def eval_series_many(s: TruncatedSeries, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a0 + sum c_n t^n at every point of ``ts`` (any shape), |t| < 1.
+def eval_series_many(s, ts: np.ndarray) -> np.ndarray:
+    """Evaluate a0 + sum c_n t^n at every point of ``ts``, |t| < 1.
 
-    One matrix-vector product of the power table t^1 ... t^N with the
-    coefficients.  The table (one ``np.multiply.accumulate``, read-only, 64 KB
-    for 64 points at N = 64) is memoized by content, ``(ts.tobytes(),
-    ts.shape, N)``, for the last :data:`CIRCLE_CACHE_SIZE` keys: a repeated
-    circle skips it, and points changed in place are never served stale.
+    ``s`` is a :class:`TruncatedSeries` (``ts`` of any shape, a result of its
+    shape) or a ``slices.SliceBatch`` (a 1-d ``ts`` only, a result of shape
+    (R, len(ts))).  One matrix-vector product of the power table t^1 ... t^N
+    per row, so a batch row keeps the bits of its series.  The table (one
+    ``np.multiply.accumulate``, read-only, 64 KB for 64 points at N = 64) is
+    memoized by content, ``(ts.tobytes(), ts.shape, N)``, for the last
+    :data:`CIRCLE_CACHE_SIZE` keys: a repeated circle skips it, and points
+    changed in place are never served stale.
     The absolute error is of order N u sum |c_n| |t|^n (u = 2^-53); an
     80-digit reference measures about 1e-16 at N = 64.  A non-finite point
     or |t| >= 1 raises DomainError.
     """
     ts = np.asarray(ts, dtype=np.complex128)
-    return s.a0 + _power_table(ts.tobytes(), ts.shape, s.coeffs.size) @ s.coeffs
+    return s.a0 + (_power_table(ts.tobytes(), ts.shape, s.coeffs.shape[-1]) @ s.coeffs[..., np.newaxis])[..., 0]
 
 
 @functools.lru_cache(maxsize=CIRCLE_CACHE_SIZE)

@@ -138,24 +138,26 @@ def _radius_powers(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rn, rn2
 
 
-def _circle_values(s: PolydiscSlice, r: float) -> np.ndarray:
-    """Values g_i(t) on the phase grid of radius r, shape (m, PHASES): one
-    :func:`eval_series_many` call per component, for every sampled modulus
-    term of :func:`functionals.eval_functional`."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
-    ts = phase_grid(r)
-    return np.array([eval_series_many(comp, ts) for comp in s.components])
-
-
-def sup_modulus(s: PolydiscSlice, r: float) -> float:
+def sup_modulus(s: PolydiscSlice | SliceBatch, r: float) -> float | np.ndarray:
     """Sampled sup of max_i |g_i(t)| over |t| = r, at :data:`PHASES` phases.
 
-    A lower bound on the true sup (the grid always contains t = r itself);
-    pair it with :func:`schwarz_pick_bound` for a two-sided enclosure.  The
-    power-table rounding of :func:`eval_series_many` (about 1e-16) is not subtracted.
+    A float for a slice, from its one-slice batch, and one per slice for a
+    :class:`SliceBatch`.  A lower bound on the true sup (the grid always
+    contains t = r itself); pair it with :func:`schwarz_pick_bound` for a
+    two-sided enclosure.  The power-table rounding (about 1e-16) is not subtracted.
     """
-    return float(np.max(np.abs(_circle_values(s, r))))
+    if not 0.0 <= r < 1.0:
+        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    batch = s._batch if isinstance(s, PolydiscSlice) else s
+    sups = _slice_max(np.abs(eval_series_many(batch, phase_grid(r))).max(axis=1), batch.starts)
+    return sups if batch is s else float(sups[0])
+
+
+def _slice_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Maxima of ``values`` over each slice's rows; one slice takes a max, one row none: about 2 us less each."""
+    if starts.size != 1:
+        return np.maximum.reduceat(values, starts)
+    return values if values.shape[0] == 1 else values.max(axis=0, keepdims=True)
 
 
 def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
@@ -164,8 +166,8 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
     The coefficient of t^(k n) in g(t^k) is c_n; indices beyond the
     truncation order are dropped (for k larger than the order only the
     constant term survives).  Schur certification is preserved: composing
-    with a disc self-map cannot leave the Schur class.  The evaluators do not
-    call it: they sample g itself on the circle |s| = r^k instead.
+    with a disc self-map cannot leave the Schur class.  The evaluator does not
+    call it: it samples g itself on the circle |s| = r^k instead.
     """
     if k < 1:
         raise DomainError(f"composition order k must be >= 1, got {k}")
@@ -203,9 +205,9 @@ class SliceBatch:
     The constructor copies the rows and runs the checks of
     ``TruncatedSeries(schur_certified=True)`` on every row, vectorised, with
     the same thresholds and exception types, plus :class:`PreconditionError`
-    for a slice that is not equimodular.  Besides ``coeffs`` (a view of
-    ``rows``), ``coeff_moduli`` and each slice's first row ``starts``, it keeps
-    the per-slice reductions that both evaluators read: ``a_norm`` =
+    for a slice that is not equimodular.  It keeps the views ``coeffs`` and
+    ``a0`` (the (R, 1) column) of ``rows``, ``coeff_moduli``, each slice's
+    first row ``starts`` and the per-slice reductions: ``a_norm`` =
     max_i |a0^(i)|, ``q`` = Q_n = max_i |c_n^(i)| and ``tail_cap`` =
     max(max_i (1 - |a0^(i)|^2), 0), by Python's ``abs`` and ``pow`` as in
     ``tail_bound``.  The read-only arrays take 1.7 to 2 times the row bytes.
@@ -214,6 +216,7 @@ class SliceBatch:
     rows: np.ndarray
     counts: np.ndarray
     coeffs: np.ndarray = field(init=False, repr=False)
+    a0: np.ndarray = field(init=False, repr=False)
     coeff_moduli: np.ndarray = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
     a_norm: np.ndarray = field(init=False, repr=False)
@@ -244,7 +247,7 @@ class SliceBatch:
         caps = [1.0 - x**2 for x in a0_moduli]
         if check and (above := [x for x in a0_moduli if not x <= 1.0 + 1e-15]):  # also flags a NaN a0
             raise DomainError(f"|a0| = {above[0]} must be finite and at most 1")
-        # |a0|, max(1 - |a0|^2, 0) and |c_n| side by side: one reduceat gives a_norm, tail_cap and Q_n.
+        # |a0|, max(1 - |a0|^2, 0) and |c_n| side by side: one per-slice max gives a_norm, tail_cap and Q_n.
         moduli = np.empty((rows.shape[0], rows.shape[1] + 1))
         moduli[:, 0], moduli[:, 1] = a0_moduli, [max(cap, 0.0) for cap in caps]
         np.abs(rows[:, 1:], out=moduli[:, 2:])
@@ -256,8 +259,7 @@ class SliceBatch:
                     f"max |c_n| = {worst[bad[0]]} > 1 - |a0|^2 = {caps[bad[0]]}"
                 )
         starts = np.add.accumulate(counts) - counts
-        # On one slice, which every evaluated PolydiscSlice builds, reduceat costs about 2 us more than max.
-        maxima = moduli.max(axis=0, keepdims=True) if counts.size == 1 else np.maximum.reduceat(moduli, starts)
+        maxima = _slice_max(moduli, starts)
         if check and np.any((spread := maxima[:, 0] - np.minimum.reduceat(moduli[:, 0], starts)) > EQUIMODULAR_TOL):
             raise PreconditionError(
                 f"slice is not equimodular: initial moduli spread {spread.max()} exceeds {EQUIMODULAR_TOL}"
@@ -265,7 +267,7 @@ class SliceBatch:
         for arr in (counts, starts, moduli, maxima):
             arr.setflags(write=False)
         self.__dict__.update(
-            rows=rows, counts=counts, coeffs=rows[:, 1:], coeff_moduli=moduli[:, 2:], starts=starts,
+            rows=rows, counts=counts, coeffs=rows[:, 1:], a0=rows[:, :1], coeff_moduli=moduli[:, 2:], starts=starts,
             a_norm=maxima[:, 0], tail_cap=maxima[:, 1], q=maxima[:, 2:],
         )
 

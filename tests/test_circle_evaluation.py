@@ -26,11 +26,12 @@ from polybohr import (
     tail_bound,
 )
 from polybohr.functionals import _assemble
-from polybohr.series import CIRCLE_CACHE_SIZE, _power_table
+from polybohr.errors import DomainError
+from polybohr.series import CIRCLE_CACHE_SIZE, SYNTH_CHUNK, _power_table
 from polybohr.slices import (
-    _circle_values,
     coefficient_norms,
     phase_grid,
+    random_slice_batch,
     schwarz_compose,
     slice_tail_bound,
     sup_modulus,
@@ -134,6 +135,37 @@ class TestPowerTableAgainstOracle:
             assert np.max(np.abs(values - reference)) <= 1e-14
 
 
+class TestBatchInputs:
+    """``eval_series_many`` and ``sup_modulus`` on a batch give each row and slice its own bits."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        batch = random_slice_batch(range(SYNTH_CHUNK + 1))
+        assert set(batch.counts.tolist()) == {1, 2, 3}
+        return batch
+
+    @pytest.mark.parametrize("r", RADII)
+    def test_rows_match_their_components(self, batch, r):
+        values = eval_series_many(batch, phase_grid(r))
+        comps = [comp for s in batch.slices() for comp in s.components]
+        assert values.shape == (len(comps), phase_grid(r).size)
+        for row, comp in zip(values, comps):
+            assert np.array_equal(row.view(np.uint64), eval_series_many(comp, phase_grid(r)).view(np.uint64))
+
+    @pytest.mark.parametrize("r", RADII)
+    def test_sup_per_slice_matches_each_slice(self, batch, r):
+        sups = sup_modulus(batch, r)
+        assert sups.shape == (len(batch),)
+        for sup, s in zip(sups.tolist(), batch.slices()):
+            assert sup == sup_modulus(s, r)
+
+    def test_radius_on_the_circle_is_a_domain_error(self, batch):
+        with pytest.raises(DomainError):
+            sup_modulus(batch, 1.0)
+        with pytest.raises(DomainError):
+            eval_series_many(batch, phase_grid(1.0))
+
+
 @pytest.fixture(scope="module")
 def corpus_reference(corpus_slices):
     """The Horner reference of every corpus slice at the kind's radius, computed once per kind."""
@@ -227,8 +259,8 @@ class TestCircleCache:
         circle = r**spec.k if spec.kind == "composed_k" else r
         for seed, s in enumerate(corpus_slices):
             clear_circle_caches()
-            cold_values = _circle_values(s, circle)
-            assert np.array_equal(cold_values, _circle_values(s, circle)), seed
+            cold_values = eval_series_many(s._batch, phase_grid(circle))
+            assert np.array_equal(cold_values, eval_series_many(s._batch, phase_grid(circle))), seed
             clear_circle_caches()
             cold = eval_functional(s, spec, r)
             assert cold == eval_functional(s, spec, r), seed
