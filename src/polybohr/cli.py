@@ -118,7 +118,7 @@ def _config_argv(path: str) -> list[str]:
 
 def _check(args: argparse.Namespace) -> None:
     """Validate the parsed options; set the functional ``spec``, the sweep grid ``r_grid`` and the
-    component count of ``sweep --lambda`` (1 unless given) on them."""
+    component count of ``sweep --lambda`` (1 unless given; the classical sum has no count) on them."""
     if args.theorem is None:
         raise DomainError("--theorem is required (or set 'theorem' in the config file)")
     args.spec = FunctionalSpec(kind=args.theorem, p=args.p, k=args.k)
@@ -134,7 +134,7 @@ def _check(args: argparse.Namespace) -> None:
         raise DomainError("--m does not apply to the classical sum, which takes one scalar series")
     if args.lam is not None and args.seeds is not None:
         raise DomainError("sweep takes --lambda or --seeds, not both")
-    if args.lam is not None and args.m is None:
+    if args.lam is not None and args.m is None and args.spec.kind != "classical":
         args.m = 1
     args.r_grid = None
     if args.command == "sweep":
@@ -255,7 +255,7 @@ def _run_witness(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], l
 def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
     radius = closed_form_radius(args.spec)
     if args.lam is not None:
-        sl = extremal_slice(args.spec, args.lam, m=args.m, n_terms=args.truncation)
+        sl = extremal_slice(args.spec, args.lam, m=args.m or 1, n_terms=args.truncation)
         label: Any = args.lam
     else:
         seed = args.seeds if args.seeds is not None else 0

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, CertificationError, PreconditionError
-from .radii import _check_order, closed_form_radius
+from .radii import _check_order, _check_unit, closed_form_radius
 from .series import _tail_value, eval_series_many
 from .slices import (
     PolydiscSlice, SliceBatch, _radius_powers, _slice_max, phase_grid, schwarz_pick_bound, sup_modulus,
@@ -124,26 +124,18 @@ class FunctionalValue:
             raise DomainError("lower bound exceeds upper bound")
 
 
-def eval_functional(
-    s: PolydiscSlice,
-    spec: FunctionalSpec,
-    r: float,
-    allow_non_equimodular: bool = False,
-) -> FunctionalValue:
+def eval_functional(s: PolydiscSlice, spec: FunctionalSpec, r: float) -> FunctionalValue:
     """Evaluate a functional on a slice at radius r, with tail budgets.
 
     Requires every component to be Schur-certified (the closed-form bounds
     and tail budgets are meaningless otherwise) and, for the three
-    theorem-style kinds, an equimodular slice; ``allow_non_equimodular``
-    exists for the counterexample driver, which deliberately evaluates the
-    functionals where their hypotheses fail.  The rest is :func:`eval_functional_batch`
-    on the slice's one-slice batch, which checks that the classical sum has one component.
+    theorem-style kinds, an equimodular slice.  The rest is
+    :func:`eval_functional_batch` on the slice's one-slice batch, which
+    checks the radius and that the classical sum has one component.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
     if not s.certified:
         raise CertificationError("functional evaluation requires certified components")
-    if spec.kind != "classical" and not s.equimodular and not allow_non_equimodular:
+    if spec.kind != "classical" and not s.equimodular:
         raise PreconditionError("slice is not equimodular; the functional bounds require equal initial moduli")
     return eval_functional_batch(s._batch, spec, r)[0]
 
@@ -195,8 +187,7 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
     A batch from the public constructor is certified and equimodular; the
     classical kind also demands one component per slice.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    _check_unit(r, "radius")
     # Every count is at least 1, so all are 1 exactly when there are as many rows as slices.
     if spec.kind == "classical" and batch.rows.shape[0] != len(batch):
         raise PreconditionError("classical majorant sum is defined for single-component slices")

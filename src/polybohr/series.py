@@ -37,6 +37,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import CertificationError, DomainError
+from .radii import _check_unit
 
 #: Default truncation order used throughout the package.
 DEFAULT_ORDER = 64
@@ -91,20 +92,27 @@ class TruncatedSeries:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "a0", complex(self.a0))
-        if not abs(self.a0) <= 1.0 + 1e-15:  # also rejects a NaN a0
-            raise DomainError(f"|a0| = {abs(self.a0)} must be finite and at most 1")
-        if self.schur_certified:
-            cap = 1.0 - abs(self.a0) ** 2
-            worst = float(np.max(np.abs(arr)))
-            if worst > cap + COEFF_SLACK:
-                raise CertificationError(
-                    f"certified series violates coefficient bound: "
-                    f"max |c_n| = {worst} > 1 - |a0|^2 = {cap}"
-                )
+        _schur_caps([abs(self.a0)], [float(np.max(np.abs(arr)))] if self.schur_certified else None)
 
     @property
     def truncation_order(self) -> int:
         return int(self.coeffs.size)
+
+
+def _schur_caps(a0_moduli: list[float], worst: list[float] | None) -> list[float]:
+    """The Schur-row rule: |a0| <= 1 + 1e-15 (a NaN fails it) and, for certified rows with largest |c_n| ``worst``,
+    max |c_n| <= 1 - |a0|^2 + COEFF_SLACK.  Returns the caps 1 - |a0|^2 clamped at 0 (they round below 0 just past
+    |a0| = 1), on Python floats, so a row has the same bits alone or in a batch."""
+    for x in a0_moduli:
+        if not x <= 1.0 + 1e-15:
+            raise DomainError(f"|a0| = {x} must be finite and at most 1")
+    caps = [1.0 - x**2 for x in a0_moduli]
+    for most, cap in zip(worst or (), caps):
+        if most > cap + COEFF_SLACK:
+            raise CertificationError(
+                f"certified series violates coefficient bound: max |c_n| = {most} > 1 - |a0|^2 = {cap}"
+            )
+    return [max(cap, 0.0) for cap in caps]
 
 
 MobiusSign = Literal["plus", "minus"]
@@ -124,8 +132,7 @@ def mobius_series(lam: float, sign: MobiusSign, n_terms: int = DEFAULT_ORDER) ->
         sign: "plus" or "minus".
         n_terms: truncation order N >= 1.
     """
-    if not 0.0 <= lam < 1.0:
-        raise DomainError(f"lambda must lie in [0, 1), got {lam}")
+    _check_unit(lam, "lambda")
     if n_terms < 1:
         raise DomainError(f"truncation order must be >= 1, got {n_terms}")
     n = np.arange(n_terms)
@@ -164,8 +171,6 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     Returns:
         (rows, N + 1) array; row i holds a0, c_1, ..., c_N of row i.
     """
-    if n_terms < 1:
-        raise DomainError(f"truncation order must be >= 1, got {n_terms}")
     (rows, k), width = params.shape, n_terms + 1
     # gammas[j] multiplies (q, t p) by (g_j, conj g_j), order by order.
     gammas = np.empty((k, 2, 1, rows), dtype=np.complex128)
@@ -261,6 +266,8 @@ def _seeded_rows(
     array, exponentiated and scaled by the radii in place: ``1j * x`` is
     exactly (+0.0, x), so the bits are those of ``sqrt(u) * exp(1j * 2 pi u)``.
     """
+    if n_terms < 1:
+        raise DomainError(f"truncation order must be >= 1, got {n_terms}")
     if m is not None and m < 1:
         raise DomainError(f"component count must be >= 1, got {m}")
     if scalar and m is not None:
@@ -307,18 +314,20 @@ def eval_series_many(s, ts: np.ndarray) -> np.ndarray:
     """Evaluate a0 + sum c_n t^n at every point of ``ts``, |t| < 1.
 
     ``s`` is a :class:`TruncatedSeries` (``ts`` of any shape, a result of its
-    shape) or a ``slices.SliceBatch`` (a 1-d ``ts`` only, a result of shape
-    (R, len(ts))).  One matrix-vector product of the power table t^1 ... t^N
-    per row, so a batch row keeps the bits of its series.  The table (one
-    ``np.multiply.accumulate``, read-only, 64 KB for 64 points at N = 64) is
-    memoized by content, ``(ts.tobytes(), ts.shape, N)``, for the last
-    :data:`CIRCLE_CACHE_SIZE` keys: a repeated circle skips it, and points
-    changed in place are never served stale.
+    shape) or a ``slices.SliceBatch`` (a 1-d ``ts`` only, else DomainError;
+    a result of shape (R, len(ts))).  One matrix-vector product of the
+    power table t^1 ... t^N per row, so a batch row keeps the bits of its
+    series.  The table (one ``np.multiply.accumulate``, read-only, 64 KB for
+    64 points at N = 64) is memoized by content, ``(ts.tobytes(), ts.shape,
+    N)``, for the last :data:`CIRCLE_CACHE_SIZE` keys: a repeated circle
+    skips it, and points changed in place are never served stale.
     The absolute error is of order N u sum |c_n| |t|^n (u = 2^-53); an
     80-digit reference measures about 1e-16 at N = 64.  A non-finite point
     or |t| >= 1 raises DomainError.
     """
     ts = np.asarray(ts, dtype=np.complex128)
+    if s.coeffs.ndim == 2 and ts.ndim != 1:
+        raise DomainError(f"a batch is evaluated at a 1-d ts, got shape {ts.shape}")
     return s.a0 + (_power_table(ts.tobytes(), ts.shape, s.coeffs.shape[-1]) @ s.coeffs[..., np.newaxis])[..., 0]
 
 
@@ -346,15 +355,14 @@ def tail_bound(s: TruncatedSeries, r: float, term_kind: TailTermKind) -> TailBud
     * ``square_sum``: sum_{n>N} |c_n|^2 r^(2n) <= M^2 r^(2N+2) / (1 - r^2)
     * ``modulus``:    |sum_{n>N} c_n t^n|      <= M r^(N+1) / (1 - r)
 
-    M is clamped at 0: ``TruncatedSeries`` admits |a0| up to 1 + 1e-15, where
-    1 - |a0|^2 rounds below zero, and certifies only |c_n| <= M + COEFF_SLACK
-    there.  Only certified series carry this guarantee; anything else raises.
+    M is the clamped cap of :func:`_schur_caps`, which certified only
+    |c_n| <= M + COEFF_SLACK.  Only certified series carry this guarantee;
+    anything else raises.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    _check_unit(r, "radius")
     if not s.schur_certified:
         raise CertificationError("tail bounds require a Schur-certified series")
-    return TailBudget(value=float(_tail_value(max(1.0 - abs(s.a0) ** 2, 0.0), r, s.truncation_order, term_kind)))
+    return TailBudget(value=float(_tail_value(_schur_caps([abs(s.a0)], None)[0], r, s.truncation_order, term_kind)))
 
 
 def _tail_value(m, r: float, n: int, term_kind: TailTermKind):

@@ -17,9 +17,9 @@ dyadic grid 1 - 2^-j resolves cheaply.
 The module also rebuilds the two-component slices with unequal initial
 moduli that push each functional above 1 at radii where the equimodular
 version is provably at most 1, demonstrating that the equal-modulus
-hypothesis cannot be dropped.  Those evaluations bypass the equimodularity
-precondition on purpose and report both the direct functional value and
-the staged closed-form bound that predicts the excess as a2 -> 1.
+hypothesis cannot be dropped.  Those evaluations skip the equimodularity
+check on purpose and report both the direct functional value and the
+staged closed-form bound, which predicts the excess as a2 -> 1.
 
 Unimodular component rotations leave every sup-norm quantity unchanged, so
 all families fix the rotation to the identity without loss of generality.
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError, WitnessSearchError
-from .functionals import FunctionalSpec, eval_functional
+from .functionals import FunctionalSpec, eval_functional, eval_functional_batch
 from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, closed_form_radius
 from .series import DEFAULT_ORDER, mobius_series
 from .slices import PolydiscSlice
@@ -101,8 +101,6 @@ def extremal_slice(
     """
     if not 0.0 < lam < 1.0:
         raise DomainError(f"extremal parameter must lie in (0, 1), got {lam}")
-    if m < 1:
-        raise DomainError(f"component count must be >= 1, got {m}")
     g = mobius_series(lam, _family_sign(spec), n_terms)
     return PolydiscSlice(components=(g,) * m)
 
@@ -163,8 +161,16 @@ def counterexample_analytic_bound(spec: FunctionalSpec, a1: float, a2: float, r:
 
     These are the a2 -> 1 limit expressions of the term-by-term bounding
     chains; each exceeds 1 for the admissible parameter ranges, which is
-    what makes the two-component slices genuine counterexamples.
+    what makes the two-component slices genuine counterexamples.  Other
+    kinds and parameters outside floor < a1 < a2 < 1, 0 < r < 1 raise.
     """
+    if spec.kind not in _COUNTEREXAMPLE_RANGES:
+        raise DomainError(f"no counterexample family for kind {spec.kind!r}")
+    floor = _COUNTEREXAMPLE_RANGES[spec.kind]
+    if not floor < a1 < a2 < 1.0:
+        raise DomainError(f"{spec.kind} counterexample needs {floor} < a1 < a2 < 1, got a1={a1}, a2={a2}")
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"radius must lie in (0, 1), got {r}")
     m1 = 1.0 - a1 * a1
     if spec.kind == "improved_squared":
         return 1.0 + m1 * m1 * r * r * (1.0 + a1 * a1 * r * r)
@@ -172,9 +178,7 @@ def counterexample_analytic_bound(spec: FunctionalSpec, a1: float, a2: float, r:
         poly1 = 1.0 + a1 * r + (a1 * r) ** 2
         poly2 = 1.0 + (a1 * r) ** 2 + (a1 * r) ** 4
         return 1.0 + m1 * r * poly1 + (1.0 + r) * m1 * m1 * r * r * poly2 / (2.0 * (1.0 - r))
-    if spec.kind == "composed_k":
-        return 1.0 + m1 * r + (1.0 + a2 * r) * m1 * m1 * r * r / ((1.0 - r) * (1.0 + a2))
-    raise DomainError(f"no counterexample family for kind {spec.kind!r}")
+    return 1.0 + m1 * r + (1.0 + a2 * r) * m1 * m1 * r * r / ((1.0 - r) * (1.0 + a2))
 
 
 def reproduce_counterexample(
@@ -188,23 +192,16 @@ def reproduce_counterexample(
 
     The components are the Moebius maps with parameters a1 < a2 (reflected
     for the refined kind), which is exactly the configuration excluded by
-    the equimodularity hypothesis.  The evaluation deliberately bypasses
-    that precondition.  Success means the direct lower value exceeds 1; a
-    failed report (value_lower <= 1) is returned rather than raised, since
-    the caller may simply need a2 closer to 1 or a larger r.
+    the equimodularity hypothesis; :func:`counterexample_analytic_bound`
+    checks the parameters first.  Success means the direct lower value
+    exceeds 1; a failed report (value_lower <= 1) is returned rather than
+    raised, since the caller may simply need a2 closer to 1 or a larger r.
     """
-    if spec.kind not in _COUNTEREXAMPLE_RANGES:
-        raise DomainError(f"no counterexample family for kind {spec.kind!r}")
-    floor = _COUNTEREXAMPLE_RANGES[spec.kind]
-    if not floor < a1 < a2 < 1.0:
-        raise DomainError(
-            f"{spec.kind} counterexample needs {floor} < a1 < a2 < 1, got a1={a1}, a2={a2}"
-        )
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
+    bound = counterexample_analytic_bound(spec, a1, a2, r)
     sign = _family_sign(spec)
     slice_ = PolydiscSlice(components=(mobius_series(a1, sign, n_terms), mobius_series(a2, sign, n_terms)))
-    value = eval_functional(slice_, spec, r, allow_non_equimodular=True)
+    # The slice is not equimodular on purpose, so it skips eval_functional's check of that hypothesis.
+    [value] = eval_functional_batch(slice_._batch, spec, r)
     return CounterexampleReport(
         spec=spec,
         a1=a1,
@@ -212,6 +209,6 @@ def reproduce_counterexample(
         r=r,
         value_lower=value.lower,
         value_upper=value.upper,
-        analytic_bound=counterexample_analytic_bound(spec, a1, a2, r),
+        analytic_bound=bound,
         succeeded=value.lower > 1.0,
     )

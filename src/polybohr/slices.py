@@ -8,8 +8,8 @@ functionals downstream consume reductions of such a tuple, which a
 first use), and the sampled sup of max_i |g_i| on circles |t| = r.
 
 All verification entry points require the *equimodular* initial condition
-|a0^(i)| = max_j |a0^(j)| for every component; the counterexample driver is
-the only consumer allowed to bypass it.
+|a0^(i)| = max_j |a0^(j)| for every component; only the counterexample
+driver evaluates a slice's unchecked one-slice batch without it.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CertificationError, DomainError, PreconditionError
+from .radii import _check_order, _check_unit
 from .series import (
     CIRCLE_CACHE_SIZE,
-    COEFF_SLACK,
     DEFAULT_ORDER,
     TailBudget,
     TailTermKind,
     TruncatedSeries,
     _certified,
+    _schur_caps,
     _seeded_rows,
     _tail_value,
     eval_series_many,
@@ -146,8 +147,7 @@ def sup_modulus(s: PolydiscSlice | SliceBatch, r: float) -> float | np.ndarray:
     contains t = r itself); pair it with :func:`schwarz_pick_bound` for a
     two-sided enclosure.  The power-table rounding (about 1e-16) is not subtracted.
     """
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    _check_unit(r, "radius")
     batch = s._batch if isinstance(s, PolydiscSlice) else s
     sups = _slice_max(np.abs(eval_series_many(batch, phase_grid(r))).max(axis=1), batch.starts)
     return sups if batch is s else float(sups[0])
@@ -169,8 +169,7 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
     with a disc self-map cannot leave the Schur class.  The evaluator does not
     call it: it samples g itself on the circle |s| = r^k instead.
     """
-    if k < 1:
-        raise DomainError(f"composition order k must be >= 1, got {k}")
+    _check_order(k)
     if k == 1:
         return s
     n = s.truncation_order
@@ -191,8 +190,7 @@ def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> Tai
     """
     if not s.certified:
         raise CertificationError("tail bounds require Schur-certified components")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r}")
+    _check_unit(r, "radius")
     return TailBudget(value=_tail_value(float(s._batch.tail_cap[0]), r, s.truncation_order, term_kind))
 
 
@@ -203,14 +201,13 @@ class SliceBatch:
     ``rows`` (shape (R, N + 1)) holds a0, c_1, ..., c_N of every component,
     slice after slice, and ``counts`` the component count of each slice.
     The constructor copies the rows and runs the checks of
-    ``TruncatedSeries(schur_certified=True)`` on every row, vectorised, with
-    the same thresholds and exception types, plus :class:`PreconditionError`
-    for a slice that is not equimodular.  It keeps the views ``coeffs`` and
-    ``a0`` (the (R, 1) column) of ``rows``, ``coeff_moduli``, each slice's
-    first row ``starts`` and the per-slice reductions: ``a_norm`` =
-    max_i |a0^(i)|, ``q`` = Q_n = max_i |c_n^(i)| and ``tail_cap`` =
-    max(max_i (1 - |a0^(i)|^2), 0), by Python's ``abs`` and ``pow`` as in
-    ``tail_bound``.  The read-only arrays take 1.7 to 2 times the row bytes.
+    ``TruncatedSeries(schur_certified=True)`` on every row (the row rule is
+    ``series._schur_caps``), plus :class:`PreconditionError` for a slice
+    that is not equimodular.  It keeps the views ``coeffs`` and ``a0`` (the
+    (R, 1) column) of ``rows``, ``coeff_moduli``, each slice's first row
+    ``starts`` and the per-slice reductions: ``a_norm`` = max_i |a0^(i)|,
+    ``q`` = Q_n = max_i |c_n^(i)| and ``tail_cap`` = the max of that rule's
+    caps max(1 - |a0^(i)|^2, 0).  The read-only arrays take 1.7 to 2 times the row bytes.
     """
 
     rows: np.ndarray
@@ -243,21 +240,12 @@ class SliceBatch:
             if counts.sum() != rows.shape[0]:
                 raise DomainError(f"component counts add up to {counts.sum()}, not to the {rows.shape[0]} rows")
         rows.setflags(write=False)  # and so every view of it
-        a0_moduli = [abs(a0) for a0 in rows[:, 0].tolist()]
-        caps = [1.0 - x**2 for x in a0_moduli]
-        if check and (above := [x for x in a0_moduli if not x <= 1.0 + 1e-15]):  # also flags a NaN a0
-            raise DomainError(f"|a0| = {above[0]} must be finite and at most 1")
         # |a0|, max(1 - |a0|^2, 0) and |c_n| side by side: one per-slice max gives a_norm, tail_cap and Q_n.
         moduli = np.empty((rows.shape[0], rows.shape[1] + 1))
-        moduli[:, 0], moduli[:, 1] = a0_moduli, [max(cap, 0.0) for cap in caps]
         np.abs(rows[:, 1:], out=moduli[:, 2:])
-        if check:
-            worst = moduli[:, 2:].max(axis=1)
-            if (bad := np.flatnonzero(worst > np.array(caps) + COEFF_SLACK)).size:
-                raise CertificationError(
-                    f"certified series violates coefficient bound: "
-                    f"max |c_n| = {worst[bad[0]]} > 1 - |a0|^2 = {caps[bad[0]]}"
-                )
+        a0_moduli = [abs(a0) for a0 in rows[:, 0].tolist()]
+        worst = moduli[:, 2:].max(axis=1).tolist() if check else None
+        moduli[:, 0], moduli[:, 1] = a0_moduli, _schur_caps(a0_moduli, worst)
         starts = np.add.accumulate(counts) - counts
         maxima = _slice_max(moduli, starts)
         if check and np.any((spread := maxima[:, 0] - np.minimum.reduceat(moduli[:, 0], starts)) > EQUIMODULAR_TOL):

@@ -152,6 +152,10 @@ class TestSweepCommand:
         assert report["config"]["m"] == 1
         assert report["results"] == json.loads(one)["results"]
 
+    def test_classical_lambda_sweep_echoes_no_component_count(self, capsys):
+        _, out, _ = run(capsys, "sweep", "--theorem", "classical", "--lambda", "0.5", "--r-steps", "2", "--format", "json")
+        assert "m" not in json.loads(out)["config"]
+
     @pytest.mark.parametrize("slice_args", [("--seeds", "3"), ("--lambda", "0.5")])
     def test_classical_component_count_is_rejected(self, capsys, slice_args):
         code, out, err = run(capsys, "sweep", "--theorem", "classical", *slice_args, "--m", "2", "--r-steps", "2")

@@ -1,0 +1,108 @@
+"""Every public entry point rejects an input outside its domain with
+``DomainError``, before it does any work: radii and lambda outside [0, 1),
+truncation orders and component counts below 1, composition orders that are
+not positive integers, counterexample parameters outside their family's
+ranges, and a batch evaluated at points that are not a 1-d array."""
+
+import math
+
+import numpy as np
+import pytest
+
+import polybohr.sharpness as sharpness
+from polybohr import (
+    DomainError,
+    FunctionalSpec,
+    counterexample_analytic_bound,
+    eval_functional,
+    eval_functional_batch,
+    eval_series_many,
+    extremal_slice,
+    mobius_series,
+    random_equimodular_slice,
+    random_schur_series,
+    random_slice_batch,
+    reproduce_counterexample,
+    schur_series_from_params,
+    schwarz_compose,
+    slice_tail_bound,
+    sup_modulus,
+    tail_bound,
+)
+
+SQUARED = FunctionalSpec.improved_squared()
+SLICE = random_equimodular_slice(0, m=2, n_terms=16)
+BATCH = random_slice_batch(range(3), n_terms=16)
+SERIES = mobius_series(0.5, "plus", 16)
+
+RADIUS = {
+    "eval_functional": lambda r: eval_functional(SLICE, SQUARED, r),
+    "eval_functional_batch": lambda r: eval_functional_batch(BATCH, SQUARED, r),
+    "sup_modulus(slice)": lambda r: sup_modulus(SLICE, r),
+    "sup_modulus(batch)": lambda r: sup_modulus(BATCH, r),
+    "tail_bound": lambda r: tail_bound(SERIES, r, "linear_sum"),
+    "slice_tail_bound": lambda r: slice_tail_bound(SLICE, r, "linear_sum"),
+    "mobius_series(lambda)": lambda lam: mobius_series(lam, "plus"),
+}
+
+N_TERMS = {
+    "mobius_series": lambda n: mobius_series(0.5, "plus", n),
+    "schur_series_from_params": lambda n: schur_series_from_params([0.5, 0.25j], n),
+    "random_schur_series": lambda n: random_schur_series(0, n_terms=n),
+    "random_equimodular_slice": lambda n: random_equimodular_slice(0, n_terms=n),
+    "random_slice_batch": lambda n: random_slice_batch(range(2), n_terms=n),
+}
+
+M = {
+    "random_equimodular_slice": lambda m: random_equimodular_slice(0, m=m),
+    "random_slice_batch": lambda m: random_slice_batch(range(2), m=m),
+    "extremal_slice": lambda m: extremal_slice(SQUARED, 0.5, m=m),
+}
+
+COUNTEREXAMPLE = {
+    "no-family": (FunctionalSpec.classical(), 0.5, 0.9, 0.5),
+    "a1-below-floor": (SQUARED, 0.5, 0.9, 0.5),
+    "a1-above-a2": (FunctionalSpec.refined(1), 0.9, 0.5, 0.5),
+    "a2-at-1": (FunctionalSpec.refined(1), 0.8, 1.0, 0.5),
+    "r-past-1": (FunctionalSpec.refined(1), 0.9, 0.95, 2.0),
+    "r-at-0": (FunctionalSpec.composed(1), 0.5, 0.9, 0.0),
+    "r-nan": (FunctionalSpec.composed(1), 0.5, 0.9, math.nan),
+}
+
+
+def reproduce_before_building(args):
+    """reproduce_counterexample with a slice constructor that fails the test if called."""
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("built a slice before checking the input")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sharpness, "mobius_series", fail)
+        reproduce_counterexample(*args)
+
+
+def _cases():
+    """(call, value) pairs; each call must raise DomainError on its value."""
+    for name, call in RADIUS.items():
+        for r in (1.0, -0.1, math.nan):
+            yield pytest.param(call, r, id=f"{name}-{r}")
+    for name, call in N_TERMS.items():
+        for n in (0, -1, -3):
+            yield pytest.param(call, n, id=f"{name}-n_terms={n}")
+    for name, call in M.items():
+        for m in (0, -1):
+            yield pytest.param(call, m, id=f"{name}-m={m}")
+    for k in (0, 2.5):
+        yield pytest.param(lambda k: schwarz_compose(SLICE, k), k, id=f"schwarz_compose-k={k}")
+    for name, args in COUNTEREXAMPLE.items():
+        yield pytest.param(lambda a: counterexample_analytic_bound(*a), args, id=f"counterexample_analytic_bound-{name}")
+        yield pytest.param(reproduce_before_building, args, id=f"reproduce_counterexample-{name}")
+    for shape in ((), (2, 2)):
+        ts = np.full(shape, 0.3)
+        yield pytest.param(lambda t: eval_series_many(BATCH, t), ts, id=f"eval_series_many(batch)-ts-{ts.ndim}d")
+
+
+@pytest.mark.parametrize(("call", "value"), _cases())
+def test_entry_point_rejects_out_of_domain_input(call, value):
+    with pytest.raises(DomainError):
+        call(value)
