@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, CertificationError, PreconditionError
-from .radii import _check_order, _check_unit, closed_form_radius
+from .radii import _check_count, _check_unit, closed_form_radius
 from .series import _tail_value, eval_series_many
 from .slices import (
     PolydiscSlice, SliceBatch, _radius_powers, _slice_max, phase_grid, schwarz_pick_bound, sup_modulus,
@@ -59,7 +59,7 @@ class FunctionalSpec:
     """Which functional to evaluate, plus its exponent or composition order.
 
     ``p`` must be given exactly for the refined kind (1 or 2), ``k`` exactly
-    for the composed kind (a positive integer no larger than the largest float).
+    for the composed kind (an integer >= 1, by ``radii._check_count``).
     """
 
     kind: str
@@ -74,15 +74,13 @@ class FunctionalSpec:
                 raise DomainError(f"kind {owner!r} requires {name}")
             if self.kind != owner and getattr(self, name) is not None:
                 raise DomainError(f"{name} applies only to kind {owner!r}, not to {self.kind!r}")
-        if self.p is not None and self.p not in (1, 2):
-            raise DomainError(f"p must be 1 or 2, got {self.p}")
+        if self.p is not None:
+            if self.p not in (1, 2):
+                raise DomainError(f"p must be 1 or 2, got {self.p}")
+            # A plain int, as _check_count returns for k: an np.int64 would make a_norm**p an np.float64.
+            object.__setattr__(self, "p", int(self.p))
         if self.k is not None:
-            _check_order(self.k)
-        # Store plain ints: a float k such as 2.0 would break slicing by k, and
-        # an np.int64 would turn every r**k downstream into np.float64.
-        for name in ("p", "k"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, "k", _check_count(self.k, "composition order k"))
 
     @classmethod
     def improved_squared(cls) -> "FunctionalSpec":

@@ -5,9 +5,11 @@ functions: a *slack* (or *bound*) function of the worst-case initial
 modulus x and the radius r, whose nonpositivity proves the inequality up
 to the sharp radius, and an *excess* function of the extremal-family
 parameter, whose positivity past the radius proves the radius cannot grow.
-They are plain real formulas; this module evaluates them, certifies the
-degree-six factorization identity behind the squared functional's radius,
-and solves the composed functional's radius equation
+They are plain real formulas, written with integer literals: a float input
+keeps the bits of the float formula, and a ``Fraction`` input gives the
+exact value.  This module evaluates them, certifies the degree-six
+factorization identity behind the squared functional's radius, and solves
+the composed functional's radius equation
 
     (1 - r^k) / (1 + r^k) - 2 r / (1 - r) = 0.
 
@@ -48,10 +50,12 @@ def _check_unit(value: float, name: str) -> None:
         raise DomainError(f"{name} must lie in [0, 1), got {value}")
 
 
-def _check_order(k: int) -> None:
-    # Past the largest float, r**k overflows converting k to a float.
-    if not 1 <= k <= sys.float_info.max or int(k) != k:
-        raise DomainError(f"composition order k must be a positive integer no larger than the largest float, got {k}")
+def _check_count(value: int, name: str) -> int:
+    """The rule of every count and order: an integer >= 1 (integral floats, numpy ints and bools pass), returned as
+    the int it equals.  The cap at the largest float keeps r**k from overflowing as k converts to a float."""
+    if not 1 <= value <= sys.float_info.max or (count := int(value)) != value:
+        raise DomainError(f"{name} must be an integer >= 1, got {value}")
+    return count
 
 
 def squared_functional_slack(x: float, r: float) -> float:
@@ -63,8 +67,8 @@ def squared_functional_slack(x: float, r: float) -> float:
     """
     _check_unit(x, "x")
     _check_unit(r, "r")
-    u = (x + r) / (1.0 + x * r)
-    return u * u + r * r * (1.0 - x * x) ** 2 / (1.0 - x * x * r * r) - 1.0
+    u = (x + r) / (1 + x * r)
+    return u * u + r * r * (1 - x * x) ** 2 / (1 - x * x * r * r) - 1
 
 
 def slack_polynomial(x: float) -> float:
@@ -108,8 +112,7 @@ def check_slack_factorization(samples: int, tol: float = 1e-9) -> bool:
     agreement points already pin a degree-six identity; dense sampling
     guards conditioning.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    samples = _check_count(samples, "samples")
     for j in range(samples):
         x = j / samples
         lhs = slack_polynomial(x)
@@ -123,13 +126,13 @@ def refined_slack_p1(x: float, r: float) -> float:
     """2 (1 + x) r/(1 - r) - 1: worst-case slack driver for exponent 1."""
     _check_unit(x, "x")
     _check_unit(r, "r")
-    return 2.0 * (1.0 + x) * r / (1.0 - r) - 1.0
+    return 2 * (1 + x) * r / (1 - r) - 1
 
 
 def refined_slack_p2(r: float) -> float:
     """(3 r - 1)/(1 - r): worst-case slack driver for exponent 2."""
     _check_unit(r, "r")
-    return (3.0 * r - 1.0) / (1.0 - r)
+    return (3 * r - 1) / (1 - r)
 
 
 def refined_extremal_excess_p1(lam: float, r: float) -> float:
@@ -141,7 +144,7 @@ def refined_extremal_excess_p1(lam: float, r: float) -> float:
     """
     _check_unit(lam, "lam")
     _check_unit(r, "r")
-    return (1.0 + lam) * r / (1.0 - lam * r) + (1.0 + lam) * r / (1.0 - r) - 1.0
+    return (1 + lam) * r / (1 - lam * r) + (1 + lam) * r / (1 - r) - 1
 
 
 def refined_extremal_excess_p2(lam: float, r: float) -> float:
@@ -151,7 +154,7 @@ def refined_extremal_excess_p2(lam: float, r: float) -> float:
     """
     _check_unit(lam, "lam")
     _check_unit(r, "r")
-    return r / (1.0 - lam * r) + r / (1.0 - r) - 1.0
+    return r / (1 - lam * r) + r / (1 - r) - 1
 
 
 def composed_functional_bound(x: float, r: float, k: int) -> float:
@@ -162,17 +165,15 @@ def composed_functional_bound(x: float, r: float, k: int) -> float:
     """
     _check_unit(x, "x")
     _check_unit(r, "r")
-    _check_order(k)
-    rk = r**k
-    return (x + rk) / (1.0 + x * rk) + (1.0 - x * x) * r / (1.0 - r)
+    rk = r ** _check_count(k, "composition order k")
+    return (x + rk) / (1 + x * rk) + (1 - x * x) * r / (1 - r)
 
 
 def composed_radius_equation(r: float, k: int) -> float:
     """(1 - r^k)/(1 + r^k) - 2 r/(1 - r); equals 1 at r = 0, strictly decreasing."""
     _check_unit(r, "r")
-    _check_order(k)
-    rk = r**k
-    return (1.0 - rk) / (1.0 + rk) - 2.0 * r / (1.0 - r)
+    rk = r ** _check_count(k, "composition order k")
+    return (1 - rk) / (1 + rk) - 2 * r / (1 - r)
 
 
 def composed_extremal_excess(lam: float, r: float, k: int) -> float:
@@ -186,9 +187,8 @@ def composed_extremal_excess(lam: float, r: float, k: int) -> float:
     """
     _check_unit(lam, "lam")
     _check_unit(r, "r")
-    _check_order(k)
-    rk = r**k
-    return -(1.0 - rk) / (1.0 + lam * rk) + (1.0 + lam) * r / (1.0 - r)
+    rk = r ** _check_count(k, "composition order k")
+    return -(1 - rk) / (1 + lam * rk) + (1 + lam) * r / (1 - r)
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def solve_radius(k: int) -> RadiusResult:
     upper end.  The radius is the lower end: the largest float below the
     root.  P_k has no rational root in (0, 1), so neither sign is zero.
     """
-    _check_order(k)
+    k = _check_count(k, "composition order k")
     lo, hi = 0.0, 0.5
     iterations = 0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):

@@ -37,7 +37,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .errors import CertificationError, DomainError
-from .radii import _check_unit
+from .radii import _check_count, _check_unit
 
 #: Default truncation order used throughout the package.
 DEFAULT_ORDER = 64
@@ -133,9 +133,7 @@ def mobius_series(lam: float, sign: MobiusSign, n_terms: int = DEFAULT_ORDER) ->
         n_terms: truncation order N >= 1.
     """
     _check_unit(lam, "lambda")
-    if n_terms < 1:
-        raise DomainError(f"truncation order must be >= 1, got {n_terms}")
-    n = np.arange(n_terms)
+    n = np.arange(_check_count(n_terms, "truncation order"))
     powers = lam**n  # lam^0 = 1 even at lam = 0
     if sign == "plus":
         coeffs = (1.0 - lam * lam) * powers * (-1.0) ** n
@@ -237,8 +235,7 @@ def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_O
         params: Schur parameters, each of modulus <= 1.
         n_terms: truncation order of the returned series.
     """
-    if n_terms < 1:
-        raise DomainError(f"truncation order must be >= 1, got {n_terms}")
+    n_terms = _check_count(n_terms, "truncation order")
     gams = np.asarray(params, dtype=np.complex128)
     if gams.ndim != 1 or gams.size < 1:
         raise DomainError("params must be a nonempty 1-d sequence")
@@ -266,10 +263,9 @@ def _seeded_rows(
     array, exponentiated and scaled by the radii in place: ``1j * x`` is
     exactly (+0.0, x), so the bits are those of ``sqrt(u) * exp(1j * 2 pi u)``.
     """
-    if n_terms < 1:
-        raise DomainError(f"truncation order must be >= 1, got {n_terms}")
-    if m is not None and m < 1:
-        raise DomainError(f"component count must be >= 1, got {m}")
+    n_terms = _check_count(n_terms, "truncation order")
+    if m is not None:
+        m = _check_count(m, "component count m")
     if scalar and m is not None:
         raise DomainError("scalar series have one component; a component count cannot be given")
     width = n_terms + 1

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError, WitnessSearchError
 from .functionals import FunctionalSpec, eval_functional, eval_functional_batch
-from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, closed_form_radius
+from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, _check_count, closed_form_radius
 from .series import DEFAULT_ORDER, mobius_series
 from .slices import PolydiscSlice
 
@@ -101,8 +101,8 @@ def extremal_slice(
     """
     if not 0.0 < lam < 1.0:
         raise DomainError(f"extremal parameter must lie in (0, 1), got {lam}")
-    g = mobius_series(lam, _family_sign(spec), n_terms)
-    return PolydiscSlice(components=(g,) * m)
+    m = _check_count(m, "component count m")
+    return PolydiscSlice(components=(mobius_series(lam, _family_sign(spec), n_terms),) * m)
 
 
 def witness_lambda_grid(spec: FunctionalSpec) -> list[float]:
@@ -130,8 +130,10 @@ def find_witness(
     Requires r strictly beyond the sharp radius (below it no witness can
     exist and the scan would be a bug in the caller).  Returns the first
     witness in grid order with margin above :data:`WITNESS_MARGIN`; raises
-    :class:`WitnessSearchError` if the grid is exhausted, which at valid
-    radii indicates the truncation order or grid depth is too small.
+    :class:`WitnessSearchError` if the grid is exhausted.  At r = radius + 1e-9
+    the grid holds lam whose exact family value exceeds 1, by about 1e-17:
+    below :data:`WITNESS_MARGIN` and one ulp of 1, so only the closed forms of
+    :mod:`polybohr.radii` on ``Fraction``s show it (ROADMAP item 17).
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")

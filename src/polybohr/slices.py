@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CertificationError, DomainError, PreconditionError
-from .radii import _check_order, _check_unit
+from .radii import _check_count, _check_unit
 from .series import (
     CIRCLE_CACHE_SIZE,
     DEFAULT_ORDER,
@@ -169,7 +169,7 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
     with a disc self-map cannot leave the Schur class.  The evaluator does not
     call it: it samples g itself on the circle |s| = r^k instead.
     """
-    _check_order(k)
+    k = _check_count(k, "composition order k")
     if k == 1:
         return s
     n = s.truncation_order

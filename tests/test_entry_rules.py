@@ -1,8 +1,9 @@
 """Every public entry point rejects an input outside its domain with
 ``DomainError``, before it does any work: radii and lambda outside [0, 1),
-truncation orders and component counts below 1, composition orders that are
-not positive integers, counterexample parameters outside their family's
-ranges, and a batch evaluated at points that are not a 1-d array."""
+truncation orders, component counts, sample counts and composition orders
+that are not an integer ≥ 1, counterexample parameters outside their
+family's ranges, and a batch evaluated at points that are not a 1-d array.
+An integral float is the integer it equals: it gives that integer's bits."""
 
 import math
 
@@ -13,11 +14,14 @@ import polybohr.sharpness as sharpness
 from polybohr import (
     DomainError,
     FunctionalSpec,
+    PolydiscSlice,
+    check_slack_factorization,
     counterexample_analytic_bound,
     eval_functional,
     eval_functional_batch,
     eval_series_many,
     extremal_slice,
+    find_witness,
     mobius_series,
     random_equimodular_slice,
     random_schur_series,
@@ -26,6 +30,7 @@ from polybohr import (
     schur_series_from_params,
     schwarz_compose,
     slice_tail_bound,
+    solve_radius,
     sup_modulus,
     tail_bound,
 )
@@ -51,12 +56,23 @@ N_TERMS = {
     "random_schur_series": lambda n: random_schur_series(0, n_terms=n),
     "random_equimodular_slice": lambda n: random_equimodular_slice(0, n_terms=n),
     "random_slice_batch": lambda n: random_slice_batch(range(2), n_terms=n),
+    "find_witness": lambda n: find_witness(SQUARED, 0.7, n_terms=n),
+    "reproduce_counterexample": lambda n: reproduce_counterexample(FunctionalSpec.composed(1), 0.5, 0.9, 0.5, n_terms=n),
 }
 
 M = {
     "random_equimodular_slice": lambda m: random_equimodular_slice(0, m=m),
     "random_slice_batch": lambda m: random_slice_batch(range(2), m=m),
     "extremal_slice": lambda m: extremal_slice(SQUARED, 0.5, m=m),
+    "find_witness": lambda m: find_witness(SQUARED, 0.7, m=m),
+}
+
+#: Entry points that take a count or an order, each with an integer to pass also as a float.
+INTEGRAL_FLOATS = {
+    "schwarz_compose": (lambda k: schwarz_compose(SLICE, k), 2),
+    "solve_radius": (solve_radius, 20),
+    "random_schur_series": (lambda n: PolydiscSlice(components=(random_schur_series(0, n_terms=n),)), 16),
+    "random_equimodular_slice": (lambda m: random_equimodular_slice(0, m=m), 2),
 }
 
 COUNTEREXAMPLE = {
@@ -87,11 +103,13 @@ def _cases():
         for r in (1.0, -0.1, math.nan):
             yield pytest.param(call, r, id=f"{name}-{r}")
     for name, call in N_TERMS.items():
-        for n in (0, -1, -3):
+        for n in (0, -1, -3, 2.5, math.nan):
             yield pytest.param(call, n, id=f"{name}-n_terms={n}")
     for name, call in M.items():
-        for m in (0, -1):
+        for m in (0, -1, 2.5, math.nan):
             yield pytest.param(call, m, id=f"{name}-m={m}")
+    for samples in (0, 2.5, math.nan):
+        yield pytest.param(check_slack_factorization, samples, id=f"check_slack_factorization-samples={samples}")
     for k in (0, 2.5):
         yield pytest.param(lambda k: schwarz_compose(SLICE, k), k, id=f"schwarz_compose-k={k}")
     for name, args in COUNTEREXAMPLE.items():
@@ -106,3 +124,12 @@ def _cases():
 def test_entry_point_rejects_out_of_domain_input(call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+@pytest.mark.parametrize(("call", "value"), INTEGRAL_FLOATS.values(), ids=INTEGRAL_FLOATS)
+def test_integral_float_gives_its_ints_bits(call, value):
+    as_float, as_int = call(float(value)), call(value)
+    if isinstance(as_int, PolydiscSlice):
+        assert as_float._batch.rows.tobytes() == as_int._batch.rows.tobytes()
+    else:  # a radius result: repr writes every float exactly
+        assert repr(as_float) == repr(as_int)

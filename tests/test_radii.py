@@ -154,6 +154,26 @@ class TestComposedFunctions:
         assert composed_extremal_excess(0.95, 0.3, 1) == pytest.approx(0.29096720400222353, abs=1e-12)
 
 
+CLOSED_FORMS = {
+    "squared_functional_slack": squared_functional_slack,
+    "refined_slack_p1": refined_slack_p1,
+    "refined_slack_p2": lambda x, r: refined_slack_p2(r),
+    "refined_extremal_excess_p1": refined_extremal_excess_p1,
+    "refined_extremal_excess_p2": refined_extremal_excess_p2,
+    "composed_functional_bound": lambda x, r: composed_functional_bound(x, r, 3),
+    "composed_radius_equation": lambda x, r: composed_radius_equation(r, 3),
+    "composed_extremal_excess": lambda x, r: composed_extremal_excess(x, r, 3),
+}
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+def test_closed_form_is_exact_on_fractions(form):
+    x, r = 0.3, 0.25
+    exact = form(Fraction(x), Fraction(r))
+    assert type(exact) is Fraction
+    assert float(exact) == pytest.approx(form(x, r), rel=1e-14, abs=1e-15)
+
+
 class TestSolver:
     def test_order_one_root_is_sqrt5_minus_2(self):
         result = solve_radius(k=1)

@@ -1,6 +1,7 @@
 """Extremal slices, witness search, and unequal-modulus counterexamples."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,11 +15,15 @@ from polybohr import (
     SQUARED_FUNCTIONAL_RADIUS,
     closed_form_radius,
     coefficient_norms,
+    composed_extremal_excess,
     counterexample_analytic_bound,
     eval_functional,
     extremal_slice,
     find_witness,
+    refined_extremal_excess_p1,
+    refined_extremal_excess_p2,
     reproduce_counterexample,
+    squared_functional_slack,
     witness_lambda_grid,
 )
 from polybohr.sharpness import DEFAULT_LAMBDA_GRID
@@ -31,6 +36,21 @@ ALL_THEOREM_SPECS = [
     FunctionalSpec.composed(2),
     FunctionalSpec.composed(3),
 ]
+
+
+#: The witness kinds of the benchmark's sharpness workload.
+WORKLOAD_WITNESS_SPECS = [*ALL_THEOREM_SPECS, FunctionalSpec.composed(4)]
+
+
+def family_value(spec, lam, r):
+    """The functional on the kind's Moebius family at lam, by the closed forms of ``radii``: exact on Fractions."""
+    if spec.kind == "improved_squared":
+        return 1 + squared_functional_slack(lam, r)
+    if spec.kind == "composed_k":
+        return 1 + (1 - lam) * composed_extremal_excess(lam, r, spec.k)
+    if spec.p == 1:
+        return 1 + (1 - lam) * refined_extremal_excess_p1(lam, r)
+    return 1 + (1 - lam * lam) * refined_extremal_excess_p2(lam, r)
 
 
 class TestExtremalSlice:
@@ -77,6 +97,21 @@ class TestWitnessGrid:
         grid = witness_lambda_grid(FunctionalSpec.refined(1))
         assert grid[:4] == [0.5, 0.75, 0.875, 0.9375]
         assert grid == [1.0 - 0.5**j for j in range(1, DEFAULT_LAMBDA_GRID + 1)]
+
+    @pytest.mark.parametrize("spec", WORKLOAD_WITNESS_SPECS, ids=repr)
+    def test_family_value_matches_the_evaluator(self, spec):
+        r = closed_form_radius(spec) + 0.01
+        value = eval_functional(extremal_slice(spec, 0.5), spec, r)
+        exact = float(family_value(spec, Fraction(0.5), Fraction(r)))
+        assert value.lower - 1e-15 <= exact <= value.upper + 1e-15  # the float enclosure may miss it by an ulp
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-12])
+    @pytest.mark.parametrize("spec", WORKLOAD_WITNESS_SPECS, ids=repr)
+    def test_grid_holds_an_exact_witness_just_past_the_radius(self, spec, delta):
+        # For the lam -> 1 kinds the margin is below one ulp of 1, so find_witness
+        # cannot show it in floats; on Fractions the closed forms can.
+        r = Fraction(closed_form_radius(spec) + delta)
+        assert any(family_value(spec, Fraction(lam), r) > 1 for lam in witness_lambda_grid(spec))
 
 
 class TestFindWitness:
