@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -167,6 +168,11 @@ def _spec_cells(args: argparse.Namespace) -> dict[str, Any]:
     return {"theorem": args.spec.kind, "p": args.spec.p, "k": args.spec.k}
 
 
+def _record_cells(record: Any) -> dict[str, Any]:
+    """A result record's fields in field order, its ``spec`` left out: the spec cells precede them."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != "spec"}
+
+
 def _value_row(args: argparse.Namespace, label: Any, r: float, value: FunctionalValue, ok: bool) -> dict[str, Any]:
     """One ``verify`` or ``sweep`` result row."""
     return {
@@ -182,21 +188,14 @@ def _value_row(args: argparse.Namespace, label: Any, r: float, value: Functional
 
 def _run_radius(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
     result = solve_radius(k=args.spec.k) if args.spec.kind == "composed_k" else None
-    radius = closed_form_radius(args.spec) if result is None else result.radius
-    row = {**_spec_cells(args), "radius": radius}
-    lines = [f"sharp radius ({args.spec.kind}): {_fmt(radius)}"]
+    cells = {"radius": closed_form_radius(args.spec)} if result is None else _record_cells(result)
+    lines = [f"sharp radius ({args.spec.kind}): {_fmt(cells['radius'])}"]
     if result is not None:
-        row.update(
-            bracket_lo=result.bracket_lo,
-            bracket_hi=result.bracket_hi,
-            residual=result.residual,
-            iterations=result.iterations,
-        )
         lines.append(
             f"bracket [{_fmt(result.bracket_lo)}, {_fmt(result.bracket_hi)}], "
             f"residual {_fmt(result.residual)}, iterations {result.iterations}"
         )
-    return 0, [row], lines
+    return 0, [{**_spec_cells(args), **cells}], lines
 
 
 def _batch_for_seeds(args: argparse.Namespace, seeds: Sequence[int]) -> SliceBatch:
@@ -281,16 +280,7 @@ def _run_counterexample(args: argparse.Namespace) -> tuple[int, list[dict[str, A
     if args.a1 is None or args.a2 is None or args.r is None:
         raise DomainError("counterexample requires --a1, --a2 and --r")
     report = reproduce_counterexample(args.spec, args.a1, args.a2, args.r, n_terms=args.truncation)
-    row = {
-        **_spec_cells(args),
-        "a1": report.a1,
-        "a2": report.a2,
-        "r": report.r,
-        "value_lower": report.value_lower,
-        "value_upper": report.value_upper,
-        "analytic_bound": report.analytic_bound,
-        "succeeded": report.succeeded,
-    }
+    row = {**_spec_cells(args), **_record_cells(report)}
     lines = [
         f"counterexample {args.spec.kind} (a1 = {_fmt(args.a1)}, a2 = {_fmt(args.a2)}, r = {_fmt(args.r)}): "
         f"value {_fmt(report.value_lower)} {'>' if report.succeeded else '<='} 1 "

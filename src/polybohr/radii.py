@@ -220,25 +220,20 @@ def _radius_polynomial_sign(r: float, k: int) -> int:
 def solve_radius(k: int) -> RadiusResult:
     """Solve the composed functional's radius equation for order ``k``.
 
-    Bisects the equation in floats on (0, 1/2) until the bracket ends are
-    adjacent floats, then moves the bracket one float at a time until the
-    exact sign of P_k is positive at its lower end and negative at its
+    Bisects (0, 1/2) on the exact sign of P_k until the bracket ends are
+    adjacent floats, so P_k is positive at the lower end and negative at the
     upper end.  The radius is the lower end: the largest float below the
-    root.  P_k has no rational root in (0, 1), so neither sign is zero.
+    root.  P_k has no rational root in (0, 1), so no sign is zero.
     """
     k = _check_count(k, "composition order k")
     lo, hi = 0.0, 0.5
     iterations = 0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if composed_radius_equation(mid, k) > 0.0:
+        if _radius_polynomial_sign(mid, k) > 0:
             lo = mid
         else:
             hi = mid
         iterations += 1
-    while _radius_polynomial_sign(lo, k) < 0:
-        lo, hi = math.nextafter(lo, 0.0), lo
-    while _radius_polynomial_sign(hi, k) > 0:
-        lo, hi = hi, math.nextafter(hi, 1.0)
     return RadiusResult(
         radius=lo,
         bracket_lo=lo,

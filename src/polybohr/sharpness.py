@@ -134,6 +134,13 @@ def find_witness(
     the grid holds lam whose exact family value exceeds 1, by about 1e-17:
     below :data:`WITNESS_MARGIN` and one ulp of 1, so only the closed forms of
     :mod:`polybohr.radii` on ``Fraction``s show it (ROADMAP item 17).
+
+    Near r = 1 the squared kind has no witness at the default order 64,
+    although its exact family value exceeds 1: the modulus tail budget
+    M r^(N+1)/(1 - r), with M = 8/11 at lam = sqrt(3/11), outgrows the
+    margin.  Its search succeeds at r = 0.94 but raises at 0.95 and above.
+    A higher order helps only in part: 128 terms recover 0.95, 0.99 needs
+    512, and 0.999 fails even at 2048.
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"radius must lie in (0, 1), got {r}")

@@ -475,3 +475,24 @@ class TestReportLayout:
         assert verify.splitlines()[0] == sweep.splitlines()[0]
         assert verify.splitlines()[0] == "theorem,p,k,lambda_or_seed,r,value_lower,value_upper,tail,bound_ok"
         assert len(verify.splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (
+                ("radius", "--theorem", "composed_k", "--k", "2"),
+                "theorem,p,k,radius,bracket_lo,bracket_hi,residual,iterations",
+            ),
+            (
+                ("counterexample", "--theorem", "composed_k", "--k", "1", "--a1", "0.5", "--a2", "0.9999", "--r", "0.5"),
+                "theorem,p,k,a1,a2,r,value_lower,value_upper,analytic_bound,succeeded",
+            ),
+        ],
+        ids=["radius", "counterexample"],
+    )
+    def test_record_csv_layout(self, capsys, argv, header):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == header
+        assert len(lines) == 2 and len(next(csv.reader(lines[1:]))) == header.count(",") + 1

@@ -11,6 +11,7 @@ from polybohr import (
     FunctionalSpec,
     PreconditionError,
     SharpnessWitness,
+    WitnessSearchError,
     SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA,
     SQUARED_FUNCTIONAL_RADIUS,
     closed_form_radius,
@@ -165,6 +166,36 @@ class TestFindWitness:
         assert v1.lower == pytest.approx(1.0554166666666667, abs=1e-10)
         v2 = eval_functional(extremal_slice(FunctionalSpec.composed(1), 0.95), FunctionalSpec.composed(1), 0.3)
         assert v2.lower == pytest.approx(1.0145483602001113, abs=1e-10)
+
+
+def _witness_or_none(spec, r, m):
+    try:
+        w = find_witness(spec, r, m=m)
+    except WitnessSearchError:
+        return None
+    return w.lam, w.value_lower.hex()
+
+
+class TestComponentCount:
+    """The family's m components are equal, so every value, and every witness, is that of m = 1."""
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-9])
+    @pytest.mark.parametrize("spec", WORKLOAD_WITNESS_SPECS, ids=repr)
+    def test_witness_does_not_depend_on_m(self, spec, delta):
+        r = closed_form_radius(spec) + delta
+        assert _witness_or_none(spec, r, m=3) == _witness_or_none(spec, r, m=1)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-9])
+    @pytest.mark.parametrize("spec", WORKLOAD_WITNESS_SPECS, ids=repr)
+    def test_family_value_does_not_depend_on_m(self, spec, delta):
+        lam = SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA if spec.kind == "improved_squared" else 1.0 - 0.5**20
+        r = closed_form_radius(spec) + delta
+
+        def bits(m):
+            value = eval_functional(extremal_slice(spec, lam, m), spec, r)
+            return [x.hex() for x in (value.lower, value.upper, value.tail, value.truncated)]
+
+        assert bits(2) == bits(3) == bits(1)
 
 
 class TestCounterexamples:
