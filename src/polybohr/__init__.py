@@ -66,7 +66,6 @@ from .sharpness import (
     extremal_slice,
     find_witness,
     reproduce_counterexample,
-    witness_lambda_grid,
 )
 
 __version__ = "0.1.0"

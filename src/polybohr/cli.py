@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Collection, Sequence
 
 from .errors import DomainError, PolybohrError, WitnessSearchError
-from .functionals import FunctionalSpec, FunctionalValue, eval_functional, verify_batch
+from .functionals import _KINDS, FunctionalSpec, FunctionalValue, eval_functional, verify_batch
 from .radii import _check_unit, closed_form_radius, solve_radius
 from .series import DEFAULT_ORDER, SYNTH_CHUNK
 from .sharpness import extremal_slice, find_witness, reproduce_counterexample
@@ -41,7 +41,7 @@ _COMMANDS = {
 #: config-file key (the long flag without dashes: ``rmin``, ``lambda``, ...)
 #: and, unless unset, a key of the JSON ``config`` echo.
 _FLAGS: tuple[tuple[str, Collection[str], dict[str, Any]], ...] = (
-    ("--theorem", _COMMANDS, dict(choices=["improved_squared", "refined_p", "composed_k", "classical"])),
+    ("--theorem", _COMMANDS, dict(choices=_KINDS)),
     ("--p", _COMMANDS, dict(type=int, choices=[1, 2], help="exponent for refined_p")),
     ("--k", _COMMANDS, dict(type=int, help="composition order for composed_k")),
     ("--r", ("verify", "witness", "counterexample"), dict(type=float, help="evaluation radius in [0, 1)")),

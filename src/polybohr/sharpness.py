@@ -32,15 +32,12 @@ from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError, WitnessSearchError
 from .functionals import FunctionalSpec, eval_functional, eval_functional_batch
-from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, _check_count, closed_form_radius
+from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, _check_count, _check_unit, closed_form_radius
 from .series import DEFAULT_ORDER, mobius_series
 from .slices import PolydiscSlice
 
 #: A witness must clear 1 by at least this much to be reported.
 WITNESS_MARGIN = 1e-12
-
-#: Dyadic grid depth for the lam -> 1 approach.
-DEFAULT_LAMBDA_GRID = 40
 
 
 @dataclass(frozen=True)
@@ -105,20 +102,6 @@ def extremal_slice(
     return PolydiscSlice(components=(mobius_series(lam, _family_sign(spec), n_terms),) * m)
 
 
-def witness_lambda_grid(spec: FunctionalSpec) -> list[float]:
-    """Search grid for the extremal parameter, in fixed scan order.
-
-    The dyadic points 1 - 2^-j, j = 1 .. :data:`DEFAULT_LAMBDA_GRID`,
-    resolve the lam -> 1 regime; the squared kind additionally gets its
-    known interior extremal parameter first, so its witnesses land there
-    deterministically.
-    """
-    grid = [1.0 - 0.5**j for j in range(1, DEFAULT_LAMBDA_GRID + 1)]
-    if spec.kind == "improved_squared":
-        grid.insert(0, SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA)
-    return grid
-
-
 def find_witness(
     spec: FunctionalSpec,
     r: float,
@@ -128,12 +111,15 @@ def find_witness(
     """Scan the extremal family for a functional value above 1 at radius r.
 
     Requires r strictly beyond the sharp radius (below it no witness can
-    exist and the scan would be a bug in the caller).  Returns the first
-    witness in grid order with margin above :data:`WITNESS_MARGIN`; raises
-    :class:`WitnessSearchError` if the grid is exhausted.  At r = radius + 1e-9
-    the grid holds lam whose exact family value exceeds 1, by about 1e-17:
-    below :data:`WITNESS_MARGIN` and one ulp of 1, so only the closed forms of
-    :mod:`polybohr.radii` on ``Fraction``s show it (ROADMAP item 17).
+    exist and the scan would be a bug in the caller).  Scans lam = 1 - 2^-j,
+    j = 1 .. 40, which resolves the lam -> 1 regime; the squared kind scans
+    its interior extremal parameter sqrt(3/11) first, so its witnesses land
+    there deterministically.  Returns the first witness in that order with
+    margin above :data:`WITNESS_MARGIN`; raises :class:`WitnessSearchError`
+    if none clears it.  At r = radius + 1e-9 the scan holds lam whose exact
+    family value exceeds 1, by about 1e-17: below :data:`WITNESS_MARGIN` and
+    one ulp of 1, so only the closed forms of :mod:`polybohr.radii` on
+    ``Fraction``s show it (ROADMAP item 17).
 
     Near r = 1 the squared kind has no witness at the default order 64,
     although its exact family value exceeds 1: the modulus tail budget
@@ -142,20 +128,18 @@ def find_witness(
     A higher order helps only in part: 128 terms recover 0.95, 0.99 needs
     512, and 0.999 fails even at 2048.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
+    _check_unit(r, "radius")
     radius = closed_form_radius(spec)
     if r <= radius:
         raise PreconditionError(
             f"witness search needs r above the sharp radius {radius}, got {r}"
         )
-    for lam in witness_lambda_grid(spec):
+    first = [SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA] if spec.kind == "improved_squared" else []
+    for lam in [*first, *(1.0 - 0.5**j for j in range(1, 41))]:
         value = eval_functional(extremal_slice(spec, lam, m, n_terms), spec, r)
         if value.lower > 1.0 + WITNESS_MARGIN:
             return SharpnessWitness(spec=spec, lam=lam, r=r, value_lower=value.lower)
-    raise WitnessSearchError(
-        f"no witness for {spec.kind} at r = {r} on a depth-{DEFAULT_LAMBDA_GRID} grid"
-    )
+    raise WitnessSearchError(f"no witness for {spec.kind} at r = {r} on a depth-40 grid")
 
 
 _COUNTEREXAMPLE_RANGES = {

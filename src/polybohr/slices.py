@@ -199,8 +199,9 @@ class SliceBatch:
     """Slices as one struct of arrays, with their reductions computed once.
 
     ``rows`` (shape (R, N + 1)) holds a0, c_1, ..., c_N of every component,
-    slice after slice, and ``counts`` the component count of each slice.
-    The constructor copies the rows and runs the checks of
+    slice after slice, and ``counts`` the component count of each slice: a
+    1-d sequence whose entries each pass ``radii._check_count``.  The
+    constructor copies the rows and runs the checks of
     ``TruncatedSeries(schur_certified=True)`` on every row (the row rule is
     ``series._schur_caps``), plus :class:`PreconditionError` for a slice
     that is not equimodular.  It keeps the views ``coeffs`` and ``a0`` (the
@@ -221,7 +222,10 @@ class SliceBatch:
     tail_cap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._take(np.array(self.rows, dtype=np.complex128), self.counts, check=True)
+        if not np.iterable(self.counts) or any(np.ndim(count) for count in self.counts):
+            raise DomainError(f"counts must be a 1-d sequence, got {self.counts!r}")
+        counts = [_check_count(count, "component count") for count in self.counts]
+        self._take(np.array(self.rows, dtype=np.complex128), counts, check=True)
 
     @classmethod
     def _owning(cls, rows: np.ndarray, counts: Sequence[int], check: bool) -> "SliceBatch":
@@ -231,12 +235,10 @@ class SliceBatch:
         return batch
 
     def _take(self, rows: np.ndarray, counts: Sequence[int], check: bool) -> None:
-        counts = np.array(counts, dtype=np.intp).reshape(-1)
+        counts = np.array(counts, dtype=np.intp)
         if check:
             if rows.ndim != 2 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, 1:])):
                 raise DomainError("coeffs must be a nonempty finite 1-d sequence")
-            if np.any(counts < 1):
-                raise DomainError("a slice needs at least one component")
             if counts.sum() != rows.shape[0]:
                 raise DomainError(f"component counts add up to {counts.sum()}, not to the {rows.shape[0]} rows")
         rows.setflags(write=False)  # and so every view of it

@@ -1,9 +1,10 @@
 """Every public entry point rejects an input outside its domain with
 ``DomainError``, before it does any work: radii and lambda outside [0, 1),
 truncation orders, component counts, sample counts and composition orders
-that are not an integer ≥ 1, counterexample parameters outside their
-family's ranges, and a batch evaluated at points that are not a 1-d array.
-An integral float is the integer it equals: it gives that integer's bits."""
+that are not an integer ≥ 1, batch counts that are not a 1-d sequence of
+such counts, counterexample parameters outside their family's ranges, and a
+batch evaluated at points that are not a 1-d array.  An integral float is
+the integer it equals: it gives that integer's bits."""
 
 import math
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import polybohr.sharpness as sharpness
+from polybohr.slices import SliceBatch
 from polybohr import (
     DomainError,
     FunctionalSpec,
@@ -48,6 +50,7 @@ RADIUS = {
     "tail_bound": lambda r: tail_bound(SERIES, r, "linear_sum"),
     "slice_tail_bound": lambda r: slice_tail_bound(SLICE, r, "linear_sum"),
     "mobius_series(lambda)": lambda lam: mobius_series(lam, "plus"),
+    "find_witness": lambda r: find_witness(SQUARED, r),
 }
 
 N_TERMS = {
@@ -67,12 +70,19 @@ M = {
     "find_witness": lambda m: find_witness(SQUARED, 0.7, m=m),
 }
 
+#: A one-component slice and a two-component one, as batch rows.
+ROWS = np.concatenate([random_slice_batch([1], m=1, n_terms=16).rows, SLICE._batch.rows])
+
+#: SliceBatch counts for the two rows of SLICE that are not a 1-d sequence of integers >= 1.
+BATCH_COUNTS = ([1.7, 1.2], [2.9], [math.nan, 1], [[1], [1]], [[1], [1, 2]], 2)
+
 #: Entry points that take a count or an order, each with an integer to pass also as a float.
 INTEGRAL_FLOATS = {
     "schwarz_compose": (lambda k: schwarz_compose(SLICE, k), 2),
     "solve_radius": (solve_radius, 20),
     "random_schur_series": (lambda n: PolydiscSlice(components=(random_schur_series(0, n_terms=n),)), 16),
     "random_equimodular_slice": (lambda m: random_equimodular_slice(0, m=m), 2),
+    "SliceBatch(counts)": (lambda c: SliceBatch(rows=ROWS, counts=[c - 1, c]), 2),
 }
 
 COUNTEREXAMPLE = {
@@ -108,6 +118,8 @@ def _cases():
     for name, call in M.items():
         for m in (0, -1, 2.5, math.nan):
             yield pytest.param(call, m, id=f"{name}-m={m}")
+    for counts in BATCH_COUNTS:
+        yield pytest.param(lambda c: SliceBatch(rows=SLICE._batch.rows, counts=c), counts, id=f"SliceBatch-counts={counts}")
     for samples in (0, 2.5, math.nan):
         yield pytest.param(check_slack_factorization, samples, id=f"check_slack_factorization-samples={samples}")
     for k in (0, 2.5):
@@ -130,6 +142,9 @@ def test_entry_point_rejects_out_of_domain_input(call, value):
 def test_integral_float_gives_its_ints_bits(call, value):
     as_float, as_int = call(float(value)), call(value)
     if isinstance(as_int, PolydiscSlice):
-        assert as_float._batch.rows.tobytes() == as_int._batch.rows.tobytes()
+        as_float, as_int = as_float._batch, as_int._batch
+    if isinstance(as_int, SliceBatch):
+        assert as_float.rows.tobytes() == as_int.rows.tobytes()
+        assert as_float.counts.tobytes() == as_int.counts.tobytes()
     else:  # a radius result: repr writes every float exactly
         assert repr(as_float) == repr(as_int)

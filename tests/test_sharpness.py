@@ -25,9 +25,7 @@ from polybohr import (
     refined_extremal_excess_p2,
     reproduce_counterexample,
     squared_functional_slack,
-    witness_lambda_grid,
 )
-from polybohr.sharpness import DEFAULT_LAMBDA_GRID
 
 ALL_THEOREM_SPECS = [
     FunctionalSpec.improved_squared(),
@@ -87,17 +85,30 @@ class TestExtremalSlice:
             extremal_slice(FunctionalSpec.improved_squared(), 0.5, m=0)
 
 
-class TestWitnessGrid:
-    def test_squared_grid_leads_with_extremal_parameter(self):
-        grid = witness_lambda_grid(FunctionalSpec.improved_squared())
-        assert grid[0] == SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA
-        assert grid[1:6] == [0.5, 0.75, 0.875, 0.9375, 0.96875]
-        assert grid[1:] == witness_lambda_grid(FunctionalSpec.refined(1))
+#: find_witness's lam at radius + delta, for each delta of WITNESS_DELTAS: the squared kind's
+#: extremal parameter, and 1 - 2^-j for the exponents j listed for every other kind.
+WITNESS_DELTAS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-6)
+WITNESS_EXPONENTS = [
+    (FunctionalSpec.refined(1), (1, 4, 7, 10, 17)),
+    (FunctionalSpec.refined(2), (1, 3, 6, 10, 16)),
+    (FunctionalSpec.composed(1), (1, 4, 7, 10, 17)),
+    (FunctionalSpec.composed(2), (1, 4, 7, 10, 17)),
+    (FunctionalSpec.composed(3), (1, 4, 7, 10, 17)),
+    (FunctionalSpec.composed(4), (1, 4, 7, 11, 17)),
+    (FunctionalSpec.classical(), (2, 5, 8, 12, 18)),
+]
 
-    def test_dyadic_grid_for_other_kinds(self):
-        grid = witness_lambda_grid(FunctionalSpec.refined(1))
-        assert grid[:4] == [0.5, 0.75, 0.875, 0.9375]
-        assert grid == [1.0 - 0.5**j for j in range(1, DEFAULT_LAMBDA_GRID + 1)]
+
+class TestWitnessGrid:
+    def test_squared_search_lands_on_its_extremal_parameter_first(self):
+        spec = FunctionalSpec.improved_squared()
+        lams = [find_witness(spec, closed_form_radius(spec) + delta).lam for delta in WITNESS_DELTAS]
+        assert lams == [SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA] * len(WITNESS_DELTAS)
+
+    @pytest.mark.parametrize(("spec", "exponents"), WITNESS_EXPONENTS, ids=repr)
+    def test_other_searches_scan_the_dyadic_points_in_order(self, spec, exponents):
+        lams = [find_witness(spec, closed_form_radius(spec) + delta).lam for delta in WITNESS_DELTAS]
+        assert lams == [1.0 - 0.5**j for j in exponents]
 
     @pytest.mark.parametrize("spec", WORKLOAD_WITNESS_SPECS, ids=repr)
     def test_family_value_matches_the_evaluator(self, spec):
@@ -112,7 +123,8 @@ class TestWitnessGrid:
         # For the lam -> 1 kinds the margin is below one ulp of 1, so find_witness
         # cannot show it in floats; on Fractions the closed forms can.
         r = Fraction(closed_form_radius(spec) + delta)
-        assert any(family_value(spec, Fraction(lam), r) > 1 for lam in witness_lambda_grid(spec))
+        grid = [SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA] * (spec.kind == "improved_squared") + [1 - 0.5**j for j in range(1, 41)]
+        assert any(family_value(spec, Fraction(lam), r) > 1 for lam in grid)
 
 
 class TestFindWitness:
