@@ -15,7 +15,7 @@ Each kind has one such row, with an upper bound, a lower bound and a tail
 budget for the modulus term, and one function assembles every kind from
 its row.  :func:`eval_functional_batch` is the one evaluator: it reads
 a_norm, Q_n and the tail cap M from the ``SliceBatch`` that reduced them
-once, and :func:`eval_functional` runs it on a slice's one-slice batch.
+once, and :func:`eval_functional` runs it on the batch a slice is made with.
 
 Every evaluation is two-sided.  The *upper* value replaces each modulus
 term by a closed-form bound and adds the geometric tail budgets of the

@@ -45,17 +45,25 @@ REFINED_RADIUS_P2 = 1.0 / 3.0
 CLASSICAL_RADIUS = 1.0 / 3.0
 
 
-def _check_unit(value: float, name: str) -> None:
-    if not 0.0 <= value < 1.0:
-        raise DomainError(f"{name} must lie in [0, 1), got {value}")
+def _check_unit(value: float, name: str, positive: bool = False) -> None:
+    """The rule of every radius and parameter: a number in [0, 1), or in (0, 1) when ``positive``."""
+    try:
+        if (0.0 < value if positive else 0.0 <= value) and value < 1.0:
+            return
+    except TypeError:  # a str, None or a complex
+        pass
+    raise DomainError(f"{name} must lie in {'(' if positive else '['}0, 1), got {value!r}")
 
 
 def _check_count(value: int, name: str) -> int:
     """The rule of every count and order: an integer >= 1 (integral floats, numpy ints and bools pass), returned as
     the int it equals.  The cap at the largest float keeps r**k from overflowing as k converts to a float."""
-    if not 1 <= value <= sys.float_info.max or (count := int(value)) != value:
-        raise DomainError(f"{name} must be an integer >= 1, got {value}")
-    return count
+    try:
+        if 1 <= value <= sys.float_info.max and (count := int(value)) == value:
+            return count
+    except TypeError:  # a str, None or a complex
+        pass
+    raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def squared_functional_slack(x: float, r: float) -> float:

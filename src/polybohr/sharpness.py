@@ -96,8 +96,7 @@ def extremal_slice(
 
     All components are equal, so the slice is equimodular by construction.
     """
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"extremal parameter must lie in (0, 1), got {lam}")
+    _check_unit(lam, "extremal parameter", positive=True)
     m = _check_count(m, "component count m")
     return PolydiscSlice(components=(mobius_series(lam, _family_sign(spec), n_terms),) * m)
 
@@ -121,12 +120,8 @@ def find_witness(
     one ulp of 1, so only the closed forms of :mod:`polybohr.radii` on
     ``Fraction``s show it (ROADMAP item 17).
 
-    Near r = 1 the squared kind has no witness at the default order 64,
-    although its exact family value exceeds 1: the modulus tail budget
-    M r^(N+1)/(1 - r), with M = 8/11 at lam = sqrt(3/11), outgrows the
-    margin.  Its search succeeds at r = 0.94 but raises at 0.95 and above.
-    A higher order helps only in part: 128 terms recover 0.95, 0.99 needs
-    512, and 0.999 fails even at 2048.
+    From r = 0.95 on, the squared kind finds no witness at order 64: its
+    modulus tail budget outgrows the margin (the README's known limits).
     """
     _check_unit(r, "radius")
     radius = closed_form_radius(spec)
@@ -162,8 +157,7 @@ def counterexample_analytic_bound(spec: FunctionalSpec, a1: float, a2: float, r:
     floor = _COUNTEREXAMPLE_RANGES[spec.kind]
     if not floor < a1 < a2 < 1.0:
         raise DomainError(f"{spec.kind} counterexample needs {floor} < a1 < a2 < 1, got a1={a1}, a2={a2}")
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
+    _check_unit(r, "radius", positive=True)
     m1 = 1.0 - a1 * a1
     if spec.kind == "improved_squared":
         return 1.0 + m1 * m1 * r * r * (1.0 + a1 * a1 * r * r)

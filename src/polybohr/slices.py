@@ -4,8 +4,8 @@ A map F from a Banach ball into the closed unit polydisc, restricted to a
 complex line through the origin, becomes a tuple of disc slices
 (g_1(t), ..., g_m(t)) with the sup-norm structure of the polydisc.  The
 functionals downstream consume reductions of such a tuple, which a
-:class:`SliceBatch` computes once (a slice builds its own one-slice batch on
-first use), and the sampled sup of max_i |g_i| on circles |t| = r.
+:class:`SliceBatch` computes once (a slice holds its one-slice batch from
+when it is made), and the sampled sup of max_i |g_i| on circles |t| = r.
 
 All verification entry points require the *equimodular* initial condition
 |a0^(i)| = max_j |a0^(j)| for every component; only the counterexample
@@ -47,14 +47,13 @@ PHASES = 64
 
 @dataclass(frozen=True, eq=False)
 class PolydiscSlice:
-    """m component series with shared truncation order.
-
-    ``equimodular`` is derived from the components: True when their initial
-    values share one modulus to :data:`EQUIMODULAR_TOL`.
-    """
+    """m component series with shared truncation order, reduced once, when made, into a one-slice batch ``_batch``;
+    ``equimodular``, read from its ``|a0|`` column, says whether their initial values share one modulus to
+    :data:`EQUIMODULAR_TOL`."""
 
     components: tuple[TruncatedSeries, ...]
     equimodular: bool = field(init=False)
+    _batch: SliceBatch = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         comps = tuple(self.components)
@@ -63,9 +62,17 @@ class PolydiscSlice:
         orders = {c.truncation_order for c in comps}
         if len(orders) != 1:
             raise DomainError(f"components must share a truncation order, got {sorted(orders)}")
-        object.__setattr__(self, "components", comps)
-        moduli = [abs(c.a0) for c in comps]
-        object.__setattr__(self, "equimodular", max(moduli) - min(moduli) <= EQUIMODULAR_TOL)
+        rows = np.empty((len(comps), orders.pop() + 1), dtype=np.complex128)
+        for row, comp in zip(rows, comps):
+            row[0], row[1:] = comp.a0, comp.coeffs
+        # No checks: the rows passed their TruncatedSeries checks, and the readers check the rest.
+        self._hold(comps, SliceBatch._owning(rows, [len(comps)], check=False))
+
+    def _hold(self, comps: tuple[TruncatedSeries, ...], batch: SliceBatch) -> "PolydiscSlice":
+        """Take ``batch``, the one-slice batch of ``comps``; :meth:`SliceBatch.slices` calls it on a bare object."""
+        [a_norm], a0_moduli = batch.a_norm.tolist(), batch.a0_moduli.tolist()
+        self.__dict__.update(components=comps, _batch=batch, equimodular=a_norm - min(a0_moduli) <= EQUIMODULAR_TOL)
+        return self
 
     @classmethod
     def from_components(cls, components: Sequence[TruncatedSeries]) -> "PolydiscSlice":
@@ -83,15 +90,6 @@ class PolydiscSlice:
     @property
     def certified(self) -> bool:
         return all(c.schur_certified for c in self.components)
-
-    @functools.cached_property
-    def _batch(self) -> "SliceBatch":
-        """The slice as a one-slice :class:`SliceBatch`, built on first use, without checks: its rows
-        passed their ``TruncatedSeries`` checks, and its readers check certification and equimodularity."""
-        rows = np.empty((self.m, self.truncation_order + 1), dtype=np.complex128)
-        for row, comp in zip(rows, self.components):
-            row[0], row[1:] = comp.a0, comp.coeffs
-        return SliceBatch._owning(rows, [self.m], check=False)
 
 
 class CoefficientNorms(NamedTuple):
@@ -198,23 +196,21 @@ def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> Tai
 class SliceBatch:
     """Slices as one struct of arrays, with their reductions computed once.
 
-    ``rows`` (shape (R, N + 1)) holds a0, c_1, ..., c_N of every component,
-    slice after slice, and ``counts`` the component count of each slice: a
-    1-d sequence whose entries each pass ``radii._check_count``.  The
-    constructor copies the rows and runs the checks of
-    ``TruncatedSeries(schur_certified=True)`` on every row (the row rule is
-    ``series._schur_caps``), plus :class:`PreconditionError` for a slice
-    that is not equimodular.  It keeps the views ``coeffs`` and ``a0`` (the
-    (R, 1) column) of ``rows``, ``coeff_moduli``, each slice's first row
-    ``starts`` and the per-slice reductions: ``a_norm`` = max_i |a0^(i)|,
-    ``q`` = Q_n = max_i |c_n^(i)| and ``tail_cap`` = the max of that rule's
-    caps max(1 - |a0^(i)|^2, 0).  The read-only arrays take 1.7 to 2 times the row bytes.
+    ``rows`` (shape (R, N + 1)) holds a0, c_1, ..., c_N of every component, slice after slice, and ``counts`` the
+    component count of each slice: a 1-d sequence whose entries each pass ``radii._check_count``.  The constructor
+    copies the rows and runs the checks of ``TruncatedSeries(schur_certified=True)`` on every row (the row rule is
+    ``series._schur_caps``), plus :class:`PreconditionError` for a slice that is not equimodular.  It keeps the views
+    ``coeffs`` and ``a0`` (the (R, 1) column) of ``rows``, ``a0_moduli`` = |a0|, ``coeff_moduli``, each slice's
+    first row ``starts`` and the per-slice reductions: ``a_norm`` = max_i |a0^(i)|, ``q`` = Q_n = max_i |c_n^(i)|
+    and ``tail_cap`` = the max of that rule's caps max(1 - |a0^(i)|^2, 0).  The read-only arrays take 1.7 to 2
+    times the row bytes.
     """
 
     rows: np.ndarray
     counts: np.ndarray
     coeffs: np.ndarray = field(init=False, repr=False)
     a0: np.ndarray = field(init=False, repr=False)
+    a0_moduli: np.ndarray = field(init=False, repr=False)
     coeff_moduli: np.ndarray = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
     a_norm: np.ndarray = field(init=False, repr=False)
@@ -257,8 +253,8 @@ class SliceBatch:
         for arr in (counts, starts, moduli, maxima):
             arr.setflags(write=False)
         self.__dict__.update(
-            rows=rows, counts=counts, coeffs=rows[:, 1:], a0=rows[:, :1], coeff_moduli=moduli[:, 2:], starts=starts,
-            a_norm=maxima[:, 0], tail_cap=maxima[:, 1], q=maxima[:, 2:],
+            rows=rows, counts=counts, coeffs=rows[:, 1:], a0=rows[:, :1], a0_moduli=moduli[:, 0],
+            coeff_moduli=moduli[:, 2:], starts=starts, a_norm=maxima[:, 0], tail_cap=maxima[:, 1], q=maxima[:, 2:],
         )
 
     def __len__(self) -> int:
@@ -269,18 +265,18 @@ class SliceBatch:
         return int(self.coeffs.shape[1])
 
     def slices(self) -> list[PolydiscSlice]:
-        """The batch as per-slice objects, bit for bit."""
-        return _slices(self.rows, self.counts.tolist())
-
-
-def _slices(rows: np.ndarray, counts: Sequence[int]) -> list[PolydiscSlice]:
-    """Certified equimodular slices of ``counts[i]`` consecutive rows each."""
-    comps = [_certified(row) for row in rows]
-    out, start = [], 0
-    for count in counts:
-        out.append(PolydiscSlice(components=tuple(comps[start : start + count])))
-        start += count
-    return out
+        """The batch as per-slice objects of certified components, bit for bit.  Each slice's one-slice batch
+        views this one's rows and reductions, read-only, and reduces nothing again: the maxima are exact."""
+        comps, out = [_certified(row) for row in self.rows], []
+        for i, (lo, hi) in enumerate(zip(self.starts.tolist(), (self.starts + self.counts).tolist())):
+            rows, part = slice(lo, hi), object.__new__(SliceBatch)
+            part.__dict__.update(
+                rows=self.rows[rows], counts=self.counts[i : i + 1], coeffs=self.coeffs[rows], a0=self.a0[rows],
+                a0_moduli=self.a0_moduli[rows], coeff_moduli=self.coeff_moduli[rows], starts=self.starts[:1],  # [0]
+                a_norm=self.a_norm[i : i + 1], tail_cap=self.tail_cap[i : i + 1], q=self.q[i : i + 1],
+            )
+            out.append(object.__new__(PolydiscSlice)._hold(tuple(comps[rows]), part))
+        return out
 
 
 def random_slice_batch(
@@ -315,4 +311,4 @@ def random_equimodular_slice(
         seed: RNG seed; output is reproducible.
         m: component count; drawn from {1, 2, 3} when omitted.
     """
-    return _slices(*_seeded_rows([seed], n_terms, m=m))[0]
+    return SliceBatch._owning(*_seeded_rows([seed], n_terms, m=m), check=False).slices()[0]

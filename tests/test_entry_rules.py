@@ -3,15 +3,19 @@
 truncation orders, component counts, sample counts and composition orders
 that are not an integer ≥ 1, batch counts that are not a 1-d sequence of
 such counts, counterexample parameters outside their family's ranges, and a
-batch evaluated at points that are not a 1-d array.  An integral float is
-the integer it equals: it gives that integer's bits."""
+batch evaluated at points that are not a 1-d array.  An input that does not
+compare with a number (a str, None) breaks the rule it reaches with a
+``DomainError`` that names the input.  An integral float is the integer it
+equals: it gives that integer's bits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import polybohr.sharpness as sharpness
+from polybohr.radii import _check_count, _check_unit
 from polybohr.slices import SliceBatch
 from polybohr import (
     DomainError,
@@ -85,6 +89,28 @@ INTEGRAL_FLOATS = {
     "SliceBatch(counts)": (lambda c: SliceBatch(rows=ROWS, counts=[c - 1, c]), 2),
 }
 
+#: Inputs that do not compare with a number: (call, value, the message of its DomainError).
+NON_NUMERIC = {
+    "extremal_slice-m": (
+        lambda m: extremal_slice(SQUARED, 0.5, m=m), "2", "component count m must be an integer >= 1, got '2'"
+    ),
+    "mobius_series-n_terms": (
+        lambda n: mobius_series(0.5, "plus", n), None, "truncation order must be an integer >= 1, got None"
+    ),
+    "find_witness-r": (lambda r: find_witness(SQUARED, r), "0.7", "radius must lie in [0, 1), got '0.7'"),
+    "SliceBatch-counts": (
+        lambda c: SliceBatch(rows=SLICE._batch.rows, counts=c), ["1", 1],
+        "component count must be an integer >= 1, got '1'",
+    ),
+    "counterexample_analytic_bound-r": (
+        lambda r: counterexample_analytic_bound(FunctionalSpec.composed(1), 0.5, 0.9, r), "0.5",
+        "radius must lie in (0, 1), got '0.5'",
+    ),
+    "extremal_slice-lambda": (
+        lambda lam: extremal_slice(SQUARED, lam), "0.5", "extremal parameter must lie in (0, 1), got '0.5'"
+    ),
+}
+
 COUNTEREXAMPLE = {
     "no-family": (FunctionalSpec.classical(), 0.5, 0.9, 0.5),
     "a1-below-floor": (SQUARED, 0.5, 0.9, 0.5),
@@ -136,6 +162,25 @@ def _cases():
 def test_entry_point_rejects_out_of_domain_input(call, value):
     with pytest.raises(DomainError):
         call(value)
+
+
+@pytest.mark.parametrize(("call", "value", "message"), NON_NUMERIC.values(), ids=NON_NUMERIC)
+def test_non_numeric_input_is_a_named_domain_error(call, value, message):
+    with pytest.raises(DomainError) as raised:
+        call(value)
+    assert str(raised.value) == message
+
+
+def test_fractions_numpy_scalars_and_bools_keep_their_results():
+    assert [_check_count(v, "n") for v in (True, np.int64(3), Fraction(4), np.float64(2.0))] == [1, 3, 4, 2]
+    for r in (Fraction(1, 2), np.float64(0.5), np.float32(0.0), False):
+        _check_unit(r, "r")
+    for bad in (Fraction(5, 2), np.int64(0), False):
+        with pytest.raises(DomainError):
+            _check_count(bad, "n")
+    for bad in (Fraction(1), np.float64(1.0), True):
+        with pytest.raises(DomainError):
+            _check_unit(bad, "r")
 
 
 @pytest.mark.parametrize(("call", "value"), INTEGRAL_FLOATS.values(), ids=INTEGRAL_FLOATS)

@@ -135,7 +135,7 @@ def test_a_slice_keeps_its_bits_at_every_position(label):
 
 @pytest.mark.parametrize("seed", [5, 17])
 def test_evaluation_order_does_not_change_a_slice_s_bits(seed):
-    # The first evaluation of a slice builds its one-slice batch; the others read it.
+    # Each slice is reduced when it is made, so no evaluation leaves state for the next.
     bases = {False: random_equimodular_slice(seed, m=3), True: PolydiscSlice.from_components([random_schur_series(seed)])}
 
     def copy(label):
@@ -147,6 +147,24 @@ def test_evaluation_order_does_not_change_a_slice_s_bits(seed):
         slices = {False: copy("refined_p1"), True: copy("classical")}
         got = {(label, r): bits(eval_functional(slices[label == "classical"], SPECS[label], r)) for label, r in order}
         assert got == fresh
+
+
+@pytest.mark.parametrize("label", SPECS)
+def test_a_fresh_slice_s_first_evaluation_is_its_second_and_its_batch_row(label):
+    # Fresh from each constructor path: cut from a batch, rebuilt from components, and drawn per
+    # seed (every eighth seed: a draw costs about 20 times an evaluation).
+    scalar, spec, r = label == "classical", SPECS[label], closed_form_radius(SPECS[label])
+    rows = [bits(value) for value in eval_functional_batch(seeded_batch(scalar), spec, r)]
+    cut = random_slice_batch(SEEDS, scalar=scalar).slices()
+    rebuilt = [PolydiscSlice(components=sl.components) for sl in corpus(scalar)]
+    drawn = [
+        PolydiscSlice.from_components([random_schur_series(seed)]) if scalar else random_equimodular_slice(seed)
+        for seed in SEEDS[::8]
+    ]
+    for path, slices, expected in (("cut", cut, rows), ("rebuilt", rebuilt, rows), ("drawn", drawn, rows[::8])):
+        first = [bits(eval_functional(sl, spec, r)) for sl in slices]
+        assert first == expected, path
+        assert [bits(eval_functional(sl, spec, r)) for sl in slices] == expected, path
 
 
 @pytest.mark.parametrize("label", SPECS)

@@ -1,21 +1,27 @@
 """Coefficient norms, circle sampling, composition, slice construction, and
-the one-slice batch that a slice builds on first use."""
+the one-slice batch that a slice holds from the moment it is made."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polybohr.series as series
+import polybohr.slices as slices
 from polybohr import (
     CertificationError,
     DomainError,
+    FunctionalSpec,
     PolydiscSlice,
+    PreconditionError,
     TruncatedSeries,
     coefficient_norms,
+    eval_functional,
     eval_series_many,
     mobius_series,
     random_equimodular_slice,
     random_slice_batch,
+    reproduce_counterexample,
     schwarz_compose,
     schwarz_pick_bound,
     slice_tail_bound,
@@ -96,8 +102,75 @@ class TestCoefficientNorms:
         assert norms.q[30] == pytest.approx((1.0 - 0.95**2) * 0.95**30)
 
 
+def reductions(batch):
+    return [getattr(batch, name) for name in ("rows", "coeff_moduli", "a_norm", "q", "tail_cap")]
+
+
+@pytest.fixture
+def reduced_batches(monkeypatch):
+    """The batches that ``SliceBatch._take`` reduces while the test runs, in order."""
+    taken, take = [], slices.SliceBatch._take
+
+    def counting(batch, *args):
+        take(batch, *args)
+        taken.append(batch)
+
+    monkeypatch.setattr(slices.SliceBatch, "_take", counting)
+    return taken
+
+
 class TestOneSliceBatch:
-    """``PolydiscSlice._batch``: built once, read by both evaluators."""
+    """``PolydiscSlice._batch``: made with the slice, read by both evaluators."""
+
+    def test_every_constructor_path_reduces_each_slice_once_when_it_is_made(self, reduced_batches, monkeypatch):
+        made = PolydiscSlice(components=(mobius_series(0.6, "plus", 12), mobius_series(0.6, "minus", 12)))
+        assert reduced_batches == [made._batch]
+        drawn_rows = []
+
+        def seeded_rows(*args, **kwargs):
+            drawn_rows.append(series._seeded_rows(*args, **kwargs))
+            return drawn_rows[-1]
+
+        monkeypatch.setattr(slices, "_seeded_rows", seeded_rows)
+        drawn = random_equimodular_slice(4, m=3)
+        assert len(reduced_batches) == 2 and np.shares_memory(drawn._batch.rows, drawn_rows[0][0])  # no re-stack
+        batch = random_slice_batch(range(6))
+        cut = batch.slices()
+        assert reduced_batches[2:] == [batch] and batch.rows is drawn_rows[1][0]
+        assert drawn._batch.rows.shape == (3, 65) and [sl.m for sl in cut] == batch.counts.tolist()
+        for sl in (made, drawn, *cut):
+            assert isinstance(vars(sl)["_batch"], slices.SliceBatch)
+        for sl in (made, drawn, cut[0]):
+            for spec in (FunctionalSpec.improved_squared(), FunctionalSpec.refined(2), FunctionalSpec.composed(2)):
+                eval_functional(sl, spec, 0.3)
+            coefficient_norms(sl)
+            sup_modulus(sl, 0.3)
+            slice_tail_bound(sl, 0.3, "square_sum")
+        assert len(reduced_batches) == 3
+
+    def test_a_cut_slice_views_its_parent_s_arrays(self):
+        batch = random_slice_batch(range(7))
+        lo = 0
+        for i, sl in enumerate(batch.slices()):
+            own, hi = sl._batch, lo + sl.m
+            assert len(own) == 1 and own.counts.tolist() == [sl.m] and own.starts.tolist() == [0]
+            parts = [np.s_[lo:hi]] * 2 + [np.s_[i : i + 1]] * 3
+            for got, parent, part in zip(reductions(own), reductions(batch), parts):
+                assert np.shares_memory(got, parent) and not got.flags.writeable
+                assert np.array_equal(got.view(np.uint64), parent[part].view(np.uint64))
+            assert np.shares_memory(own.a0_moduli, batch.a0_moduli) and sl.equimodular
+            lo = hi
+
+    def test_non_equimodular_slices_construct_and_their_evaluation_still_checks(self):
+        mixed = PolydiscSlice(components=(mobius_series(0.6, "plus", 12), mobius_series(0.9, "minus", 12)))
+        assert not mixed.equimodular and mixed.certified and mixed._batch.a_norm.tolist() == [0.9]
+        with pytest.raises(PreconditionError):
+            eval_functional(mixed, FunctionalSpec.refined(1), 0.2)
+        assert reproduce_counterexample(FunctionalSpec.composed(1), 0.5, 0.9999, 0.5).succeeded
+        loose = PolydiscSlice.from_components([TruncatedSeries(a0=0.5, coeffs=np.full(8, 0.5))])
+        assert loose.equimodular and not loose.certified
+        with pytest.raises(CertificationError):
+            eval_functional(loose, FunctionalSpec.classical(), 0.2)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_equals_the_seeded_batch_of_its_seed(self, m):
