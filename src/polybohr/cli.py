@@ -11,10 +11,9 @@ witness exists, 2 for usage, domain or I/O errors, among them an option
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -173,20 +172,22 @@ def _record_cells(record: Any) -> dict[str, Any]:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != "spec"}
 
 
-def _value_row(args: argparse.Namespace, label: Any, r: float, value: FunctionalValue, ok: bool) -> dict[str, Any]:
-    """One ``verify`` or ``sweep`` result row."""
+def _value_columns(
+    args: argparse.Namespace, label: Any, r: Any, values: Sequence[FunctionalValue], oks: list[bool]
+) -> dict[str, Any]:
+    """The ``verify`` or ``sweep`` result columns; ``label`` and ``r`` are one value for every row, or a list."""
     return {
         **_spec_cells(args),
         "lambda_or_seed": label,
         "r": r,
-        "value_lower": value.lower,
-        "value_upper": value.upper,
-        "tail": value.tail,
-        "bound_ok": ok,
+        "value_lower": [value.lower for value in values],
+        "value_upper": [value.upper for value in values],
+        "tail": [value.tail for value in values],
+        "bound_ok": oks,
     }
 
 
-def _run_radius(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+def _run_radius(args: argparse.Namespace) -> tuple[int, dict[str, Any], list[str]]:
     result = solve_radius(k=args.spec.k) if args.spec.kind == "composed_k" else None
     cells = {"radius": closed_form_radius(args.spec)} if result is None else _record_cells(result)
     lines = [f"sharp radius ({args.spec.kind}): {_fmt(cells['radius'])}"]
@@ -195,7 +196,7 @@ def _run_radius(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
             f"bracket [{_fmt(result.bracket_lo)}, {_fmt(result.bracket_hi)}], "
             f"residual {_fmt(result.residual)}, iterations {result.iterations}"
         )
-    return 0, [{**_spec_cells(args), **cells}], lines
+    return 0, {**_spec_cells(args), **cells}, lines
 
 
 def _batch_for_seeds(args: argparse.Namespace, seeds: Sequence[int]) -> SliceBatch:
@@ -203,23 +204,21 @@ def _batch_for_seeds(args: argparse.Namespace, seeds: Sequence[int]) -> SliceBat
     return random_slice_batch(seeds, m=args.m, n_terms=args.truncation, scalar=args.spec.kind == "classical")
 
 
-def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+def _run_verify(args: argparse.Namespace) -> tuple[int, dict[str, Any], list[str]]:
     radius = closed_form_radius(args.spec)
     r = args.r if args.r is not None else radius
     count = args.seeds if args.seeds is not None else 100
-    rows = []
-    failures = genuine = 0
-    max_upper = 0.0
+    oks, values = [], []
     # Synthesize, validate and evaluate one chunk of seeds at a time as one
     # batch, so the resident corpus stays bounded.
     for start in range(0, count, SYNTH_CHUNK):
-        seeds = range(start, min(start + SYNTH_CHUNK, count))
-        results = verify_batch(_batch_for_seeds(args, seeds), args.spec, r)
-        for seed, (ok, value) in zip(seeds, results):
-            failures += (not ok)
-            genuine += (not ok) and value.lower > 1.0
-            max_upper = max(max_upper, value.upper)
-            rows.append(_value_row(args, seed, r, value, ok))
+        results = verify_batch(_batch_for_seeds(args, range(start, min(start + SYNTH_CHUNK, count))), args.spec, r)
+        oks += [ok for ok, _ in results]
+        values += [value for _, value in results]
+    columns = _value_columns(args, list(range(count)), r, values, oks)
+    failures = oks.count(False)
+    genuine = sum(not ok and value.lower > 1.0 for ok, value in zip(oks, values))
+    max_upper = max(0.0, *columns["value_upper"])
     passed = count - failures
     lines = [
         f"verify {args.spec.kind} at r = {_fmt(r)}: {passed}/{count} pass, "
@@ -230,10 +229,10 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], li
             f"{failures} slice(s) exceed 1: {genuine} genuine (lower > 1), "
             f"{failures - genuine} inconclusive (lower <= 1 < upper)"
         )
-    return (0 if failures == 0 else 1), rows, lines
+    return (0 if failures == 0 else 1), columns, lines
 
 
-def _run_witness(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+def _run_witness(args: argparse.Namespace) -> tuple[int, dict[str, Any], list[str]]:
     if args.r is None:
         raise DomainError("witness search requires --r above the sharp radius")
     witness = find_witness(args.spec, args.r, n_terms=args.truncation)
@@ -248,10 +247,10 @@ def _run_witness(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], l
         f"witness for {args.spec.kind} at r = {_fmt(args.r)}: lambda = {_fmt(witness.lam)}, "
         f"value {_fmt(witness.value_lower)} > 1 (margin {_fmt(witness.margin)})"
     ]
-    return 0, [row], lines
+    return 0, row, lines
 
 
-def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+def _run_sweep(args: argparse.Namespace) -> tuple[int, dict[str, Any], list[str]]:
     radius = closed_form_radius(args.spec)
     if args.lam is not None:
         sl = extremal_slice(args.spec, args.lam, m=args.m or 1, n_terms=args.truncation)
@@ -260,23 +259,18 @@ def _run_sweep(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], lis
         seed = args.seeds if args.seeds is not None else 0
         sl = _batch_for_seeds(args, [seed]).slices()[0]
         label = seed
-    rows = []
-    all_pass = True
-    for r in args.r_grid:
-        value = eval_functional(sl, args.spec, r)
-        ok = value.upper <= 1.0
-        if r <= radius and not ok:
-            all_pass = False
-        rows.append(_value_row(args, label, r, value, ok))
+    values = [eval_functional(sl, args.spec, r) for r in args.r_grid]
+    oks = [value.upper <= 1.0 for value in values]
+    all_pass = all(ok or r > radius for r, ok in zip(args.r_grid, oks))
     lines = [
-        f"sweep {args.spec.kind} over {len(rows)} radii (slice: "
+        f"sweep {args.spec.kind} over {len(values)} radii (slice: "
         f"{'lambda = ' + _fmt(args.lam) if args.lam is not None else 'seed ' + str(label)}); "
-        f"bound holds on {sum(1 for w in rows if w['bound_ok'])}/{len(rows)} points"
+        f"bound holds on {oks.count(True)}/{len(values)} points"
     ]
-    return (0 if all_pass else 1), rows, lines
+    return (0 if all_pass else 1), _value_columns(args, label, args.r_grid, values, oks), lines
 
 
-def _run_counterexample(args: argparse.Namespace) -> tuple[int, list[dict[str, Any]], list[str]]:
+def _run_counterexample(args: argparse.Namespace) -> tuple[int, dict[str, Any], list[str]]:
     if args.a1 is None or args.a2 is None or args.r is None:
         raise DomainError("counterexample requires --a1, --a2 and --r")
     report = reproduce_counterexample(args.spec, args.a1, args.a2, args.r, n_terms=args.truncation)
@@ -286,7 +280,7 @@ def _run_counterexample(args: argparse.Namespace) -> tuple[int, list[dict[str, A
         f"value {_fmt(report.value_lower)} {'>' if report.succeeded else '<='} 1 "
         f"(closed-form bound {_fmt(report.analytic_bound)})"
     ]
-    return (0 if report.succeeded else 1), [row], lines
+    return (0 if report.succeeded else 1), row, lines
 
 
 _RUNNERS = {
@@ -298,39 +292,67 @@ _RUNNERS = {
 }
 
 
-#: Encodes the report rows in C (``json.dumps(indent=2)`` runs the pure-Python
-#: encoder): each row's items come out separated as at the rows' indent.
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+_BOOLS = {True: "true", False: "false"}
+
+#: The writer of a report column all of whose cells have one of these types, in JSON (what ``json.dumps`` writes;
+#: JSON has no inf or nan, so only a column of finite floats takes ``float.__repr__``) and in CSV (what ``_fmt``
+#: writes); any other column is written cell by cell.
+_CELL_WRITERS = {
+    "json": {float: float.__repr__, int: int.__repr__, bool: _BOOLS.__getitem__},
+    "csv": {float: "{:.12g}".format, int: int.__repr__, bool: _BOOLS.__getitem__},
+}
 
 
-def _json_report(args: argparse.Namespace, code: int, rows: list[dict[str, Any]]) -> str:
-    """The JSON report, byte for byte ``json.dumps(report, indent=2) + "\\n"``.
+def _csv_cell(value: Any) -> str:
+    """``_fmt(value)``, quoted as ``csv.writer`` quotes a cell that holds a comma, a quote or a line break."""
+    text = _fmt(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
-    The rows, nonempty flat dicts of scalars, go through the C encoder in one
-    call and are joined into the ``indent=2`` shell of the rest.  Encoded JSON
-    holds a newline only where a separator put one, so ``"},\\n      {"``
-    occurs only between two rows.
-    """
+
+def _cells(column: list[Any], fmt: str) -> list[str]:
+    """Every cell of a report column as ``fmt`` writes it, by one writer mapped over the column where one fits."""
+    kinds = set(map(type, column))
+    write = _CELL_WRITERS[fmt].get(kinds.pop()) if len(kinds) == 1 else None
+    if write is float.__repr__ and not all(map(math.isfinite, column)):
+        write = None
+    return list(map(write or (json.dumps if fmt == "json" else _csv_cell), column))
+
+
+def _rows(columns: dict[str, Any], fmt: str) -> list[str]:
+    """Each result row as ``fmt`` writes it: a JSON object at the ``indent=2`` layout of the report's rows, or a
+    CSV line.  ``columns`` maps each key to a list of one cell per row, or to one value for every row (all of them
+    are single values for a one-row result).  Each column is formatted once, a single value into the row template
+    itself."""
+    parts, varying = [], []
+    for key, column in columns.items():
+        text = f"      {json.dumps(key)}: " if fmt == "json" else ""
+        if isinstance(column, list):
+            parts.append(text.replace("{", "{{").replace("}", "}}") + f"{{{len(varying)}}}")
+            varying.append(_cells(column, fmt))
+        else:
+            parts.append((text + _cells([column], fmt)[0]).replace("{", "{{").replace("}", "}}"))
+    template = "    {{\n" + ",\n".join(parts) + "\n    }}" if fmt == "json" else ",".join(parts) + "\n"
+    return list(map(template.format, *varying)) if varying else [template.format()]
+
+
+def _json_report(args: argparse.Namespace, code: int, columns: dict[str, Any]) -> str:
+    """The JSON report, byte for byte ``json.dumps(report, indent=2) + "\\n"``: the rows of :func:`_rows` go
+    into the ``indent=2`` shell of the rest."""
     shell = json.dumps(
         {"command": args.command, "config": _echo(args), "results": [], "all_pass": code == 0}, indent=2
     )
+    rows = _rows(columns, "json")
     if not rows:
         return shell + "\n"
     head, _, tail = shell.rpartition('"results": []')
-    items = _ROW_ENCODER.encode(rows).replace("},\n      {", "\n    },\n    {\n      ")
-    return "".join((head, '"results": [\n    {\n      ', items[2:-2], "\n    }\n  ]", tail, "\n"))
+    return "".join((head, '"results": [\n', ",\n".join(rows), "\n  ]", tail, "\n"))
 
 
-def _emit(args: argparse.Namespace, code: int, rows: list[dict[str, Any]], lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, code: int, columns: dict[str, Any], lines: list[str]) -> None:
     if args.fmt == "csv":
-        # Every runner returns at least one row, all with the same keys.
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        writer.writerows([_fmt(v) for v in row.values()] for row in rows)
-        payload = buf.getvalue()
+        payload = "".join([",".join(map(_csv_cell, columns)) + "\n", *_rows(columns, "csv")])
     elif args.fmt == "json":
-        payload = _json_report(args, code, rows)
+        payload = _json_report(args, code, columns)
     else:
         payload = "".join(line + "\n" for line in lines)
     if args.out:
@@ -351,8 +373,8 @@ def main(argv: list[str] | None = None) -> int:
             # a repeated flag keeps its last value, so explicit flags win.
             args = parser.parse_args([argv[0], *_config_argv(args.config), *argv[1:]])
         _check(args)
-        code, rows, lines = _RUNNERS[args.command](args)
-        _emit(args, code, rows, lines)
+        code, columns, lines = _RUNNERS[args.command](args)
+        _emit(args, code, columns, lines)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except WitnessSearchError as exc:

@@ -139,29 +139,34 @@ def eval_functional(s: PolydiscSlice, spec: FunctionalSpec, r: float) -> Functio
 
 
 def _assemble(
-    spec: FunctionalSpec, r: float, x: float, s1: float, s2: float, t_lin: float, t_sq: float,
-    sampled: float | None, termwise: float | None,
-) -> FunctionalValue:
-    """Pick the kind's term row and assemble its value.
+    spec: FunctionalSpec, r: float, x, s1, s2, t_lin, t_sq, sampled, termwise,
+) -> FunctionalValue | list[FunctionalValue]:
+    """Pick the kind's term row and assemble its value, over floats or over arrays.
 
     ``x`` is a_norm, ``s1`` and ``s2`` the truncated sums, ``t_lin`` and
     ``t_sq`` their tail budgets, ``sampled`` the phase-sampled sup of the
     kind's modulus term (None for classical) and ``termwise`` the refined
     kind's per-component upper bound.  The row is modulus upper, lower and
-    tail, then constant, a and b.
+    tail, then constant, a and b.  Floats give one value, through Python's
+    ``max`` and ``x**p``; arrays (one entry per slice) give one value per
+    slice with the same bits, since every other step is one IEEE operation
+    elementwise, and ``a_norm**2`` keeps Python's ``pow`` (numpy squares by
+    ``x*x``).
     """
+    one = isinstance(x, float)
     w = 1.0 / (1.0 + x) + r / (1.0 - r)
     if spec.kind == "classical":
         up, low, t_up, const, a, b = x, x, 0.0, 0.0, 1.0, 0.0
     else:
         assert sampled is not None
-        low = max(sampled - t_lin, 0.0)
+        low = max(sampled - t_lin, 0.0) if one else np.maximum(sampled - t_lin, 0.0)
         if spec.kind == "improved_squared":
             u_up = schwarz_pick_bound(x, r)
             up, low, t_up, const, a, b = u_up * u_up, low * low, 0.0, 0.0, 0.0, 1.0
         elif spec.kind == "refined_p":
             assert spec.p is not None and termwise is not None
-            up, t_up, const, a, b = termwise, t_lin, x**spec.p, 1.0, w
+            const = x**spec.p if one else np.array([norm**spec.p for norm in x.tolist()])
+            up, t_up, a, b = termwise, t_lin, 1.0, w
         else:
             assert spec.kind == "composed_k" and spec.k is not None
             up, t_up, const, a, b = schwarz_pick_bound(x, r**spec.k), 0.0, 0.0, 1.0, w
@@ -169,12 +174,10 @@ def _assemble(
     # the bits of its own written-out formula.
     truncated = up + const + a * s1 + b * s2
     tail = t_up + a * t_lin + b * t_sq
-    return FunctionalValue(
-        truncated=truncated,
-        tail=tail,
-        lower=low + const + a * s1 + b * s2,
-        upper=truncated + tail,
-    )
+    fields = (truncated, tail, low + const + a * s1 + b * s2, truncated + tail)
+    if one:
+        return FunctionalValue(*fields)
+    return list(map(FunctionalValue, *(column.tolist() for column in fields)))
 
 
 def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[FunctionalValue]:
@@ -183,7 +186,8 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
     The squared and composed kinds sample the circle through
     :func:`sup_modulus`, the refined kind through :func:`eval_series_many`.
     A batch from the public constructor is certified and equimodular; the
-    classical kind also demands one component per slice.
+    classical kind also demands one component per slice.  A batch of several
+    slices assembles its values as columns; a one-slice batch on Python floats.
     """
     _check_unit(r, "radius")
     # Every count is at least 1, so all are 1 exactly when there are as many rows as slices.
@@ -193,26 +197,27 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
     rn, rn2 = _radius_powers(r, n)
     # One BLAS dot per row, as np.dot on one row (vecdot conjugates nothing real).
     s1, s2 = np.vecdot(q, rn), np.vecdot(q**2, rn2)
-    sampled = termwise = [None] * batch.counts.size
+    sampled = termwise = None
     if spec.kind == "refined_p":
         # sup |g_i - g_i(0)| <= sum_n |c_n^(i)| r^n, taken per component (the
         # componentwise max Q_n would mix components); one t_lin covers its tail
-        termwise = _slice_max(np.vecdot(batch.coeff_moduli, rn), batch.starts).tolist()
+        termwise = _slice_max(np.vecdot(batch.coeff_moduli, rn), batch.starts)
         values = eval_series_many(batch, phase_grid(r)) - batch.a0
-        sampled = _slice_max(np.abs(values).max(axis=1), batch.starts).tolist()
+        sampled = _slice_max(np.abs(values).max(axis=1), batch.starts)
     elif spec.kind != "classical":
         # sup over |t| = r of |g_i(t^k)| is the sup of |g_i| over |s| = r^k, where the
         # truncation error M r^(k(N+1))/(1 - r^k) is at most t_lin = M r^(N+1)/(1 - r), as r^k <= r.
-        sampled = sup_modulus(batch, r**spec.k if spec.kind == "composed_k" else r).tolist()
-    # Tail budgets per row on floats (an array's IEEE operations); the modulus budget is the linear-sum one.
-    rows = zip(batch.a_norm.tolist(), s1.tolist(), s2.tolist(), batch.tail_cap.tolist(), sampled, termwise)
-    return [
-        _assemble(
-            spec, r, x, sum1, sum2, _tail_value(cap, r, n, "linear_sum"), _tail_value(cap, r, n, "square_sum"),
-            sampled_row, termwise_row,
-        )
-        for x, sum1, sum2, cap, sampled_row, termwise_row in rows
-    ]
+        sampled = sup_modulus(batch, r**spec.k if spec.kind == "composed_k" else r)
+    columns = [batch.a_norm, s1, s2, batch.tail_cap, sampled, termwise]
+    if len(batch) == 1:
+        columns = [None if column is None else column.item() for column in columns]
+    x, sum1, sum2, cap, sampled, termwise = columns
+    # Tail budgets on the caps: an array's IEEE operations are a float's; the modulus budget is the linear-sum one.
+    values = _assemble(
+        spec, r, x, sum1, sum2, _tail_value(cap, r, n, "linear_sum"), _tail_value(cap, r, n, "square_sum"),
+        sampled, termwise,
+    )
+    return [values] if len(batch) == 1 else values
 
 
 def verify_theorem(s: PolydiscSlice, spec: FunctionalSpec, r: float) -> tuple[bool, FunctionalValue]:

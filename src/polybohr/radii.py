@@ -55,15 +55,16 @@ def _check_unit(value: float, name: str, positive: bool = False) -> None:
     raise DomainError(f"{name} must lie in {'(' if positive else '['}0, 1), got {value!r}")
 
 
-def _check_count(value: int, name: str) -> int:
-    """The rule of every count and order: an integer >= 1 (integral floats, numpy ints and bools pass), returned as
-    the int it equals.  The cap at the largest float keeps r**k from overflowing as k converts to a float."""
+def _check_count(value: int, name: str, least: int = 1, most: float = sys.float_info.max) -> int:
+    """The rule of every count, order and seed: an integer >= ``least`` (integral floats, numpy ints and bools
+    pass), returned as the int it equals.  A count's cap at the largest float keeps r**k from overflowing as k
+    converts to a float; a seed has none."""
     try:
-        if 1 <= value <= sys.float_info.max and (count := int(value)) == value:
+        if least <= value <= most and (count := int(value)) == value:
             return count
-    except TypeError:  # a str, None or a complex
+    except (TypeError, OverflowError):  # a str, None or a complex; an infinite seed
         pass
-    raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def squared_functional_slack(x: float, r: float) -> float:

@@ -25,14 +25,20 @@ call per row), whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds),
 and the numerator/denominator recursion amplifies rounding by up to 3.1e-5,
 so the stored coefficients of one seed can differ from one CPU to another.
 ``tests/test_synthesis_blocks.py`` pins that both paths give the same bits.
+
+Seeded series: seed s, an integer >= 0, draws from ``np.random.default_rng(s)``,
+a PCG64 seeded by ``SeedSequence(s)``; numpy NEP 19 fixes both algorithms.  A
+draw block of :data:`COLUMN_SEEDS` or more seeds hashes its seeds as uint32
+columns (:func:`_pcg64_states`) and sets each state on one reused generator,
+so every uniform keeps its bits.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -50,6 +56,10 @@ COEFF_SLACK = 1e-12
 #: ``verify`` batch; bounds the temporaries of the draw, synthesis and batch
 #: evaluation whatever the number of seeds.
 SYNTH_CHUNK = 128
+
+#: Seeds from which a block derives its generator states as columns (:func:`_pcg64_states`): the column hash has a
+#: fixed cost of about 0.3 ms, so below about 25 seeds one ``np.random.default_rng`` per seed costs less.
+COLUMN_SEEDS = 32
 
 #: Distinct point sets whose power tables (and radii whose phase grids) stay
 #: cached; a 64-point table at order 64 takes 64 KB.
@@ -244,12 +254,91 @@ def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_O
     return _certified(_synthesize_rows(gams[np.newaxis, :], n_terms)[0])
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init, init mult, init mult^2, ... mod 2^32 as a (count, 1) uint32 column: the multipliers that a
+    SeedSequence hash steps through, the same for every seed."""
+    consts = [init]
+    while len(consts) < count:
+        consts.append(consts[-1] * mult % 2**32)
+    return np.array(consts, dtype=np.uint32)[:, np.newaxis]
+
+
+# SeedSequence (numpy NEP 19): INIT_A/MULT_A for the 4 pool words and 12 mixes, INIT_B/MULT_B for 8 output words.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``words`` (uint32, in place) with its multiplier in ``consts``, which
+    holds one more: xor it, multiply by the next one, and fold the high half down."""
+    words ^= consts[:-1]
+    words *= consts[1:]
+    words ^= words >> 16
+    return words
+
+
+def _pcg64_states(seeds: list[int]) -> list[dict | None]:
+    """The ``bit_generator.state`` of ``np.random.PCG64(seed)`` for each seed below 2**128, None for a larger one.
+
+    ``PCG64(seed)`` takes four uint64 words from ``SeedSequence(seed)``: the seed's little-endian 32-bit words
+    (four, zero-padded, below 2**128) are hashed into a pool of four, each pool word is mixed into the other three,
+    and the pool is hashed out to eight 32-bit words, read in little-endian pairs as the high and low halves of a
+    128-bit state s and stream seq.  PCG's srandom sets inc = 2 seq + 1 and takes two LCG steps from 0, adding s
+    in between.  Every step runs on uint32 columns, one entry per seed (uint32 arithmetic wraps as SeedSequence's
+    does); only the 128-bit arithmetic runs on Python ints.  A larger seed's extra words would be mixed in last:
+    it is left to ``np.random.default_rng``.
+    """
+    words = np.zeros((4, len(seeds)), dtype=np.uint32)
+    if max(seeds) < 2**64:
+        low = np.array(seeds, dtype=np.uint64)
+        words[0], words[1] = low & 0xFFFFFFFF, low >> 32
+    else:
+        words[...] = [[seed >> 32 * i & 0xFFFFFFFF if seed < 2**128 else 0 for seed in seeds] for i in range(4)]
+    pool = _hashmix(words, _HASH_A[:5])
+    for src in range(4):
+        others = [dst for dst in range(4) if dst != src]
+        hashed = _hashmix(pool[[src] * 3], _HASH_A[4 + 3 * src : 8 + 3 * src])
+        mixed = _MIX_L * pool[others] - _MIX_R * hashed
+        mixed ^= mixed >> 16
+        pool[others] = mixed
+    out = _hashmix(pool[[0, 1, 2, 3] * 2], _HASH_B).astype(np.uint64)
+    states = []
+    for seed, s_hi, s_lo, seq_hi, seq_lo in zip(seeds, *(out[0::2] | out[1::2] << 32).tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % 2**128
+        states.append(
+            None if seed >= 2**128
+            else {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
+
+
+def _generators(seeds: list[int]) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each seed in turn, bit for bit.  From :data:`COLUMN_SEEDS` seeds on, one
+    generator is set to each seed's :func:`_pcg64_states` state instead; the caller is done with it before the
+    next seed."""
+    if len(seeds) < COLUMN_SEEDS:
+        yield from map(np.random.default_rng, seeds)
+        return
+    shared = np.random.default_rng(0)
+    for seed, state in zip(seeds, _pcg64_states(seeds)):
+        if state is None:
+            yield np.random.default_rng(seed)
+        else:
+            shared.bit_generator.state = state
+            yield shared
+
+
 def _seeded_rows(
     seeds: Iterable[int], n_terms: int, m: int | None = None, scalar: bool = False
 ) -> tuple[np.ndarray, list[int]]:
     """Synthesized rows a0, c_1, ..., c_N of every seed's components, and the count per seed.
 
-    The draw and synthesis behind every seeded constructor.  ``scalar`` draws
+    The draw and synthesis behind every seeded constructor.  Every seed must
+    be an integer >= 0 (``radii._check_count``), checked before any draw, and
+    draws from its generator of :func:`_generators`.  ``scalar`` draws
     one unconstrained series per seed (:func:`random_schur_series`) and takes
     no ``m``; otherwise a seed draws its component count (unless ``m`` is
     given) and one shared initial modulus rho, then each component's
@@ -268,12 +357,12 @@ def _seeded_rows(
         m = _check_count(m, "component count m")
     if scalar and m is not None:
         raise DomainError("scalar series have one component; a component count cannot be given")
+    seeds = [_check_count(seed, "seed", least=0, most=math.inf) for seed in seeds]
     width = n_terms + 1
-    seeds, blocks, counts = iter(seeds), [], []
-    while chunk := list(itertools.islice(seeds, SYNTH_CHUNK)):
+    blocks, counts = [], []
+    for start in range(0, len(seeds), SYNTH_CHUNK):
         uniforms, rhos = [], []
-        for seed in chunk:
-            rng = np.random.default_rng(seed)
+        for rng in _generators(seeds[start : start + SYNTH_CHUNK]):
             count = 1
             if not scalar:
                 count = int(rng.integers(1, 4)) if m is None else m

@@ -150,12 +150,16 @@ def counterexample_analytic_bound(spec: FunctionalSpec, a1: float, a2: float, r:
     These are the a2 -> 1 limit expressions of the term-by-term bounding
     chains; each exceeds 1 for the admissible parameter ranges, which is
     what makes the two-component slices genuine counterexamples.  Other
-    kinds and parameters outside floor < a1 < a2 < 1, 0 < r < 1 raise.
+    kinds and parameters outside floor < a1 < a2 < 1, 0 < r < 1 raise
+    :class:`DomainError`: a1 and a2 each by the rule of every parameter
+    (``radii._check_unit``), then their order.
     """
     if spec.kind not in _COUNTEREXAMPLE_RANGES:
         raise DomainError(f"no counterexample family for kind {spec.kind!r}")
     floor = _COUNTEREXAMPLE_RANGES[spec.kind]
-    if not floor < a1 < a2 < 1.0:
+    _check_unit(a1, "a1")
+    _check_unit(a2, "a2")
+    if not floor < a1 < a2:
         raise DomainError(f"{spec.kind} counterexample needs {floor} < a1 < a2 < 1, got a1={a1}, a2={a2}")
     _check_unit(r, "radius", positive=True)
     m1 = 1.0 - a1 * a1

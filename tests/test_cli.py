@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
-from polybohr.cli import main
+from polybohr import FunctionalSpec, closed_form_radius, eval_functional_batch, random_slice_batch
+from polybohr.cli import _emit, build_parser, main
 
 
 def run(capsys, *argv):
@@ -496,3 +498,62 @@ class TestReportLayout:
         lines = out.splitlines()
         assert lines[0] == header
         assert len(lines) == 2 and len(next(csv.reader(lines[1:]))) == header.count(",") + 1
+
+    @pytest.mark.parametrize(
+        "theorem, spec",
+        [(("refined_p", "--p", "2"), FunctionalSpec.refined(2)), (("classical",), FunctionalSpec.classical())],
+        ids=["refined_p2", "classical"],
+    )
+    def test_verify_rows_hold_the_evaluated_values(self, capsys, theorem, spec):
+        # 40 seeds: one draw block that hashes its seeds as columns.
+        r = closed_form_radius(spec)
+        values = eval_functional_batch(random_slice_batch(range(40), scalar=spec.kind == "classical"), spec, r)
+        code, out, _ = run(capsys, "verify", "--theorem", *theorem, "--seeds", "40", "--format", "json")
+        expected = [
+            {
+                "theorem": spec.kind, "p": spec.p, "k": None, "lambda_or_seed": seed, "r": r,
+                "value_lower": value.lower, "value_upper": value.upper, "tail": value.tail,
+                "bound_ok": value.upper <= 1.0,
+            }
+            for seed, value in enumerate(values)
+        ]
+        assert json.loads(out)["results"] == expected  # JSON floats read back exactly
+        code, out, _ = run(capsys, "verify", "--theorem", *theorem, "--seeds", "40", "--format", "csv")
+        assert out.splitlines()[1:] == [",".join(_fmt_cells(row.values())) for row in expected]
+
+    def test_report_writer_agrees_with_the_json_and_csv_modules(self, capsys):
+        # Shared values and columns of every cell type, with non-finite floats, a signed zero, a
+        # mixed column and text that JSON escapes and CSV quotes.
+        columns = {
+            "text": 'a {0} {b}, "c"\n\u03bb',
+            "none": None,
+            "int": [1, 2**70, -3],
+            "float": [0.1, -0.0, 1e300],
+            "odd": [math.inf, math.nan, -math.inf],
+            "bool": [True, False, True],
+            "mixed": [1, 2.5, "x,y"],
+            "shared_float": 1 / 3,
+        }
+        rows = [
+            {key: column[i] if isinstance(column, list) else column for key, column in columns.items()}
+            for i in range(3)
+        ]
+        args = build_parser().parse_args(["verify", "--theorem", "classical", "--format", "json"])
+        args.r_grid = None
+        _emit(args, 0, columns, [])
+        config = {"command": "verify", "theorem": "classical", "truncation": 64, "format": "json"}
+        report = {"command": "verify", "config": config}
+        assert capsys.readouterr().out == json.dumps({**report, "results": rows, "all_pass": True}, indent=2) + "\n"
+        args.fmt = "csv"
+        _emit(args, 0, columns, [])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([list(columns), *(_fmt_cells(row.values()) for row in rows)])
+        assert capsys.readouterr().out == buf.getvalue()
+
+
+def _fmt_cells(values):
+    """Each value as the CSV report writes it: floats with 12 significant digits, bools in lower case, None empty."""
+    return [
+        "" if v is None else str(v).lower() if isinstance(v, bool) else f"{v:.12g}" if isinstance(v, float) else str(v)
+        for v in values
+    ]

@@ -1,9 +1,10 @@
 """Every public entry point rejects an input outside its domain with
 ``DomainError``, before it does any work: radii and lambda outside [0, 1),
 truncation orders, component counts, sample counts and composition orders
-that are not an integer ≥ 1, batch counts that are not a 1-d sequence of
-such counts, counterexample parameters outside their family's ranges, and a
-batch evaluated at points that are not a 1-d array.  An input that does not
+that are not an integer ≥ 1, seeds that are not an integer ≥ 0, batch
+counts that are not a 1-d sequence of such counts, counterexample parameters
+outside their family's ranges, and a batch evaluated at points that are not
+a 1-d array.  An input that does not
 compare with a number (a str, None) breaks the rule it reaches with a
 ``DomainError`` that names the input.  An integral float is the integer it
 equals: it gives that integer's bits."""
@@ -14,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import polybohr.series as series
 import polybohr.sharpness as sharpness
 from polybohr.radii import _check_count, _check_unit
 from polybohr.slices import SliceBatch
@@ -109,6 +111,36 @@ NON_NUMERIC = {
     "extremal_slice-lambda": (
         lambda lam: extremal_slice(SQUARED, lam), "0.5", "extremal parameter must lie in (0, 1), got '0.5'"
     ),
+    "counterexample_analytic_bound-a1": (
+        lambda a1: counterexample_analytic_bound(FunctionalSpec.composed(1), a1, 0.9, 0.5), "0.5",
+        "a1 must lie in [0, 1), got '0.5'",
+    ),
+    "counterexample_analytic_bound-a2": (
+        lambda a2: counterexample_analytic_bound(FunctionalSpec.composed(1), 0.5, a2, 0.5), None,
+        "a2 must lie in [0, 1), got None",
+    ),
+    "reproduce_counterexample-a1": (
+        lambda a1: reproduce_before_building((FunctionalSpec.composed(1), a1, 0.9, 0.5)), "0.5",
+        "a1 must lie in [0, 1), got '0.5'",
+    ),
+}
+
+#: Seeds that are not an integer >= 0, each with the message of its DomainError.
+BAD_SEEDS = {
+    "negative": (-1, "seed must be an integer >= 0, got -1"),
+    "fraction": (1.5, "seed must be an integer >= 0, got 1.5"),
+    "nan": (math.nan, "seed must be an integer >= 0, got nan"),
+    "inf": (math.inf, "seed must be an integer >= 0, got inf"),
+    "str": ("3", "seed must be an integer >= 0, got '3'"),
+    "none": (None, "seed must be an integer >= 0, got None"),
+}
+
+#: Seeded constructors: alone, in a block short of the column hash, and last in a block that takes it.
+SEEDED = {
+    "random_schur_series": random_schur_series,
+    "random_equimodular_slice": random_equimodular_slice,
+    "random_slice_batch": lambda seed: random_slice_batch([0, seed]),
+    "random_slice_batch(block)": lambda seed: random_slice_batch([*range(series.COLUMN_SEEDS), seed]),
 }
 
 COUNTEREXAMPLE = {
@@ -131,6 +163,17 @@ def reproduce_before_building(args):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sharpness, "mobius_series", fail)
         reproduce_counterexample(*args)
+
+
+def seeded_before_drawing(call, seed):
+    """A seeded constructor whose draw fails the test if it starts."""
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("drew a seed before checking them all")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_generators", fail)
+        call(seed)
 
 
 def _cases():
@@ -193,3 +236,20 @@ def test_integral_float_gives_its_ints_bits(call, value):
         assert as_float.counts.tobytes() == as_int.counts.tobytes()
     else:  # a radius result: repr writes every float exactly
         assert repr(as_float) == repr(as_int)
+
+
+@pytest.mark.parametrize(("seed", "message"), BAD_SEEDS.values(), ids=BAD_SEEDS)
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED)
+def test_a_seed_that_is_not_an_integer_from_0_is_a_named_domain_error(call, seed, message):
+    with pytest.raises(DomainError) as raised:
+        seeded_before_drawing(call, seed)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("count", [1, series.COLUMN_SEEDS])
+def test_numpy_int_bool_and_integral_float_seeds_draw_their_ints_streams(count):
+    pairs = ((np.int64(5), 5), (np.uint64(2**63), 2**63), (True, 1), (False, 0), (5.0, 5), (Fraction(7), 7))
+    for seed, as_int in pairs:
+        got, want = random_slice_batch([seed] * count), random_slice_batch([as_int] * count)
+        assert got.rows.tobytes() == want.rows.tobytes(), repr(seed)
+        assert got.counts.tobytes() == want.counts.tobytes(), repr(seed)

@@ -7,6 +7,8 @@ in it.  ``SliceBatch`` must reject what ``TruncatedSeries(schur_certified=True)`
 rejects, and what ``eval_functional`` rejects on a ``PolydiscSlice`` that is
 not equimodular, with the same exceptions, and ``verify_batch`` must apply
 ``verify_theorem``'s radius precondition and its ``upper <= 1`` verdict.
+A batch's values are Python floats, whether it assembles them on floats
+(one slice) or as columns (several).
 """
 
 import functools
@@ -106,6 +108,23 @@ def test_batches_match_per_slice_evaluation(label, size):
     for batch in sub_batches(seeded_batch(label == "classical"), size):
         got += [bits(value) for value in eval_functional_batch(batch, SPECS[label], r)]
     assert got == per_slice(label, r)
+
+
+@pytest.mark.parametrize("label", SPECS)
+def test_a_thousand_slice_batch_gives_python_floats_with_the_per_slice_bits(
+    label, corpus_batch, corpus_slices, corpus_series_batch, corpus_series
+):
+    # A batch of several slices assembles its values as columns and hands out their .tolist() floats.
+    spec = SPECS[label]
+    if label == "classical":
+        batch, slices = corpus_series_batch, [PolydiscSlice.from_components([series]) for series in corpus_series]
+    else:
+        batch, slices = corpus_batch, corpus_slices
+    for r in (0.1, closed_form_radius(spec), 0.5):
+        values = eval_functional_batch(batch, spec, r)
+        fields = [getattr(value, name) for value in values for name in ("lower", "upper", "tail", "truncated")]
+        assert {type(field) for field in fields} == {float}
+        assert [bits(value) for value in values] == [bits(eval_functional(sl, spec, r)) for sl in slices], r
 
 
 @pytest.mark.parametrize("label", ["refined_p1", "refined_p2"])

@@ -13,6 +13,12 @@ the reference).  The recursion updates only the orders below a cap of 8,
 16, 32, 48 or N + 1, so K and N + 1 also fall on both sides of each cap.
 Blocked synthesis keeps its temporaries bounded on long seed ranges, and so
 does a batch built from them.
+
+A block of :data:`COLUMN_SEEDS` or more seeds computes the state of each
+seed's ``PCG64(SeedSequence(seed))`` as columns instead of building a
+``np.random.default_rng`` per seed; the states, and so every drawn row, must
+be those of ``np.random.default_rng(seed)``, also for seeds of two, three,
+four and more 32-bit words.
 """
 
 import tracemalloc
@@ -20,11 +26,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polybohr.series import _seeded_rows, _synthesize_rows
+from polybohr.series import COLUMN_SEEDS, _generators, _pcg64_states, _seeded_rows, _synthesize_rows
 from polybohr.slices import random_slice_batch
-from test_synthesis_reference import reference_synthesis
+from test_synthesis_reference import reference_scalar, reference_slice, reference_synthesis
 
 BLOCK_SIZES = [1, 2, 3, 63, 64, 65, 128, 129]
+
+#: Seeds of two to seven 32-bit words; from 2**128 on, a seed's extra words go to ``np.random.default_rng``.
+LARGE_SEEDS = [
+    2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**96 + 3, 2**128 - 1, 2**128, 2**128 + 5, 2**200,
+]
 
 
 def random_params(rows, k, seed):
@@ -97,3 +108,46 @@ def test_long_seed_range_batches_peak_below_three_times_their_rows(m):
     finally:
         tracemalloc.stop()
     assert peak < 2.33 * batch.rows.nbytes, f"peak {peak} B for {batch.rows.nbytes} B of rows"
+
+
+def test_column_states_are_the_states_of_pcg64():
+    seeds = [*range(10000), *LARGE_SEEDS]
+    for seed, state in zip(seeds, _pcg64_states(seeds)):
+        if seed >= 2**128:
+            assert state is None, seed
+        else:
+            assert state == np.random.PCG64(seed).state, seed
+
+
+@pytest.mark.parametrize("seeds", [range(COLUMN_SEEDS - 1), range(COLUMN_SEEDS), [*range(40), *LARGE_SEEDS]])
+def test_every_generator_starts_in_its_seed_s_state(seeds):
+    seeds = list(seeds)
+    got = [rng.bit_generator.state for rng in _generators(seeds)]  # each read before the next is set
+    assert got == [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+
+def reference_rows(seeds, n_terms, m, scalar):
+    """Each seed's components by ``test_synthesis_reference``'s one-series draw from ``np.random.default_rng``."""
+    comps = [[reference_scalar(seed, n_terms)] if scalar else reference_slice(seed, m, n_terms) for seed in seeds]
+    return np.array([row for rows in comps for row in rows]), [len(rows) for rows in comps]
+
+
+@pytest.mark.parametrize("count", [1, COLUMN_SEEDS - 1, COLUMN_SEEDS, 128, 129])
+@pytest.mark.parametrize(
+    "m, scalar", [(None, False), (1, False), (3, False), (None, True)], ids=["mixed", "m1", "m3", "scalar"]
+)
+def test_seeded_rows_are_the_per_seed_default_rng_rows(count, m, scalar):
+    seeds = range(1000, 1000 + count)
+    rows, counts = _seeded_rows(seeds, 8, m=m, scalar=scalar)
+    expected, expected_counts = reference_rows(seeds, 8, m, scalar)
+    assert counts == expected_counts
+    assert same_bits(rows, expected)
+
+
+@pytest.mark.parametrize("m, scalar", [(None, False), (None, True)], ids=["mixed", "scalar"])
+def test_large_seeds_keep_their_rows_in_a_column_block(m, scalar):
+    seeds = [*range(40), *LARGE_SEEDS]
+    rows, counts = _seeded_rows(seeds, 8, m=m, scalar=scalar)
+    expected, expected_counts = reference_rows(seeds, 8, m, scalar)
+    assert counts == expected_counts
+    assert same_bits(rows, expected)
