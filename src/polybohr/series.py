@@ -94,6 +94,12 @@ class TruncatedSeries:
     coeffs: np.ndarray
     schur_certified: bool = False
 
+    @classmethod
+    def _view(cls, row: np.ndarray, certified: bool) -> "TruncatedSeries":
+        """The series of a read-only row a0, c_1, ..., c_N that passed these checks, as a view: no copy, no re-check."""
+        vars(series := object.__new__(cls)).update(a0=complex(row[0]), coeffs=row[1:], schur_certified=certified)
+        return series
+
     def __post_init__(self) -> None:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
@@ -135,7 +141,7 @@ def mobius_series(lam: float, sign: MobiusSign, n_terms: int = DEFAULT_ORDER) ->
     coefficients are c_n = (-1)^(n-1) lam^(n-1) (1 - lam^2);
     ``sign="minus"`` expands g(t) = (lam - t) / (1 - lam t), with
     c_n = -lam^(n-1) (1 - lam^2).  Both attain the coefficient bound
-    at n = 1: |c_1| = 1 - lam^2.
+    at n = 1: |c_1| = 1 - lam^2.  The coefficients are the row of :func:`_mobius_rows`.
 
     Args:
         lam: parameter in [0, 1).
@@ -143,15 +149,23 @@ def mobius_series(lam: float, sign: MobiusSign, n_terms: int = DEFAULT_ORDER) ->
         n_terms: truncation order N >= 1.
     """
     _check_unit(lam, "lambda")
+    row = _mobius_rows([lam], sign, n_terms)[0]
+    return TruncatedSeries(a0=row[0], coeffs=row[1:], schur_certified=True)
+
+
+def _mobius_rows(lams: Sequence[float], sign: MobiusSign, n_terms: int) -> np.ndarray:
+    """Rows a0, c_1, ..., c_N of the :func:`mobius_series` of each parameter, from the family's closed form: the
+    one formula of every Moebius slice.  The parameters are the caller's to check."""
     n = np.arange(_check_count(n_terms, "truncation order"))
-    powers = lam**n  # lam^0 = 1 even at lam = 0
-    if sign == "plus":
-        coeffs = (1.0 - lam * lam) * powers * (-1.0) ** n
-    elif sign == "minus":
-        coeffs = -(1.0 - lam * lam) * powers
-    else:
+    if sign not in ("plus", "minus"):
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    return TruncatedSeries(a0=lam, coeffs=coeffs.astype(np.complex128), schur_certified=True)
+    rows = np.empty((len(lams), n.size + 1), dtype=np.complex128)
+    for row, lam in zip(rows, lams):
+        row[0], coeffs = lam, (1.0 - lam * lam if sign == "plus" else -(1.0 - lam * lam)) * lam**n  # lam^0 = 1 at 0
+        if sign == "plus":
+            coeffs[1::2] *= -1.0  # (-1)^n: a negation, exact
+        row[1:] = coeffs
+    return rows
 
 
 def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
@@ -219,11 +233,6 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     return np.ascontiguousarray(rev[:, ::-1])
 
 
-def _certified(row: np.ndarray) -> TruncatedSeries:
-    """The certified series of one synthesized row a0, c_1, ..., c_N."""
-    return TruncatedSeries(a0=row[0], coeffs=row[1:], schur_certified=True)
-
-
 def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Synthesize a certified Schur function from its Schur parameters.
 
@@ -251,7 +260,8 @@ def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_O
         raise DomainError("params must be a nonempty 1-d sequence")
     if np.any(np.abs(gams) > 1.0 + 1e-15):
         raise DomainError("Schur parameters must have modulus <= 1")
-    return _certified(_synthesize_rows(gams[np.newaxis, :], n_terms)[0])
+    [row] = _synthesize_rows(gams[np.newaxis, :], n_terms)
+    return TruncatedSeries(a0=row[0], coeffs=row[1:], schur_certified=True)
 
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
@@ -392,7 +402,8 @@ def random_schur_series(seed: int, n_terms: int = DEFAULT_ORDER) -> TruncatedSer
     unit disc with a seeded generator, so membership in the Schur class is
     guaranteed by construction rather than by rejection.
     """
-    return _certified(_seeded_rows([seed], n_terms, scalar=True)[0][0])
+    [row] = _seeded_rows([seed], n_terms, scalar=True)[0]
+    return TruncatedSeries(a0=row[0], coeffs=row[1:], schur_certified=True)
 
 
 def eval_series_many(s, ts: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from .errors import DomainError, PreconditionError, WitnessSearchError
 from .functionals import FunctionalSpec, eval_functional, eval_functional_batch
 from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, _check_count, _check_unit, closed_form_radius
-from .series import DEFAULT_ORDER, mobius_series
-from .slices import PolydiscSlice
+from .series import DEFAULT_ORDER, _mobius_rows
+from .slices import PolydiscSlice, SliceBatch
 
 #: A witness must clear 1 by at least this much to be reported.
 WITNESS_MARGIN = 1e-12
@@ -86,27 +86,20 @@ def _family_sign(spec: FunctionalSpec) -> str:
     return "minus" if spec.kind == "refined_p" else "plus"
 
 
-def extremal_slice(
-    spec: FunctionalSpec,
-    lam: float,
-    m: int = 1,
-    n_terms: int = DEFAULT_ORDER,
-) -> PolydiscSlice:
+def extremal_slice(spec: FunctionalSpec, lam: float, m: int = 1, n_terms: int = DEFAULT_ORDER) -> PolydiscSlice:
     """The m-component Moebius family on which a functional peaks.
 
-    All components are equal, so the slice is equimodular by construction.
+    All components are equal, so the slice is equimodular by construction.  Its
+    rows come from the family's closed form straight into its one-slice batch,
+    which checks each row once by the Schur row rule.
     """
     _check_unit(lam, "extremal parameter", positive=True)
     m = _check_count(m, "component count m")
-    return PolydiscSlice(components=(mobius_series(lam, _family_sign(spec), n_terms),) * m)
+    rows = _mobius_rows([lam], _family_sign(spec), n_terms)
+    return PolydiscSlice._of(SliceBatch._owning(rows if m == 1 else rows.repeat(m, axis=0), [m], check=True))
 
 
-def find_witness(
-    spec: FunctionalSpec,
-    r: float,
-    m: int = 1,
-    n_terms: int = DEFAULT_ORDER,
-) -> SharpnessWitness:
+def find_witness(spec: FunctionalSpec, r: float, m: int = 1, n_terms: int = DEFAULT_ORDER) -> SharpnessWitness:
     """Scan the extremal family for a functional value above 1 at radius r.
 
     Requires r strictly beyond the sharp radius (below it no witness can
@@ -173,11 +166,7 @@ def counterexample_analytic_bound(spec: FunctionalSpec, a1: float, a2: float, r:
 
 
 def reproduce_counterexample(
-    spec: FunctionalSpec,
-    a1: float,
-    a2: float,
-    r: float,
-    n_terms: int = DEFAULT_ORDER,
+    spec: FunctionalSpec, a1: float, a2: float, r: float, n_terms: int = DEFAULT_ORDER
 ) -> CounterexampleReport:
     """Evaluate a functional on the two-component unequal-modulus slice.
 
@@ -189,10 +178,9 @@ def reproduce_counterexample(
     raised, since the caller may simply need a2 closer to 1 or a larger r.
     """
     bound = counterexample_analytic_bound(spec, a1, a2, r)
-    sign = _family_sign(spec)
-    slice_ = PolydiscSlice(components=(mobius_series(a1, sign, n_terms), mobius_series(a2, sign, n_terms)))
-    # The slice is not equimodular on purpose, so it skips eval_functional's check of that hypothesis.
-    [value] = eval_functional_batch(slice_._batch, spec, r)
+    rows = _mobius_rows([a1, a2], _family_sign(spec), n_terms)
+    # The slice is not equimodular on purpose, so its batch and the evaluation skip that hypothesis.
+    [value] = eval_functional_batch(SliceBatch._owning(rows, [2], check=True, hypothesis=False), spec, r)
     return CounterexampleReport(
         spec=spec,
         a1=a1,

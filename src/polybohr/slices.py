@@ -3,18 +3,19 @@
 A map F from a Banach ball into the closed unit polydisc, restricted to a
 complex line through the origin, becomes a tuple of disc slices
 (g_1(t), ..., g_m(t)) with the sup-norm structure of the polydisc.  The
-functionals downstream consume reductions of such a tuple, which a
-:class:`SliceBatch` computes once (a slice holds its one-slice batch from
-when it is made), and the sampled sup of max_i |g_i| on circles |t| = r.
+functionals downstream consume the sampled sup of max_i |g_i| on circles
+|t| = r and reductions of such a tuple, which a :class:`SliceBatch` computes
+once: a slice is its one-slice batch, and its components are built on request.
 
 All verification entry points require the *equimodular* initial condition
-|a0^(i)| = max_j |a0^(j)| for every component; only the counterexample
-driver evaluates a slice's unchecked one-slice batch without it.
+|a0^(i)| = max_j |a0^(j)| for every component; only
+``sharpness.reproduce_counterexample`` evaluates a one-slice batch without it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -23,15 +24,7 @@ import numpy as np
 from .errors import CertificationError, DomainError, PreconditionError
 from .radii import _check_count, _check_unit
 from .series import (
-    CIRCLE_CACHE_SIZE,
-    DEFAULT_ORDER,
-    TailBudget,
-    TailTermKind,
-    TruncatedSeries,
-    _certified,
-    _schur_caps,
-    _seeded_rows,
-    _tail_value,
+    CIRCLE_CACHE_SIZE, DEFAULT_ORDER, TailBudget, TailTermKind, TruncatedSeries, _schur_caps, _seeded_rows, _tail_value,
     eval_series_many,
 )
 
@@ -45,18 +38,13 @@ EQUIMODULAR_TOL = 1e-14
 PHASES = 64
 
 
-@dataclass(frozen=True, eq=False)
 class PolydiscSlice:
-    """m component series with shared truncation order, reduced once, when made, into a one-slice batch ``_batch``;
-    ``equimodular``, read from its ``|a0|`` column, says whether their initial values share one modulus to
-    :data:`EQUIMODULAR_TOL`."""
+    """m component series with a shared truncation order: a slice is its one-slice :class:`SliceBatch` ``_batch``,
+    made with it (components are not re-checked), which gives ``m``, ``truncation_order``, ``certified`` (all
+    components are) and ``equimodular``.  ``components`` builds read-only views of the batch rows on request."""
 
-    components: tuple[TruncatedSeries, ...]
-    equimodular: bool = field(init=False)
-    _batch: SliceBatch = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
+    def __init__(self, components: Sequence[TruncatedSeries]) -> None:
+        comps = tuple(components)
         if len(comps) < 1:
             raise DomainError("a slice needs at least one component")
         orders = {c.truncation_order for c in comps}
@@ -65,36 +53,43 @@ class PolydiscSlice:
         rows = np.empty((len(comps), orders.pop() + 1), dtype=np.complex128)
         for row, comp in zip(rows, comps):
             row[0], row[1:] = comp.a0, comp.coeffs
-        # No checks: the rows passed their TruncatedSeries checks, and the readers check the rest.
-        self._hold(comps, SliceBatch._owning(rows, [len(comps)], check=False))
+        certified = all(c.schur_certified for c in comps)  # the rows passed their TruncatedSeries checks
+        vars(self)["_batch"] = SliceBatch._owning(rows, [len(comps)], check=False, certified=certified)
 
-    def _hold(self, comps: tuple[TruncatedSeries, ...], batch: SliceBatch) -> "PolydiscSlice":
-        """Take ``batch``, the one-slice batch of ``comps``; :meth:`SliceBatch.slices` calls it on a bare object."""
-        [a_norm], a0_moduli = batch.a_norm.tolist(), batch.a0_moduli.tolist()
-        self.__dict__.update(components=comps, _batch=batch, equimodular=a_norm - min(a0_moduli) <= EQUIMODULAR_TOL)
-        return self
+    @classmethod
+    def _of(cls, batch: SliceBatch) -> "PolydiscSlice":
+        """The slice of ``batch``, a one-slice batch."""
+        vars(sl := object.__new__(cls))["_batch"] = batch
+        return sl
 
     @classmethod
     def from_components(cls, components: Sequence[TruncatedSeries]) -> "PolydiscSlice":
         """Build a slice from any sequence of components."""
-        return cls(components=tuple(components))
+        return cls(components)
+
+    @property
+    def components(self) -> tuple[TruncatedSeries, ...]:
+        return tuple(TruncatedSeries._view(row, self._batch.certified) for row in self._batch.rows)
 
     @property
     def m(self) -> int:
-        return len(self.components)
+        return len(self._batch.rows)
 
     @property
     def truncation_order(self) -> int:
-        return self.components[0].truncation_order
+        return self._batch.truncation_order
 
     @property
     def certified(self) -> bool:
-        return all(c.schur_certified for c in self.components)
+        return self._batch.certified
+
+    @property
+    def equimodular(self) -> bool:
+        return bool(self._batch.equimodular[0])
 
 
 class CoefficientNorms(NamedTuple):
-    """Sup-norm reductions a_norm = max_i |a0^(i)| and Q_n = max_i |c_n^(i)|,
-    with the per-component moduli |c_n^(i)| they reduce (``moduli``, shape (m, N))."""
+    """Sup-norm reductions a_norm = max_i |a0^(i)|, Q_n = max_i |c_n^(i)| and the ``moduli`` |c_n^(i)|, shape (m, N)."""
 
     a_norm: float
     q: np.ndarray
@@ -140,10 +135,9 @@ def _radius_powers(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 def sup_modulus(s: PolydiscSlice | SliceBatch, r: float) -> float | np.ndarray:
     """Sampled sup of max_i |g_i(t)| over |t| = r, at :data:`PHASES` phases.
 
-    A float for a slice, from its one-slice batch, and one per slice for a
-    :class:`SliceBatch`.  A lower bound on the true sup (the grid always
-    contains t = r itself); pair it with :func:`schwarz_pick_bound` for a
-    two-sided enclosure.  The power-table rounding (about 1e-16) is not subtracted.
+    A float for a slice, from its one-slice batch, and one per slice for a :class:`SliceBatch`.  A lower bound on
+    the true sup (the grid always contains t = r itself); pair it with :func:`schwarz_pick_bound` for a two-sided
+    enclosure.  The power-table rounding (about 1e-16) is not subtracted.
     """
     _check_unit(r, "radius")
     batch = s._batch if isinstance(s, PolydiscSlice) else s
@@ -161,22 +155,16 @@ def _slice_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
     """Precompose each component with t -> t^k, re-truncated at the shared order.
 
-    The coefficient of t^(k n) in g(t^k) is c_n; indices beyond the
-    truncation order are dropped (for k larger than the order only the
-    constant term survives).  Schur certification is preserved: composing
-    with a disc self-map cannot leave the Schur class.  The evaluator does not
-    call it: it samples g itself on the circle |s| = r^k instead.
+    The coefficient of t^(k n) in g(t^k) is c_n; indices beyond the truncation order are dropped (for k larger than
+    the order only the constant term survives).  Schur certification is preserved: composing with a disc self-map
+    cannot leave the Schur class.  The evaluator does not call it: it samples g itself on the circle |s| = r^k.
     """
     k = _check_count(k, "composition order k")
     if k == 1:
         return s
-    n = s.truncation_order
-    out = []
-    for comp in s.components:
-        coeffs = np.zeros(n, dtype=np.complex128)
-        coeffs[k - 1 :: k] = comp.coeffs[: n // k]  # c_j to t^(k j) for k j <= n
-        out.append(TruncatedSeries(a0=comp.a0, coeffs=coeffs, schur_certified=comp.schur_certified))
-    return PolydiscSlice(components=tuple(out))
+    rows = np.zeros_like(s._batch.rows)
+    rows[:, 0], rows[:, k::k] = s._batch.rows[:, 0], s._batch.rows[:, 1 : s.truncation_order // k + 1]  # c_j to t^(kj)
+    return PolydiscSlice._of(SliceBatch._owning(rows, [s.m], check=False, certified=s.certified))
 
 
 def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> TailBudget:
@@ -201,9 +189,9 @@ class SliceBatch:
     copies the rows and runs the checks of ``TruncatedSeries(schur_certified=True)`` on every row (the row rule is
     ``series._schur_caps``), plus :class:`PreconditionError` for a slice that is not equimodular.  It keeps the views
     ``coeffs`` and ``a0`` (the (R, 1) column) of ``rows``, ``a0_moduli`` = |a0|, ``coeff_moduli``, each slice's
-    first row ``starts`` and the per-slice reductions: ``a_norm`` = max_i |a0^(i)|, ``q`` = Q_n = max_i |c_n^(i)|
-    and ``tail_cap`` = the max of that rule's caps max(1 - |a0^(i)|^2, 0).  The read-only arrays take 1.7 to 2
-    times the row bytes.
+    first row ``starts``, ``certified`` and the per-slice reductions: ``a_norm`` = max_i |a0^(i)|, ``q`` = Q_n =
+    max_i |c_n^(i)|, ``tail_cap`` = the max of that rule's caps max(1 - |a0^(i)|^2, 0) and ``equimodular``, the one
+    equimodularity rule a_norm - min_i |a0^(i)| <= :data:`EQUIMODULAR_TOL`.  Read-only, 1.7 to 2 times the row bytes.
     """
 
     rows: np.ndarray
@@ -216,6 +204,8 @@ class SliceBatch:
     a_norm: np.ndarray = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
     tail_cap: np.ndarray = field(init=False, repr=False)
+    equimodular: np.ndarray = field(init=False, repr=False)
+    certified: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not np.iterable(self.counts) or any(np.ndim(count) for count in self.counts):
@@ -224,37 +214,48 @@ class SliceBatch:
         self._take(np.array(self.rows, dtype=np.complex128), counts, check=True)
 
     @classmethod
-    def _owning(cls, rows: np.ndarray, counts: Sequence[int], check: bool) -> "SliceBatch":
-        """A batch that takes ``rows``, a complex128 array no one else holds, without
-        a copy; ``check=False`` skips the checks for rows that already passed them."""
-        (batch := object.__new__(cls))._take(rows, counts, check)
+    def _owning(cls, rows: np.ndarray, counts: Sequence[int], check: bool, certified=True, hypothesis=True):
+        """A batch that takes ``rows``, a complex128 array no one else holds, without a copy.  ``check`` runs the
+        constructor's checks, equimodularity only with ``hypothesis``; unchecked rows are as ``certified`` says."""
+        (batch := object.__new__(cls))._take(rows, counts, check, certified, hypothesis)
         return batch
 
-    def _take(self, rows: np.ndarray, counts: Sequence[int], check: bool) -> None:
-        counts = np.array(counts, dtype=np.intp)
-        if check:
-            if rows.ndim != 2 or rows.shape[1] < 2 or not np.all(np.isfinite(rows[:, 1:])):
-                raise DomainError("coeffs must be a nonempty finite 1-d sequence")
-            if counts.sum() != rows.shape[0]:
-                raise DomainError(f"component counts add up to {counts.sum()}, not to the {rows.shape[0]} rows")
-        rows.setflags(write=False)  # and so every view of it
+    def _take(self, rows: np.ndarray, counts: Sequence[int], check: bool, certified=True, hypothesis=True) -> None:
+        if check and (rows.ndim != 2 or rows.shape[1] < 2):
+            raise DomainError("coeffs must be a nonempty finite 1-d sequence")
         # |a0|, max(1 - |a0|^2, 0) and |c_n| side by side: one per-slice max gives a_norm, tail_cap and Q_n.
         moduli = np.empty((rows.shape[0], rows.shape[1] + 1))
         np.abs(rows[:, 1:], out=moduli[:, 2:])
-        a0_moduli = [abs(a0) for a0 in rows[:, 0].tolist()]
-        worst = moduli[:, 2:].max(axis=1).tolist() if check else None
-        moduli[:, 0], moduli[:, 1] = a0_moduli, _schur_caps(a0_moduli, worst)
-        starts = np.add.accumulate(counts) - counts
-        maxima = _slice_max(moduli, starts)
-        if check and np.any((spread := maxima[:, 0] - np.minimum.reduceat(moduli[:, 0], starts)) > EQUIMODULAR_TOL):
+        a0_moduli, worst = [abs(a0) for a0 in rows[:, 0].tolist()], None
+        if check:
+            worst = moduli[:, 2:].max(axis=1).tolist()
+            # NaN and inf reach the row maxima; a finite c_n whose modulus overflows reaches them too, and passes.
+            if not math.isfinite(sum(worst)) and not np.isfinite(rows[:, 1:]).all():
+                raise DomainError("coeffs must be a nonempty finite 1-d sequence")
+            if sum(counts) != rows.shape[0]:
+                raise DomainError(f"component counts add up to {sum(counts)}, not to the {rows.shape[0]} rows")
+        moduli[:, 0], moduli[:, 1] = a0_moduli, _schur_caps(a0_moduli, worst if certified else None)
+        if len(counts) == 1:  # one slice: shared index arrays, and the spread on Python floats
+            spread = max(a0_moduli) - min(a0_moduli)
+            counts, starts, equimodular = _one_slice(counts[0], spread <= EQUIMODULAR_TOL)
+        else:
+            counts = np.array(counts, dtype=np.intp)
+            starts = np.add.accumulate(counts) - counts
+            spreads = np.maximum.reduceat(moduli[:, 0], starts) - np.minimum.reduceat(moduli[:, 0], starts)
+            spread, equimodular = spreads.max(initial=0.0), spreads <= EQUIMODULAR_TOL
+            for arr in (counts, starts, equimodular):
+                arr.setflags(write=False)
+        if check and hypothesis and spread > EQUIMODULAR_TOL:
             raise PreconditionError(
-                f"slice is not equimodular: initial moduli spread {spread.max()} exceeds {EQUIMODULAR_TOL}"
+                f"slice is not equimodular: initial moduli spread {spread} exceeds {EQUIMODULAR_TOL}"
             )
-        for arr in (counts, starts, moduli, maxima):
+        maxima = _slice_max(moduli, starts)
+        for arr in (rows, moduli, maxima):  # and so every view of them
             arr.setflags(write=False)
         self.__dict__.update(
             rows=rows, counts=counts, coeffs=rows[:, 1:], a0=rows[:, :1], a0_moduli=moduli[:, 0],
             coeff_moduli=moduli[:, 2:], starts=starts, a_norm=maxima[:, 0], tail_cap=maxima[:, 1], q=maxima[:, 2:],
+            equimodular=equimodular, certified=certified,
         )
 
     def __len__(self) -> int:
@@ -265,25 +266,30 @@ class SliceBatch:
         return int(self.coeffs.shape[1])
 
     def slices(self) -> list[PolydiscSlice]:
-        """The batch as per-slice objects of certified components, bit for bit.  Each slice's one-slice batch
-        views this one's rows and reductions, read-only, and reduces nothing again: the maxima are exact."""
-        comps, out = [_certified(row) for row in self.rows], []
+        """The batch as per-slice objects, bit for bit: one-slice batches that view its rows and reductions."""
+        out = []
         for i, (lo, hi) in enumerate(zip(self.starts.tolist(), (self.starts + self.counts).tolist())):
-            rows, part = slice(lo, hi), object.__new__(SliceBatch)
+            rows, part, one = slice(lo, hi), object.__new__(SliceBatch), slice(i, i + 1)
             part.__dict__.update(
-                rows=self.rows[rows], counts=self.counts[i : i + 1], coeffs=self.coeffs[rows], a0=self.a0[rows],
+                rows=self.rows[rows], counts=self.counts[one], coeffs=self.coeffs[rows], a0=self.a0[rows],
                 a0_moduli=self.a0_moduli[rows], coeff_moduli=self.coeff_moduli[rows], starts=self.starts[:1],  # [0]
-                a_norm=self.a_norm[i : i + 1], tail_cap=self.tail_cap[i : i + 1], q=self.q[i : i + 1],
+                a_norm=self.a_norm[one], tail_cap=self.tail_cap[one], q=self.q[one],
+                equimodular=self.equimodular[one], certified=self.certified,
             )
-            out.append(object.__new__(PolydiscSlice)._hold(tuple(comps[rows]), part))
+            out.append(PolydiscSlice._of(part))
         return out
 
 
+@functools.lru_cache(maxsize=16)
+def _one_slice(m: int, equimodular: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``counts`` [m], ``starts`` [0] and ``equimodular`` [flag] of one-slice batches, shared by them all."""
+    for arr in (index := (np.array([m], dtype=np.intp), np.zeros(1, dtype=np.intp), np.array([equimodular]))):
+        arr.setflags(write=False)
+    return index
+
+
 def random_slice_batch(
-    seeds: Iterable[int],
-    m: int | None = None,
-    n_terms: int = DEFAULT_ORDER,
-    scalar: bool = False,
+    seeds: Iterable[int], m: int | None = None, n_terms: int = DEFAULT_ORDER, scalar: bool = False
 ) -> SliceBatch:
     """The slices of :func:`random_equimodular_slice` for each seed, as one batch.
 
@@ -296,19 +302,12 @@ def random_slice_batch(
     return SliceBatch._owning(rows, counts, check=True)
 
 
-def random_equimodular_slice(
-    seed: int,
-    m: int | None = None,
-    n_terms: int = DEFAULT_ORDER,
-) -> PolydiscSlice:
+def random_equimodular_slice(seed: int, m: int | None = None, n_terms: int = DEFAULT_ORDER) -> PolydiscSlice:
     """Draw a certified slice whose initial values share one modulus.
 
     Each component gets its own Schur parameters, except that every leading
     parameter is forced onto a common circle |g_0| = rho (with independent
-    phases), which pins |a0^(i)| = rho for all components.
-
-    Args:
-        seed: RNG seed; output is reproducible.
-        m: component count; drawn from {1, 2, 3} when omitted.
+    phases), which pins |a0^(i)| = rho for all components.  The output is
+    reproducible per ``seed``; ``m`` is drawn from {1, 2, 3} when omitted.
     """
-    return SliceBatch._owning(*_seeded_rows([seed], n_terms, m=m), check=False).slices()[0]
+    return PolydiscSlice._of(SliceBatch._owning(*_seeded_rows([seed], n_terms, m=m), check=True))

@@ -161,7 +161,7 @@ def reproduce_before_building(args):
         raise AssertionError("built a slice before checking the input")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sharpness, "mobius_series", fail)
+        patch.setattr(sharpness, "_mobius_rows", fail)
         reproduce_counterexample(*args)
 
 
