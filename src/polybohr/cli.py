@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -292,15 +291,11 @@ _RUNNERS = {
 }
 
 
-_BOOLS = {True: "true", False: "false"}
+#: What ``_fmt`` writes for a CSV column all of whose cells have one of these types; other columns take ``_csv_cell``.
+_CSV_WRITERS = {float: "{:.12g}".format, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
 
-#: The writer of a report column all of whose cells have one of these types, in JSON (what ``json.dumps`` writes;
-#: JSON has no inf or nan, so only a column of finite floats takes ``float.__repr__``) and in CSV (what ``_fmt``
-#: writes); any other column is written cell by cell.
-_CELL_WRITERS = {
-    "json": {float: float.__repr__, int: int.__repr__, bool: _BOOLS.__getitem__},
-    "csv": {float: "{:.12g}".format, int: int.__repr__, bool: _BOOLS.__getitem__},
-}
+#: Writes a JSON column in one call, cells split by NUL (escaped in every JSON string), each as ``json.dumps`` would.
+_JSON_COLUMN = json.JSONEncoder(separators=("\x00", ": "))
 
 
 def _csv_cell(value: Any) -> str:
@@ -310,12 +305,13 @@ def _csv_cell(value: Any) -> str:
 
 
 def _cells(column: list[Any], fmt: str) -> list[str]:
-    """Every cell of a report column as ``fmt`` writes it, by one writer mapped over the column where one fits."""
+    """Every cell of a report column of scalars as ``fmt`` writes it: JSON by one encoder call, CSV by one writer
+    mapped over the column where one fits."""
+    if fmt == "json":
+        return _JSON_COLUMN.encode(column)[1:-1].split("\x00") if column else []
     kinds = set(map(type, column))
-    write = _CELL_WRITERS[fmt].get(kinds.pop()) if len(kinds) == 1 else None
-    if write is float.__repr__ and not all(map(math.isfinite, column)):
-        write = None
-    return list(map(write or (json.dumps if fmt == "json" else _csv_cell), column))
+    write = _CSV_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(write or _csv_cell, column))
 
 
 def _rows(columns: dict[str, Any], fmt: str) -> list[str]:

@@ -76,7 +76,7 @@ class FunctionalSpec:
                 raise DomainError(f"{name} applies only to kind {owner!r}, not to {self.kind!r}")
         if self.p is not None:
             if self.p not in (1, 2):
-                raise DomainError(f"p must be 1 or 2, got {self.p}")
+                raise DomainError(f"p must be 1 or 2, got {self.p!r}")
             # A plain int, as _check_count returns for k: an np.int64 would make a_norm**p an np.float64.
             object.__setattr__(self, "p", int(self.p))
         if self.k is not None:

@@ -45,14 +45,14 @@ REFINED_RADIUS_P2 = 1.0 / 3.0
 CLASSICAL_RADIUS = 1.0 / 3.0
 
 
-def _check_unit(value: float, name: str, positive: bool = False) -> None:
-    """The rule of every radius and parameter: a number in [0, 1), or in (0, 1) when ``positive``."""
+def _check_unit(value: float, name: str, positive: bool = False, closed: bool = False, top: float = 1.0) -> None:
+    """Each radius, parameter and tolerance: in [0, top), or (0, top) if ``positive``, [0, top] if ``closed``."""
     try:
-        if (0.0 < value if positive else 0.0 <= value) and value < 1.0:
+        if (0.0 < value if positive else 0.0 <= value) and (value <= top if closed else value < top):
             return
     except TypeError:  # a str, None or a complex
         pass
-    raise DomainError(f"{name} must lie in {'(' if positive else '['}0, 1), got {value!r}")
+    raise DomainError(f"{name} must lie in {'(' if positive else '['}0, {top:g}{']' if closed else ')'}, got {value!r}")
 
 
 def _check_count(value: int, name: str, least: int = 1, most: float = sys.float_info.max) -> int:
@@ -87,8 +87,7 @@ def slack_polynomial(x: float) -> float:
     s = sqrt(33).  Equals the numerator of the squared functional's slack at
     r = sqrt(11/27), up to a positive factor.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
+    _check_unit(x, "x", closed=True)
     s = math.sqrt(33.0)
     return (
         121.0 * x**6
@@ -107,8 +106,7 @@ def slack_polynomial_factored(x: float) -> float:
     Manifestly nonpositive on [0, 1], with a double root at x = q: the
     parameter of the extremal family attaining equality.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
+    _check_unit(x, "x", closed=True)
     q = SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA
     return 121.0 * (x * x - 1.0) * (x + 5.0 * q) * (x + 3.0 * q) * (x - q) ** 2
 
@@ -119,9 +117,10 @@ def check_slack_factorization(samples: int, tol: float = 1e-9) -> bool:
     True iff expanded and factored forms agree to ``tol`` at ``samples``
     equispaced points and the factored form is nonpositive there.  Seven
     agreement points already pin a degree-six identity; dense sampling
-    guards conditioning.
+    guards conditioning.  ``tol`` must be finite and >= 0.
     """
     samples = _check_count(samples, "samples")
+    _check_unit(tol, "tol", top=math.inf)
     for j in range(samples):
         x = j / samples
         lhs = slack_polynomial(x)

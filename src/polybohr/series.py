@@ -28,9 +28,9 @@ so the stored coefficients of one seed can differ from one CPU to another.
 
 Seeded series: seed s, an integer >= 0, draws from ``np.random.default_rng(s)``,
 a PCG64 seeded by ``SeedSequence(s)``; numpy NEP 19 fixes both algorithms.  A
-draw block of :data:`COLUMN_SEEDS` or more seeds hashes its seeds as uint32
-columns (:func:`_pcg64_states`) and sets each state on one reused generator,
-so every uniform keeps its bits.
+draw block of :data:`COLUMN_SEEDS` or more seeds, all below 2**64, hashes them
+as uint32 columns (:func:`_pcg64_states`) and sets each state on one reused
+generator, so every uniform keeps its bits; other blocks take ``default_rng``.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class TailBudget:
     value: float
 
     def __post_init__(self) -> None:
-        if not (self.value >= 0.0 and np.isfinite(self.value)):
-            raise DomainError(f"tail budget must be finite and >= 0, got {self.value}")
+        _check_unit(self.value, "tail budget", top=math.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,18 +100,29 @@ class TruncatedSeries:
         return series
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
+        arr = _complex_array(self.coeffs, "coeffs").copy()
         if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
             raise DomainError("coeffs must be a nonempty finite 1-d sequence")
-        arr = arr.copy()
+        if (a0 := _complex_array(self.a0, "a0")).ndim:
+            raise DomainError(f"a0 must be one number, got {self.a0!r}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "a0", complex(self.a0))
+        object.__setattr__(self, "a0", complex(a0))
         _schur_caps([abs(self.a0)], [float(np.max(np.abs(arr)))] if self.schur_certified else None)
 
     @property
     def truncation_order(self) -> int:
         return int(self.coeffs.size)
+
+
+def _complex_array(value, name: str) -> np.ndarray:
+    """The rule of every complex input: numbers, not text, None or other objects, as complex128 (no copy of one)."""
+    try:
+        if (arr := np.asarray(value)).dtype.kind in "biufc":  # bools, ints, floats and complex numbers
+            return arr.astype(np.complex128, copy=False)
+    except ValueError:  # a ragged sequence
+        pass
+    raise DomainError(f"{name} must be numeric, got {value!r}")
 
 
 def _schur_caps(a0_moduli: list[float], worst: list[float] | None) -> list[float]:
@@ -255,11 +265,9 @@ def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_O
         n_terms: truncation order of the returned series.
     """
     n_terms = _check_count(n_terms, "truncation order")
-    gams = np.asarray(params, dtype=np.complex128)
-    if gams.ndim != 1 or gams.size < 1:
-        raise DomainError("params must be a nonempty 1-d sequence")
-    if np.any(np.abs(gams) > 1.0 + 1e-15):
-        raise DomainError("Schur parameters must have modulus <= 1")
+    gams = _complex_array(params, "params")
+    if gams.ndim != 1 or gams.size < 1 or not np.all(np.abs(gams) <= 1.0 + 1e-15):  # a NaN fails it
+        raise DomainError(f"Schur parameters must be a nonempty 1-d sequence of moduli <= 1, got {params!r}")
     [row] = _synthesize_rows(gams[np.newaxis, :], n_terms)
     return TruncatedSeries(a0=row[0], coeffs=row[1:], schur_certified=True)
 
@@ -289,23 +297,19 @@ def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return words
 
 
-def _pcg64_states(seeds: list[int]) -> list[dict | None]:
-    """The ``bit_generator.state`` of ``np.random.PCG64(seed)`` for each seed below 2**128, None for a larger one.
+def _pcg64_states(seeds: list[int]) -> list[dict]:
+    """The ``bit_generator.state`` of ``np.random.PCG64(seed)`` for each seed, all below 2**64.
 
     ``PCG64(seed)`` takes four uint64 words from ``SeedSequence(seed)``: the seed's little-endian 32-bit words
-    (four, zero-padded, below 2**128) are hashed into a pool of four, each pool word is mixed into the other three,
+    (two, zero-padded to four) are hashed into a pool of four, each pool word is mixed into the other three,
     and the pool is hashed out to eight 32-bit words, read in little-endian pairs as the high and low halves of a
     128-bit state s and stream seq.  PCG's srandom sets inc = 2 seq + 1 and takes two LCG steps from 0, adding s
     in between.  Every step runs on uint32 columns, one entry per seed (uint32 arithmetic wraps as SeedSequence's
-    does); only the 128-bit arithmetic runs on Python ints.  A larger seed's extra words would be mixed in last:
-    it is left to ``np.random.default_rng``.
+    does); only the 128-bit arithmetic runs on Python ints.
     """
+    low = np.array(seeds, dtype=np.uint64)
     words = np.zeros((4, len(seeds)), dtype=np.uint32)
-    if max(seeds) < 2**64:
-        low = np.array(seeds, dtype=np.uint64)
-        words[0], words[1] = low & 0xFFFFFFFF, low >> 32
-    else:
-        words[...] = [[seed >> 32 * i & 0xFFFFFFFF if seed < 2**128 else 0 for seed in seeds] for i in range(4)]
+    words[0], words[1] = low & 0xFFFFFFFF, low >> 32
     pool = _hashmix(words, _HASH_A[:5])
     for src in range(4):
         others = [dst for dst in range(4) if dst != src]
@@ -315,30 +319,24 @@ def _pcg64_states(seeds: list[int]) -> list[dict | None]:
         pool[others] = mixed
     out = _hashmix(pool[[0, 1, 2, 3] * 2], _HASH_B).astype(np.uint64)
     states = []
-    for seed, s_hi, s_lo, seq_hi, seq_lo in zip(seeds, *(out[0::2] | out[1::2] << 32).tolist()):
+    for s_hi, s_lo, seq_hi, seq_lo in zip(*(out[0::2] | out[1::2] << 32).tolist()):
         inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
         state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) % 2**128
-        states.append(
-            None if seed >= 2**128
-            else {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-        )
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
     return states
 
 
 def _generators(seeds: list[int]) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng(seed)`` for each seed in turn, bit for bit.  From :data:`COLUMN_SEEDS` seeds on, one
-    generator is set to each seed's :func:`_pcg64_states` state instead; the caller is done with it before the
-    next seed."""
-    if len(seeds) < COLUMN_SEEDS:
+    """``np.random.default_rng(seed)`` for each seed in turn, bit for bit.  A block of :data:`COLUMN_SEEDS` seeds or
+    more, all below 2**64, sets one generator to each seed's :func:`_pcg64_states` state instead; the caller is done
+    with it before the next seed."""
+    if len(seeds) < COLUMN_SEEDS or max(seeds) >= 2**64:
         yield from map(np.random.default_rng, seeds)
         return
     shared = np.random.default_rng(0)
-    for seed, state in zip(seeds, _pcg64_states(seeds)):
-        if state is None:
-            yield np.random.default_rng(seed)
-        else:
-            shared.bit_generator.state = state
-            yield shared
+    for state in _pcg64_states(seeds):
+        shared.bit_generator.state = state
+        yield shared
 
 
 def _seeded_rows(
@@ -421,7 +419,7 @@ def eval_series_many(s, ts: np.ndarray) -> np.ndarray:
     80-digit reference measures about 1e-16 at N = 64.  A non-finite point
     or |t| >= 1 raises DomainError.
     """
-    ts = np.asarray(ts, dtype=np.complex128)
+    ts = _complex_array(ts, "ts")
     if s.coeffs.ndim == 2 and ts.ndim != 1:
         raise DomainError(f"a batch is evaluated at a 1-d ts, got shape {ts.shape}")
     return s.a0 + (_power_table(ts.tobytes(), ts.shape, s.coeffs.shape[-1]) @ s.coeffs[..., np.newaxis])[..., 0]

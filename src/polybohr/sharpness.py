@@ -96,7 +96,7 @@ def extremal_slice(spec: FunctionalSpec, lam: float, m: int = 1, n_terms: int = 
     _check_unit(lam, "extremal parameter", positive=True)
     m = _check_count(m, "component count m")
     rows = _mobius_rows([lam], _family_sign(spec), n_terms)
-    return PolydiscSlice._of(SliceBatch._owning(rows if m == 1 else rows.repeat(m, axis=0), [m], check=True))
+    return PolydiscSlice._of(SliceBatch._owning(rows if m == 1 else rows.repeat(m, axis=0), [m]))
 
 
 def find_witness(spec: FunctionalSpec, r: float, m: int = 1, n_terms: int = DEFAULT_ORDER) -> SharpnessWitness:
@@ -180,7 +180,7 @@ def reproduce_counterexample(
     bound = counterexample_analytic_bound(spec, a1, a2, r)
     rows = _mobius_rows([a1, a2], _family_sign(spec), n_terms)
     # The slice is not equimodular on purpose, so its batch and the evaluation skip that hypothesis.
-    [value] = eval_functional_batch(SliceBatch._owning(rows, [2], check=True, hypothesis=False), spec, r)
+    [value] = eval_functional_batch(SliceBatch._owning(rows, [2], hypothesis=False), spec, r)
     return CounterexampleReport(
         spec=spec,
         a1=a1,

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import CertificationError, DomainError, PreconditionError
 from .radii import _check_count, _check_unit
 from .series import (
-    CIRCLE_CACHE_SIZE, DEFAULT_ORDER, TailBudget, TailTermKind, TruncatedSeries, _schur_caps, _seeded_rows, _tail_value,
-    eval_series_many,
+    CIRCLE_CACHE_SIZE, DEFAULT_ORDER, TailBudget, TailTermKind, TruncatedSeries, _complex_array, _schur_caps,
+    _seeded_rows, _tail_value, eval_series_many,
 )
 
 #: Modulus spread below which initial values count as equimodular.  It
@@ -40,8 +40,8 @@ PHASES = 64
 
 class PolydiscSlice:
     """m component series with a shared truncation order: a slice is its one-slice :class:`SliceBatch` ``_batch``,
-    made with it (components are not re-checked), which gives ``m``, ``truncation_order``, ``certified`` (all
-    components are) and ``equimodular``.  ``components`` builds read-only views of the batch rows on request."""
+    made with it (rows checked once, equal moduli or not), which gives ``m``, ``truncation_order``, ``certified``
+    (all components are) and ``equimodular``.  ``components`` builds read-only views of the batch rows on request."""
 
     def __init__(self, components: Sequence[TruncatedSeries]) -> None:
         comps = tuple(components)
@@ -53,8 +53,8 @@ class PolydiscSlice:
         rows = np.empty((len(comps), orders.pop() + 1), dtype=np.complex128)
         for row, comp in zip(rows, comps):
             row[0], row[1:] = comp.a0, comp.coeffs
-        certified = all(c.schur_certified for c in comps)  # the rows passed their TruncatedSeries checks
-        vars(self)["_batch"] = SliceBatch._owning(rows, [len(comps)], check=False, certified=certified)
+        certified = all(c.schur_certified for c in comps)
+        vars(self)["_batch"] = SliceBatch._owning(rows, [len(comps)], certified=certified, hypothesis=False)
 
     @classmethod
     def _of(cls, batch: SliceBatch) -> "PolydiscSlice":
@@ -164,7 +164,7 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
         return s
     rows = np.zeros_like(s._batch.rows)
     rows[:, 0], rows[:, k::k] = s._batch.rows[:, 0], s._batch.rows[:, 1 : s.truncation_order // k + 1]  # c_j to t^(kj)
-    return PolydiscSlice._of(SliceBatch._owning(rows, [s.m], check=False, certified=s.certified))
+    return PolydiscSlice._of(SliceBatch._owning(rows, [s.m], certified=s.certified, hypothesis=False))
 
 
 def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> TailBudget:
@@ -211,29 +211,27 @@ class SliceBatch:
         if not np.iterable(self.counts) or any(np.ndim(count) for count in self.counts):
             raise DomainError(f"counts must be a 1-d sequence, got {self.counts!r}")
         counts = [_check_count(count, "component count") for count in self.counts]
-        self._take(np.array(self.rows, dtype=np.complex128), counts, check=True)
+        self._take(_complex_array(self.rows, "rows").copy(), counts)
 
     @classmethod
-    def _owning(cls, rows: np.ndarray, counts: Sequence[int], check: bool, certified=True, hypothesis=True):
-        """A batch that takes ``rows``, a complex128 array no one else holds, without a copy.  ``check`` runs the
-        constructor's checks, equimodularity only with ``hypothesis``; unchecked rows are as ``certified`` says."""
-        (batch := object.__new__(cls))._take(rows, counts, check, certified, hypothesis)
+    def _owning(cls, rows: np.ndarray, counts: Sequence[int], certified=True, hypothesis=True) -> "SliceBatch":
+        """A batch that takes ``rows``, a complex128 array no one else holds, without a copy, and checks it as the
+        constructor does: the coefficient bound only when ``certified``, equimodularity only with ``hypothesis``."""
+        (batch := object.__new__(cls))._take(rows, counts, certified, hypothesis)
         return batch
 
-    def _take(self, rows: np.ndarray, counts: Sequence[int], check: bool, certified=True, hypothesis=True) -> None:
-        if check and (rows.ndim != 2 or rows.shape[1] < 2):
+    def _take(self, rows: np.ndarray, counts: Sequence[int], certified=True, hypothesis=True) -> None:
+        if rows.ndim != 2 or rows.shape[1] < 2:
             raise DomainError("coeffs must be a nonempty finite 1-d sequence")
         # |a0|, max(1 - |a0|^2, 0) and |c_n| side by side: one per-slice max gives a_norm, tail_cap and Q_n.
         moduli = np.empty((rows.shape[0], rows.shape[1] + 1))
         np.abs(rows[:, 1:], out=moduli[:, 2:])
-        a0_moduli, worst = [abs(a0) for a0 in rows[:, 0].tolist()], None
-        if check:
-            worst = moduli[:, 2:].max(axis=1).tolist()
-            # NaN and inf reach the row maxima; a finite c_n whose modulus overflows reaches them too, and passes.
-            if not math.isfinite(sum(worst)) and not np.isfinite(rows[:, 1:]).all():
-                raise DomainError("coeffs must be a nonempty finite 1-d sequence")
-            if sum(counts) != rows.shape[0]:
-                raise DomainError(f"component counts add up to {sum(counts)}, not to the {rows.shape[0]} rows")
+        a0_moduli, worst = [abs(a0) for a0 in rows[:, 0].tolist()], moduli[:, 2:].max(axis=1).tolist()
+        # NaN and inf reach the row maxima; a finite c_n whose modulus overflows reaches them too, and passes.
+        if not math.isfinite(sum(worst)) and not np.isfinite(rows[:, 1:]).all():
+            raise DomainError("coeffs must be a nonempty finite 1-d sequence")
+        if sum(counts) != rows.shape[0]:
+            raise DomainError(f"component counts add up to {sum(counts)}, not to the {rows.shape[0]} rows")
         moduli[:, 0], moduli[:, 1] = a0_moduli, _schur_caps(a0_moduli, worst if certified else None)
         if len(counts) == 1:  # one slice: shared index arrays, and the spread on Python floats
             spread = max(a0_moduli) - min(a0_moduli)
@@ -245,7 +243,7 @@ class SliceBatch:
             spread, equimodular = spreads.max(initial=0.0), spreads <= EQUIMODULAR_TOL
             for arr in (counts, starts, equimodular):
                 arr.setflags(write=False)
-        if check and hypothesis and spread > EQUIMODULAR_TOL:
+        if hypothesis and spread > EQUIMODULAR_TOL:
             raise PreconditionError(
                 f"slice is not equimodular: initial moduli spread {spread} exceeds {EQUIMODULAR_TOL}"
             )
@@ -299,7 +297,7 @@ def random_slice_batch(
     bounded on any seed range; ``verify`` passes one such chunk at a time.
     """
     rows, counts = _seeded_rows(seeds, n_terms, m=m, scalar=scalar)
-    return SliceBatch._owning(rows, counts, check=True)
+    return SliceBatch._owning(rows, counts)
 
 
 def random_equimodular_slice(seed: int, m: int | None = None, n_terms: int = DEFAULT_ORDER) -> PolydiscSlice:
@@ -310,4 +308,4 @@ def random_equimodular_slice(seed: int, m: int | None = None, n_terms: int = DEF
     phases), which pins |a0^(i)| = rho for all components.  The output is
     reproducible per ``seed``; ``m`` is drawn from {1, 2, 3} when omitted.
     """
-    return PolydiscSlice._of(SliceBatch._owning(*_seeded_rows([seed], n_terms, m=m), check=True))
+    return PolydiscSlice._of(SliceBatch._owning(*_seeded_rows([seed], n_terms, m=m)))

@@ -523,9 +523,10 @@ class TestReportLayout:
 
     def test_report_writer_agrees_with_the_json_and_csv_modules(self, capsys):
         # Shared values and columns of every cell type, with non-finite floats, a signed zero, a
-        # mixed column and text that JSON escapes and CSV quotes.
+        # mixed column, text that JSON escapes and CSV quotes, and NUL, which splits the JSON encoder's cells.
         columns = {
             "text": 'a {0} {b}, "c"\n\u03bb',
+            "nul": ["\x00", "a\x00b", "\x00\x00"],
             "none": None,
             "int": [1, 2**70, -3],
             "float": [0.1, -0.0, 1e300],

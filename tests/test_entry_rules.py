@@ -3,11 +3,14 @@
 truncation orders, component counts, sample counts and composition orders
 that are not an integer ≥ 1, seeds that are not an integer ≥ 0, batch
 counts that are not a 1-d sequence of such counts, counterexample parameters
-outside their family's ranges, and a batch evaluated at points that are not
-a 1-d array.  An input that does not
+outside their family's ranges, a batch evaluated at points that are not
+a 1-d array, an x of the slack polynomials outside [0, 1] and a tolerance that
+is not a finite number >= 0.  An input that does not
 compare with a number (a str, None) breaks the rule it reaches with a
-``DomainError`` that names the input.  An integral float is the integer it
-equals: it gives that integer's bits."""
+``DomainError`` that names the input, and so does an array input (batch rows,
+series coefficients and a0, evaluation points, Schur parameters) that holds
+text or None.  An integral float is the integer it equals: it gives that
+integer's bits."""
 
 import math
 from fractions import Fraction
@@ -23,6 +26,7 @@ from polybohr import (
     DomainError,
     FunctionalSpec,
     PolydiscSlice,
+    TruncatedSeries,
     check_slack_factorization,
     counterexample_analytic_bound,
     eval_functional,
@@ -37,6 +41,8 @@ from polybohr import (
     reproduce_counterexample,
     schur_series_from_params,
     schwarz_compose,
+    slack_polynomial,
+    slack_polynomial_factored,
     slice_tail_bound,
     solve_radius,
     sup_modulus,
@@ -123,6 +129,24 @@ NON_NUMERIC = {
         lambda a1: reproduce_before_building((FunctionalSpec.composed(1), a1, 0.9, 0.5)), "0.5",
         "a1 must lie in [0, 1), got '0.5'",
     ),
+    "check_slack_factorization-tol": (
+        lambda tol: check_slack_factorization(10, tol), "x", "tol must lie in [0, inf), got 'x'"
+    ),
+    "slack_polynomial-x": (slack_polynomial, "0.5", "x must lie in [0, 1], got '0.5'"),
+    "slack_polynomial_factored-x": (slack_polynomial_factored, None, "x must lie in [0, 1], got None"),
+    "SliceBatch-rows": (
+        lambda rows: SliceBatch(rows=rows, counts=[1]), [["a", "b"]], "rows must be numeric, got [['a', 'b']]"
+    ),
+    "TruncatedSeries-a0-str": (lambda a0: TruncatedSeries(a0=a0, coeffs=[0.1]), "x", "a0 must be numeric, got 'x'"),
+    "TruncatedSeries-a0-none": (lambda a0: TruncatedSeries(a0=a0, coeffs=[0.1]), None, "a0 must be numeric, got None"),
+    "TruncatedSeries-coeffs": (lambda c: TruncatedSeries(0.0, c), ["a"], "coeffs must be numeric, got ['a']"),
+    "eval_series_many-ts": (lambda ts: eval_series_many(SERIES, ts), "abc", "ts must be numeric, got 'abc'"),
+    "schur_series_from_params-str": (schur_series_from_params, ["a"], "params must be numeric, got ['a']"),
+    "schur_series_from_params-nan": (
+        schur_series_from_params, [math.nan],
+        "Schur parameters must be a nonempty 1-d sequence of moduli <= 1, got [nan]",
+    ),
+    "FunctionalSpec.refined-p": (FunctionalSpec.refined, "2", "p must be 1 or 2, got '2'"),
 }
 
 #: Seeds that are not an integer >= 0, each with the message of its DomainError.
@@ -191,6 +215,11 @@ def _cases():
         yield pytest.param(lambda c: SliceBatch(rows=SLICE._batch.rows, counts=c), counts, id=f"SliceBatch-counts={counts}")
     for samples in (0, 2.5, math.nan):
         yield pytest.param(check_slack_factorization, samples, id=f"check_slack_factorization-samples={samples}")
+    for tol in (math.nan, -1e-9, math.inf, "x", None):
+        yield pytest.param(lambda t: check_slack_factorization(10, t), tol, id=f"check_slack_factorization-tol={tol}")
+    for call in (slack_polynomial, slack_polynomial_factored):
+        for x in (-0.1, 1.1, math.nan, "0.5", None):
+            yield pytest.param(call, x, id=f"{call.__name__}-x={x}")
     for k in (0, 2.5):
         yield pytest.param(lambda k: schwarz_compose(SLICE, k), k, id=f"schwarz_compose-k={k}")
     for name, args in COUNTEREXAMPLE.items():
@@ -253,3 +282,9 @@ def test_numpy_int_bool_and_integral_float_seeds_draw_their_ints_streams(count):
         got, want = random_slice_batch([seed] * count), random_slice_batch([as_int] * count)
         assert got.rows.tobytes() == want.rows.tobytes(), repr(seed)
         assert got.counts.tobytes() == want.counts.tobytes(), repr(seed)
+
+
+def test_the_slack_polynomials_take_x_1_and_a_tolerance_keeps_its_result():
+    assert slack_polynomial(1.0) == slack_polynomial_factored(1.0) == 0.0
+    assert check_slack_factorization(50, tol=1e-9)
+    check_slack_factorization(10, 0)  # the closed end of [0, inf)

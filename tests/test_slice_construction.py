@@ -26,6 +26,7 @@ from polybohr import (
     mobius_series,
     random_equimodular_slice,
     reproduce_counterexample,
+    schwarz_compose,
 )
 from polybohr.errors import CertificationError, DomainError, PreconditionError
 from polybohr.functionals import eval_functional_batch
@@ -218,7 +219,7 @@ def test_a_non_equimodular_batch_is_a_precondition_error_and_a_counterexample_ev
     report = reproduce_counterexample(FunctionalSpec.composed(1), 0.5, 0.9, 0.5)
     [value] = eval_functional_batch(mixed._batch, FunctionalSpec.composed(1), 0.5)
     assert (report.value_lower, report.value_upper) == (value.lower, value.upper)
-    batch = SliceBatch._owning(rows.copy(), [2], check=True, hypothesis=False)
+    batch = SliceBatch._owning(rows.copy(), [2], hypothesis=False)
     assert batch.equimodular.tolist() == [False] and batch.certified
 
 
@@ -252,6 +253,19 @@ class TestComponentsOnRequest:
         loose = TruncatedSeries(a0=0.5, coeffs=np.full(8, 0.9))
         sl = PolydiscSlice.from_components([loose, mobius_series(0.5, "plus", 8)])
         assert not sl.certified and [c.schur_certified for c in sl.components] == [False, False]
+
+    def test_schwarz_compose_builds_from_unequal_moduli_and_uncertified_slices(self):
+        # Its batch checks the rows but not the hypothesis; the evaluator still refuses both slices.
+        mixed = PolydiscSlice(components=(mobius_series(0.6, "plus", 12), mobius_series(0.9, "minus", 12)))
+        loose = PolydiscSlice(components=(TruncatedSeries(a0=0.5, coeffs=np.full(12, 0.9)),))
+        for sl, error in ((mixed, PreconditionError), (loose, CertificationError)):
+            composed = schwarz_compose(sl, 3)
+            assert (composed.m, composed.certified, composed.equimodular) == (sl.m, sl.certified, sl.equimodular)
+            assert bits(composed._batch.rows[:, 3::3]) == bits(sl._batch.rows[:, 1:5])
+            assert not np.delete(composed._batch.rows, [0, 3, 6, 9, 12], axis=1).any()
+            with pytest.raises(error):
+                eval_functional(composed, FunctionalSpec.composed(1), 0.3)
+        assert not mixed.equimodular and not loose.certified
 
     def test_a_witness_search_builds_no_series(self, monkeypatch):
         built, post_init = [], TruncatedSeries.__post_init__

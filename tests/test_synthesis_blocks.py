@@ -14,11 +14,12 @@ the reference).  The recursion updates only the orders below a cap of 8,
 Blocked synthesis keeps its temporaries bounded on long seed ranges, and so
 does a batch built from them.
 
-A block of :data:`COLUMN_SEEDS` or more seeds computes the state of each
-seed's ``PCG64(SeedSequence(seed))`` as columns instead of building a
-``np.random.default_rng`` per seed; the states, and so every drawn row, must
-be those of ``np.random.default_rng(seed)``, also for seeds of two, three,
-four and more 32-bit words.
+A block of :data:`COLUMN_SEEDS` or more seeds, all below 2**64, computes the
+state of each seed's ``PCG64(SeedSequence(seed))`` as columns instead of
+building a ``np.random.default_rng`` per seed; the states, and so every drawn
+row, must be those of ``np.random.default_rng(seed)``, for seeds of one and two
+32-bit words.  A block that holds a seed from 2**64 on draws every seed from
+its own ``np.random.default_rng``, and keeps the same rows.
 """
 
 import tracemalloc
@@ -32,7 +33,7 @@ from test_synthesis_reference import reference_scalar, reference_slice, referenc
 
 BLOCK_SIZES = [1, 2, 3, 63, 64, 65, 128, 129]
 
-#: Seeds of two to seven 32-bit words; from 2**128 on, a seed's extra words go to ``np.random.default_rng``.
+#: Seeds of two to seven 32-bit words; a block that holds one from 2**64 on draws each seed from its own generator.
 LARGE_SEEDS = [
     2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**96 + 3, 2**128 - 1, 2**128, 2**128 + 5, 2**200,
 ]
@@ -110,16 +111,20 @@ def test_long_seed_range_batches_peak_below_three_times_their_rows(m):
     assert peak < 2.33 * batch.rows.nbytes, f"peak {peak} B for {batch.rows.nbytes} B of rows"
 
 
+#: A 128-seed block whose seeds straddle 2**64: the column hash takes none of them.
+STRADDLE = range(2**64 - 64, 2**64 + 64)
+
+
 def test_column_states_are_the_states_of_pcg64():
-    seeds = [*range(10000), *LARGE_SEEDS]
-    for seed, state in zip(seeds, _pcg64_states(seeds)):
-        if seed >= 2**128:
-            assert state is None, seed
-        else:
-            assert state == np.random.PCG64(seed).state, seed
+    seeds = [*range(10000), *(seed for seed in LARGE_SEEDS if seed < 2**64)]
+    assert seeds[-4:] == [2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+    for seed, state in zip(seeds, _pcg64_states(seeds), strict=True):
+        assert state == np.random.PCG64(seed).state, seed
 
 
-@pytest.mark.parametrize("seeds", [range(COLUMN_SEEDS - 1), range(COLUMN_SEEDS), [*range(40), *LARGE_SEEDS]])
+@pytest.mark.parametrize(
+    "seeds", [range(COLUMN_SEEDS - 1), range(COLUMN_SEEDS), [*range(40), *LARGE_SEEDS], STRADDLE]
+)
 def test_every_generator_starts_in_its_seed_s_state(seeds):
     seeds = list(seeds)
     got = [rng.bit_generator.state for rng in _generators(seeds)]  # each read before the next is set
@@ -149,5 +154,13 @@ def test_large_seeds_keep_their_rows_in_a_column_block(m, scalar):
     seeds = [*range(40), *LARGE_SEEDS]
     rows, counts = _seeded_rows(seeds, 8, m=m, scalar=scalar)
     expected, expected_counts = reference_rows(seeds, 8, m, scalar)
+    assert counts == expected_counts
+    assert same_bits(rows, expected)
+
+
+@pytest.mark.parametrize("m, scalar", [(None, False), (None, True)], ids=["mixed", "scalar"])
+def test_a_block_that_straddles_2_64_keeps_its_rows(m, scalar):
+    rows, counts = _seeded_rows(STRADDLE, 8, m=m, scalar=scalar)
+    expected, expected_counts = reference_rows(STRADDLE, 8, m, scalar)
     assert counts == expected_counts
     assert same_bits(rows, expected)
