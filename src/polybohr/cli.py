@@ -291,9 +291,6 @@ _RUNNERS = {
 }
 
 
-#: What ``_fmt`` writes for a CSV column all of whose cells have one of these types; other columns take ``_csv_cell``.
-_CSV_WRITERS = {float: "{:.12g}".format, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
-
 #: Writes a JSON column in one call, cells split by NUL (escaped in every JSON string), each as ``json.dumps`` would.
 _JSON_COLUMN = json.JSONEncoder(separators=("\x00", ": "))
 
@@ -305,13 +302,10 @@ def _csv_cell(value: Any) -> str:
 
 
 def _cells(column: list[Any], fmt: str) -> list[str]:
-    """Every cell of a report column of scalars as ``fmt`` writes it: JSON by one encoder call, CSV by one writer
-    mapped over the column where one fits."""
+    """Every cell of a report column of scalars as ``fmt`` writes it: JSON by one encoder call, CSV cell by cell."""
     if fmt == "json":
         return _JSON_COLUMN.encode(column)[1:-1].split("\x00") if column else []
-    kinds = set(map(type, column))
-    write = _CSV_WRITERS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(write or _csv_cell, column))
+    return list(map(_csv_cell, column))
 
 
 def _rows(columns: dict[str, Any], fmt: str) -> list[str]:

@@ -15,7 +15,9 @@ Each kind has one such row, with an upper bound, a lower bound and a tail
 budget for the modulus term, and one function assembles every kind from
 its row.  :func:`eval_functional_batch` is the one evaluator: it reads
 a_norm, Q_n and the tail cap M from the ``SliceBatch`` that reduced them
-once, and :func:`eval_functional` runs it on the batch a slice is made with.
+once, and :func:`eval_functional` runs it on a slice, a one-slice batch.
+The evaluator is also the one place that checks the certified and
+equimodular hypotheses; only the counterexample driver skips them.
 
 Every evaluation is two-sided.  The *upper* value replaces each modulus
 term by a closed-form bound and adds the geometric tail budgets of the
@@ -41,6 +43,7 @@ products (one BLAS call per row) and maxima are exact, as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -107,7 +110,7 @@ class FunctionalValue:
     ``upper = truncated + tail`` adds the geometric tail budgets;
     ``lower`` swaps the modulus bounds for sampled evaluations less their
     truncation budgets (and equals ``truncated`` for kinds without a
-    modulus term).
+    modulus term).  Every field is finite.
     """
 
     truncated: float
@@ -120,22 +123,17 @@ class FunctionalValue:
             raise DomainError("tail must be nonnegative")
         if self.lower > self.upper + 1e-15:
             raise DomainError("lower bound exceeds upper bound")
+        # NaN fails every comparison, so it passes the two rules above; it fails these, as an infinity does.
+        if not (-inf < self.truncated < inf and -inf < self.tail < inf
+                and -inf < self.lower < inf and -inf < self.upper < inf):
+            raise DomainError(f"enclosure fields must be finite, got {self}")
 
 
 def eval_functional(s: PolydiscSlice, spec: FunctionalSpec, r: float) -> FunctionalValue:
-    """Evaluate a functional on a slice at radius r, with tail budgets.
-
-    Requires every component to be Schur-certified (the closed-form bounds
-    and tail budgets are meaningless otherwise) and, for the three
-    theorem-style kinds, an equimodular slice.  The rest is
-    :func:`eval_functional_batch` on the slice's one-slice batch, which
-    checks the radius and that the classical sum has one component.
-    """
-    if not s.certified:
-        raise CertificationError("functional evaluation requires certified components")
-    if spec.kind != "classical" and not s.equimodular:
-        raise PreconditionError("slice is not equimodular; the functional bounds require equal initial moduli")
-    return eval_functional_batch(s._batch, spec, r)[0]
+    """Evaluate a functional on a slice, a one-slice batch, at radius r: :func:`eval_functional_batch` on it."""
+    if len(s) != 1:
+        raise DomainError(f"eval_functional takes one slice, got a batch of {len(s)}; use eval_functional_batch")
+    return eval_functional_batch(s, spec, r)[0]
 
 
 def _assemble(
@@ -183,11 +181,23 @@ def _assemble(
 def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[FunctionalValue]:
     """The functional on every slice of a batch at radius r, with tail budgets.
 
-    The squared and composed kinds sample the circle through
-    :func:`sup_modulus`, the refined kind through :func:`eval_series_many`.
-    A batch from the public constructor is certified and equimodular; the
-    classical kind also demands one component per slice.  A batch of several
-    slices assembles its values as columns; a one-slice batch on Python floats.
+    The one place that checks the hypotheses: every component Schur-certified
+    (the closed-form bounds and tail budgets are meaningless otherwise) and,
+    for the three theorem-style kinds, every slice equimodular.  The
+    classical kind also demands one component per slice.
+    """
+    if not batch.certified:
+        raise CertificationError("functional evaluation requires certified components")
+    if spec.kind != "classical" and not batch.equimodular:
+        raise PreconditionError("slice is not equimodular; the functional bounds require equal initial moduli")
+    return _evaluate(batch, spec, r)
+
+
+def _evaluate(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[FunctionalValue]:
+    """:func:`eval_functional_batch` without the certified and equimodular checks, for the counterexamples.
+
+    The squared and composed kinds sample the circle through :func:`sup_modulus`, the refined kind through
+    :func:`eval_series_many`.  Several slices assemble their values as columns, one slice on Python floats.
     """
     _check_unit(r, "radius")
     # Every count is at least 1, so all are 1 exactly when there are as many rows as slices.
@@ -209,8 +219,8 @@ def eval_functional_batch(batch: SliceBatch, spec: FunctionalSpec, r: float) -> 
         # truncation error M r^(k(N+1))/(1 - r^k) is at most t_lin = M r^(N+1)/(1 - r), as r^k <= r.
         sampled = sup_modulus(batch, r**spec.k if spec.kind == "composed_k" else r)
     columns = [batch.a_norm, s1, s2, batch.tail_cap, sampled, termwise]
-    if len(batch) == 1:
-        columns = [None if column is None else column.item() for column in columns]
+    if len(batch) == 1:  # sup_modulus gives a slice's sup as a float already
+        columns = [column.item() if isinstance(column, np.ndarray) else column for column in columns]
     x, sum1, sum2, cap, sampled, termwise = columns
     # Tail budgets on the caps: an array's IEEE operations are a float's; the modulus budget is the linear-sum one.
     values = _assemble(

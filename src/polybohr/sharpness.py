@@ -31,10 +31,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError, WitnessSearchError
-from .functionals import FunctionalSpec, eval_functional, eval_functional_batch
+from .functionals import FunctionalSpec, _evaluate, eval_functional
 from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, _check_count, _check_unit, closed_form_radius
 from .series import DEFAULT_ORDER, _mobius_rows
-from .slices import PolydiscSlice, SliceBatch
+from .slices import PolydiscSlice
 
 #: A witness must clear 1 by at least this much to be reported.
 WITNESS_MARGIN = 1e-12
@@ -90,13 +90,13 @@ def extremal_slice(spec: FunctionalSpec, lam: float, m: int = 1, n_terms: int = 
     """The m-component Moebius family on which a functional peaks.
 
     All components are equal, so the slice is equimodular by construction.  Its
-    rows come from the family's closed form straight into its one-slice batch,
-    which checks each row once by the Schur row rule.
+    rows come from the family's closed form straight into the slice, which
+    checks each row once by the Schur row rule.
     """
     _check_unit(lam, "extremal parameter", positive=True)
     m = _check_count(m, "component count m")
     rows = _mobius_rows([lam], _family_sign(spec), n_terms)
-    return PolydiscSlice._of(SliceBatch._owning(rows if m == 1 else rows.repeat(m, axis=0), [m]))
+    return PolydiscSlice._owning(rows if m == 1 else rows.repeat(m, axis=0), [m])
 
 
 def find_witness(spec: FunctionalSpec, r: float, m: int = 1, n_terms: int = DEFAULT_ORDER) -> SharpnessWitness:
@@ -179,8 +179,8 @@ def reproduce_counterexample(
     """
     bound = counterexample_analytic_bound(spec, a1, a2, r)
     rows = _mobius_rows([a1, a2], _family_sign(spec), n_terms)
-    # The slice is not equimodular on purpose, so its batch and the evaluation skip that hypothesis.
-    [value] = eval_functional_batch(SliceBatch._owning(rows, [2], hypothesis=False), spec, r)
+    # The slice is not equimodular on purpose, so building and evaluating it skip that hypothesis.
+    [value] = _evaluate(PolydiscSlice._owning(rows, [2], hypothesis=False), spec, r)
     return CounterexampleReport(
         spec=spec,
         a1=a1,

@@ -5,11 +5,13 @@ complex line through the origin, becomes a tuple of disc slices
 (g_1(t), ..., g_m(t)) with the sup-norm structure of the polydisc.  The
 functionals downstream consume the sampled sup of max_i |g_i| on circles
 |t| = r and reductions of such a tuple, which a :class:`SliceBatch` computes
-once: a slice is its one-slice batch, and its components are built on request.
+once.  A :class:`PolydiscSlice` is a one-slice batch.
 
-All verification entry points require the *equimodular* initial condition
-|a0^(i)| = max_j |a0^(j)| for every component; only
-``sharpness.reproduce_counterexample`` evaluates a one-slice batch without it.
+The theorems need the *equimodular* initial condition |a0^(i)| = max_j |a0^(j)|
+for every component.  Public and seeded batches raise :class:`PreconditionError`
+without it when they are built; any other slice only flags it, and
+``functionals.eval_functional_batch`` refuses a flagged slice.  Only
+``sharpness.reproduce_counterexample`` evaluates one, unchecked.
 """
 
 from __future__ import annotations
@@ -38,56 +40,6 @@ EQUIMODULAR_TOL = 1e-14
 PHASES = 64
 
 
-class PolydiscSlice:
-    """m component series with a shared truncation order: a slice is its one-slice :class:`SliceBatch` ``_batch``,
-    made with it (rows checked once, equal moduli or not), which gives ``m``, ``truncation_order``, ``certified``
-    (all components are) and ``equimodular``.  ``components`` builds read-only views of the batch rows on request."""
-
-    def __init__(self, components: Sequence[TruncatedSeries]) -> None:
-        comps = tuple(components)
-        if len(comps) < 1:
-            raise DomainError("a slice needs at least one component")
-        orders = {c.truncation_order for c in comps}
-        if len(orders) != 1:
-            raise DomainError(f"components must share a truncation order, got {sorted(orders)}")
-        rows = np.empty((len(comps), orders.pop() + 1), dtype=np.complex128)
-        for row, comp in zip(rows, comps):
-            row[0], row[1:] = comp.a0, comp.coeffs
-        certified = all(c.schur_certified for c in comps)
-        vars(self)["_batch"] = SliceBatch._owning(rows, [len(comps)], certified=certified, hypothesis=False)
-
-    @classmethod
-    def _of(cls, batch: SliceBatch) -> "PolydiscSlice":
-        """The slice of ``batch``, a one-slice batch."""
-        vars(sl := object.__new__(cls))["_batch"] = batch
-        return sl
-
-    @classmethod
-    def from_components(cls, components: Sequence[TruncatedSeries]) -> "PolydiscSlice":
-        """Build a slice from any sequence of components."""
-        return cls(components)
-
-    @property
-    def components(self) -> tuple[TruncatedSeries, ...]:
-        return tuple(TruncatedSeries._view(row, self._batch.certified) for row in self._batch.rows)
-
-    @property
-    def m(self) -> int:
-        return len(self._batch.rows)
-
-    @property
-    def truncation_order(self) -> int:
-        return self._batch.truncation_order
-
-    @property
-    def certified(self) -> bool:
-        return self._batch.certified
-
-    @property
-    def equimodular(self) -> bool:
-        return bool(self._batch.equimodular[0])
-
-
 class CoefficientNorms(NamedTuple):
     """Sup-norm reductions a_norm = max_i |a0^(i)|, Q_n = max_i |c_n^(i)| and the ``moduli`` |c_n^(i)|, shape (m, N)."""
 
@@ -97,8 +49,8 @@ class CoefficientNorms(NamedTuple):
 
 
 def coefficient_norms(s: PolydiscSlice) -> CoefficientNorms:
-    """Componentwise-max initial value and coefficient moduli, read-only, from the slice's batch."""
-    return CoefficientNorms(a_norm=float(s._batch.a_norm[0]), q=s._batch.q[0], moduli=s._batch.coeff_moduli)
+    """Componentwise-max initial value and coefficient moduli, read-only, from the slice's reductions."""
+    return CoefficientNorms(a_norm=float(s.a_norm[0]), q=s.q[0], moduli=s.coeff_moduli)
 
 
 def schwarz_pick_bound(a_norm: float, r: float) -> float:
@@ -132,17 +84,16 @@ def _radius_powers(r: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return rn, rn2
 
 
-def sup_modulus(s: PolydiscSlice | SliceBatch, r: float) -> float | np.ndarray:
+def sup_modulus(s: SliceBatch, r: float) -> float | np.ndarray:
     """Sampled sup of max_i |g_i(t)| over |t| = r, at :data:`PHASES` phases.
 
-    A float for a slice, from its one-slice batch, and one per slice for a :class:`SliceBatch`.  A lower bound on
+    A float for a :class:`PolydiscSlice` and one per slice for any other :class:`SliceBatch`.  A lower bound on
     the true sup (the grid always contains t = r itself); pair it with :func:`schwarz_pick_bound` for a two-sided
     enclosure.  The power-table rounding (about 1e-16) is not subtracted.
     """
     _check_unit(r, "radius")
-    batch = s._batch if isinstance(s, PolydiscSlice) else s
-    sups = _slice_max(np.abs(eval_series_many(batch, phase_grid(r))).max(axis=1), batch.starts)
-    return sups if batch is s else float(sups[0])
+    sups = _slice_max(np.abs(eval_series_many(s, phase_grid(r))).max(axis=1), s.starts)
+    return float(sups[0]) if isinstance(s, PolydiscSlice) else sups
 
 
 def _slice_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -162,9 +113,9 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
     k = _check_count(k, "composition order k")
     if k == 1:
         return s
-    rows = np.zeros_like(s._batch.rows)
-    rows[:, 0], rows[:, k::k] = s._batch.rows[:, 0], s._batch.rows[:, 1 : s.truncation_order // k + 1]  # c_j to t^(kj)
-    return PolydiscSlice._of(SliceBatch._owning(rows, [s.m], certified=s.certified, hypothesis=False))
+    rows = np.zeros_like(s.rows)
+    rows[:, 0], rows[:, k::k] = s.rows[:, 0], s.rows[:, 1 : s.truncation_order // k + 1]  # c_j to t^(kj)
+    return PolydiscSlice._owning(rows, [s.m], certified=s.certified, hypothesis=False)
 
 
 def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> TailBudget:
@@ -172,12 +123,12 @@ def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> Tai
 
     Q_n <= max_i (1 - |a0^(i)|^2) for every n, and each budget is nondecreasing
     in M = 1 - |a0|^2 (IEEE rounding is monotone), so the budget of the largest
-    M, the slice batch's ``tail_cap``, is exactly the worst component's budget.
+    M, the slice's ``tail_cap``, is exactly the worst component's budget.
     """
     if not s.certified:
         raise CertificationError("tail bounds require Schur-certified components")
     _check_unit(r, "radius")
-    return TailBudget(value=_tail_value(float(s._batch.tail_cap[0]), r, s.truncation_order, term_kind))
+    return TailBudget(value=_tail_value(float(s.tail_cap[0]), r, s.truncation_order, term_kind))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +140,11 @@ class SliceBatch:
     copies the rows and runs the checks of ``TruncatedSeries(schur_certified=True)`` on every row (the row rule is
     ``series._schur_caps``), plus :class:`PreconditionError` for a slice that is not equimodular.  It keeps the views
     ``coeffs`` and ``a0`` (the (R, 1) column) of ``rows``, ``a0_moduli`` = |a0|, ``coeff_moduli``, each slice's
-    first row ``starts``, ``certified`` and the per-slice reductions: ``a_norm`` = max_i |a0^(i)|, ``q`` = Q_n =
-    max_i |c_n^(i)|, ``tail_cap`` = the max of that rule's caps max(1 - |a0^(i)|^2, 0) and ``equimodular``, the one
-    equimodularity rule a_norm - min_i |a0^(i)| <= :data:`EQUIMODULAR_TOL`.  Read-only, 1.7 to 2 times the row bytes.
+    first row ``starts`` and the per-slice reductions: ``a_norm`` = max_i |a0^(i)|, ``q`` = Q_n = max_i |c_n^(i)|
+    and ``tail_cap`` = the max of that rule's caps max(1 - |a0^(i)|^2, 0).  Two flags cover the whole batch:
+    ``certified`` and ``equimodular``, the one equimodularity rule a_norm - min_i |a0^(i)| <= :data:`EQUIMODULAR_TOL`
+    on every slice.  Only a one-slice batch is ever built without that rule, so a batch of several slices is
+    equimodular or was never made.  Read-only, 1.7 to 2 times the row bytes.
     """
 
     rows: np.ndarray
@@ -204,7 +157,7 @@ class SliceBatch:
     a_norm: np.ndarray = field(init=False, repr=False)
     q: np.ndarray = field(init=False, repr=False)
     tail_cap: np.ndarray = field(init=False, repr=False)
-    equimodular: np.ndarray = field(init=False, repr=False)
+    equimodular: bool = field(init=False, repr=False)
     certified: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -235,13 +188,13 @@ class SliceBatch:
         moduli[:, 0], moduli[:, 1] = a0_moduli, _schur_caps(a0_moduli, worst if certified else None)
         if len(counts) == 1:  # one slice: shared index arrays, and the spread on Python floats
             spread = max(a0_moduli) - min(a0_moduli)
-            counts, starts, equimodular = _one_slice(counts[0], spread <= EQUIMODULAR_TOL)
+            counts, starts = _one_slice(counts[0])
         else:
             counts = np.array(counts, dtype=np.intp)
             starts = np.add.accumulate(counts) - counts
             spreads = np.maximum.reduceat(moduli[:, 0], starts) - np.minimum.reduceat(moduli[:, 0], starts)
-            spread, equimodular = spreads.max(initial=0.0), spreads <= EQUIMODULAR_TOL
-            for arr in (counts, starts, equimodular):
+            spread = float(spreads.max(initial=0.0))
+            for arr in (counts, starts):
                 arr.setflags(write=False)
         if hypothesis and spread > EQUIMODULAR_TOL:
             raise PreconditionError(
@@ -253,7 +206,7 @@ class SliceBatch:
         self.__dict__.update(
             rows=rows, counts=counts, coeffs=rows[:, 1:], a0=rows[:, :1], a0_moduli=moduli[:, 0],
             coeff_moduli=moduli[:, 2:], starts=starts, a_norm=maxima[:, 0], tail_cap=maxima[:, 1], q=maxima[:, 2:],
-            equimodular=equimodular, certified=certified,
+            equimodular=spread <= EQUIMODULAR_TOL, certified=certified,
         )
 
     def __len__(self) -> int:
@@ -264,24 +217,54 @@ class SliceBatch:
         return int(self.coeffs.shape[1])
 
     def slices(self) -> list[PolydiscSlice]:
-        """The batch as per-slice objects, bit for bit: one-slice batches that view its rows and reductions."""
+        """The batch as per-slice objects, bit for bit: slices that view its rows and reductions."""
         out = []
         for i, (lo, hi) in enumerate(zip(self.starts.tolist(), (self.starts + self.counts).tolist())):
-            rows, part, one = slice(lo, hi), object.__new__(SliceBatch), slice(i, i + 1)
+            rows, part, one = slice(lo, hi), object.__new__(PolydiscSlice), slice(i, i + 1)
             part.__dict__.update(
                 rows=self.rows[rows], counts=self.counts[one], coeffs=self.coeffs[rows], a0=self.a0[rows],
                 a0_moduli=self.a0_moduli[rows], coeff_moduli=self.coeff_moduli[rows], starts=self.starts[:1],  # [0]
                 a_norm=self.a_norm[one], tail_cap=self.tail_cap[one], q=self.q[one],
-                equimodular=self.equimodular[one], certified=self.certified,
+                equimodular=self.equimodular, certified=self.certified,
             )
-            out.append(PolydiscSlice._of(part))
+            out.append(part)
         return out
 
 
+class PolydiscSlice(SliceBatch):
+    """m component series with a shared truncation order: a :class:`SliceBatch` of exactly one slice, whose
+    constructor flags unequal moduli rather than raising.  ``components`` builds read-only views of the rows."""
+
+    def __init__(self, components: Sequence[TruncatedSeries]) -> None:
+        comps = tuple(components)
+        if len(comps) < 1:
+            raise DomainError("a slice needs at least one component")
+        orders = {c.truncation_order for c in comps}
+        if len(orders) != 1:
+            raise DomainError(f"components must share a truncation order, got {sorted(orders)}")
+        rows = np.empty((len(comps), orders.pop() + 1), dtype=np.complex128)
+        for row, comp in zip(rows, comps):
+            row[0], row[1:] = comp.a0, comp.coeffs
+        self._take(rows, [len(comps)], all(c.schur_certified for c in comps), hypothesis=False)
+
+    @classmethod
+    def from_components(cls, components: Sequence[TruncatedSeries]) -> "PolydiscSlice":
+        """Build a slice from any sequence of components."""
+        return cls(components)
+
+    @property
+    def components(self) -> tuple[TruncatedSeries, ...]:
+        return tuple(TruncatedSeries._view(row, self.certified) for row in self.rows)
+
+    @property
+    def m(self) -> int:
+        return self.rows.shape[0]
+
+
 @functools.lru_cache(maxsize=16)
-def _one_slice(m: int, equimodular: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``counts`` [m], ``starts`` [0] and ``equimodular`` [flag] of one-slice batches, shared by them all."""
-    for arr in (index := (np.array([m], dtype=np.intp), np.zeros(1, dtype=np.intp), np.array([equimodular]))):
+def _one_slice(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``counts`` [m] and ``starts`` [0] of one-slice batches, shared by them all."""
+    for arr in (index := (np.array([m], dtype=np.intp), np.zeros(1, dtype=np.intp))):
         arr.setflags(write=False)
     return index
 
@@ -308,4 +291,4 @@ def random_equimodular_slice(seed: int, m: int | None = None, n_terms: int = DEF
     phases), which pins |a0^(i)| = rho for all components.  The output is
     reproducible per ``seed``; ``m`` is drawn from {1, 2, 3} when omitted.
     """
-    return PolydiscSlice._of(SliceBatch._owning(*_seeded_rows([seed], n_terms, m=m)))
+    return PolydiscSlice._owning(*_seeded_rows([seed], n_terms, m=m))

@@ -259,8 +259,8 @@ class TestCircleCache:
         circle = r**spec.k if spec.kind == "composed_k" else r
         for seed, s in enumerate(corpus_slices):
             clear_circle_caches()
-            cold_values = eval_series_many(s._batch, phase_grid(circle))
-            assert np.array_equal(cold_values, eval_series_many(s._batch, phase_grid(circle))), seed
+            cold_values = eval_series_many(s, phase_grid(circle))
+            assert np.array_equal(cold_values, eval_series_many(s, phase_grid(circle))), seed
             clear_circle_caches()
             cold = eval_functional(s, spec, r)
             assert cold == eval_functional(s, spec, r), seed

@@ -83,7 +83,7 @@ M = {
 }
 
 #: A one-component slice and a two-component one, as batch rows.
-ROWS = np.concatenate([random_slice_batch([1], m=1, n_terms=16).rows, SLICE._batch.rows])
+ROWS = np.concatenate([random_slice_batch([1], m=1, n_terms=16).rows, SLICE.rows])
 
 #: SliceBatch counts for the two rows of SLICE that are not a 1-d sequence of integers >= 1.
 BATCH_COUNTS = ([1.7, 1.2], [2.9], [math.nan, 1], [[1], [1]], [[1], [1, 2]], 2)
@@ -107,7 +107,7 @@ NON_NUMERIC = {
     ),
     "find_witness-r": (lambda r: find_witness(SQUARED, r), "0.7", "radius must lie in [0, 1), got '0.7'"),
     "SliceBatch-counts": (
-        lambda c: SliceBatch(rows=SLICE._batch.rows, counts=c), ["1", 1],
+        lambda c: SliceBatch(rows=SLICE.rows, counts=c), ["1", 1],
         "component count must be an integer >= 1, got '1'",
     ),
     "counterexample_analytic_bound-r": (
@@ -212,7 +212,7 @@ def _cases():
         for m in (0, -1, 2.5, math.nan):
             yield pytest.param(call, m, id=f"{name}-m={m}")
     for counts in BATCH_COUNTS:
-        yield pytest.param(lambda c: SliceBatch(rows=SLICE._batch.rows, counts=c), counts, id=f"SliceBatch-counts={counts}")
+        yield pytest.param(lambda c: SliceBatch(rows=SLICE.rows, counts=c), counts, id=f"SliceBatch-counts={counts}")
     for samples in (0, 2.5, math.nan):
         yield pytest.param(check_slack_factorization, samples, id=f"check_slack_factorization-samples={samples}")
     for tol in (math.nan, -1e-9, math.inf, "x", None):
@@ -258,8 +258,6 @@ def test_fractions_numpy_scalars_and_bools_keep_their_results():
 @pytest.mark.parametrize(("call", "value"), INTEGRAL_FLOATS.values(), ids=INTEGRAL_FLOATS)
 def test_integral_float_gives_its_ints_bits(call, value):
     as_float, as_int = call(float(value)), call(value)
-    if isinstance(as_int, PolydiscSlice):
-        as_float, as_int = as_float._batch, as_int._batch
     if isinstance(as_int, SliceBatch):
         assert as_float.rows.tobytes() == as_int.rows.tobytes()
         assert as_float.counts.tobytes() == as_int.counts.tobytes()

@@ -37,7 +37,7 @@ from polybohr import (
     solve_radius,
     verify_theorem,
 )
-from polybohr.functionals import eval_functional_batch, verify_batch
+from polybohr.functionals import FunctionalValue, _evaluate, eval_functional_batch, verify_batch
 from polybohr.slices import SliceBatch
 
 from conftest import monomial_slice
@@ -211,6 +211,17 @@ class TestEnclosureDiscipline:
             assert value.lower <= value.upper
             assert value.upper == pytest.approx(value.truncated + value.tail)
 
+    @pytest.mark.parametrize("field", ["truncated", "tail", "lower", "upper"])
+    def test_a_non_finite_field_is_a_domain_error(self, field):
+        valid = FunctionalValue(truncated=0.5, tail=0.0, lower=0.4, upper=0.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                dataclasses.replace(valid, **{field: bad})
+        with pytest.raises(DomainError, match="tail must be nonnegative"):
+            dataclasses.replace(valid, tail=-0.1)
+        with pytest.raises(DomainError, match="lower bound exceeds upper bound"):
+            dataclasses.replace(valid, lower=0.6)
+
     def test_upper_nondecreasing_in_radius(self):
         grid = np.linspace(0.0, 0.95, 50)
         slices = [scalar_slice(0.5), random_equimodular_slice(1, m=2), random_equimodular_slice(2, m=3)]
@@ -275,17 +286,20 @@ class TestPreconditions:
         s = PolydiscSlice(
             components=(mobius_series(0.2, "plus", 16), mobius_series(0.8, "plus", 16)),
         )
-        with pytest.raises(PreconditionError):
-            eval_functional(s, FunctionalSpec.improved_squared(), 0.3)
-        # the counterexample driver's path: the slice's own batch, which skips the check
-        [value] = eval_functional_batch(s._batch, FunctionalSpec.improved_squared(), 0.3)
+        spec = FunctionalSpec.improved_squared()
+        for evaluate in (eval_functional, eval_functional_batch, verify_batch):
+            with pytest.raises(PreconditionError, match="not equimodular"):
+                evaluate(s, spec, 0.3)
+        # the counterexample driver's path: the evaluator's unchecked body
+        [value] = _evaluate(s, spec, 0.3)
         assert value.upper > 0.0
 
     def test_certification_required(self):
         comp = TruncatedSeries(a0=0.0, coeffs=0.5 * np.ones(8))
         s = PolydiscSlice.from_components([comp])
-        with pytest.raises(CertificationError):
-            eval_functional(s, FunctionalSpec.improved_squared(), 0.3)
+        for evaluate in (eval_functional, eval_functional_batch, verify_batch):
+            with pytest.raises(CertificationError):
+                evaluate(s, FunctionalSpec.improved_squared(), 0.3)
 
     def test_verify_rejects_radius_above_sharp(self):
         with pytest.raises(PreconditionError):

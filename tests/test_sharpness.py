@@ -228,6 +228,17 @@ class TestCounterexamples:
         assert rep.succeeded and rep.value_lower > 1.0
         assert rep.value_lower >= rep.analytic_bound - 1e-6
 
+    def test_values_keep_their_bits(self):
+        # Each counterexample slice is evaluated without the equimodularity check, bit for bit as before.
+        cases = (
+            (FunctionalSpec.improved_squared(), 0.6, 0.7, "0x1.3e603a43a25f7p+0", "0x1.3e603a4532f11p+0"),
+            (FunctionalSpec.refined(1), 0.75, 0.5, "0x1.c88e7babab773p+0", "0x1.c88e7babab773p+0"),
+            (FunctionalSpec.composed(1), 0.5, 0.5, "0x1.b997a9939db85p+0", "0x1.b997a9939db85p+0"),
+        )
+        for spec, a1, r, lower, upper in cases:
+            rep = reproduce_counterexample(spec, a1, 0.9999, r)
+            assert (rep.value_lower.hex(), rep.value_upper.hex()) == (lower, upper), spec.kind
+
     def test_enclosure_straddles_one_lower_upper(self):
         rep = reproduce_counterexample(FunctionalSpec.improved_squared(), 0.6, 1.0 - 1e-4, 0.7)
         assert rep.value_lower <= rep.value_upper

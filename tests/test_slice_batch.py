@@ -4,8 +4,8 @@
 ``lower``, ``upper``, ``tail`` and ``truncated`` that ``eval_functional``
 gives the same slice alone, whatever the batch's size and the slice's place
 in it.  ``SliceBatch`` must reject what ``TruncatedSeries(schur_certified=True)``
-rejects, and what ``eval_functional`` rejects on a ``PolydiscSlice`` that is
-not equimodular, with the same exceptions, and ``verify_batch`` must apply
+rejects, and what the evaluator rejects on a ``PolydiscSlice`` that is not
+equimodular, with the same exceptions, and ``verify_batch`` must apply
 ``verify_theorem``'s radius precondition and its ``upper <= 1`` verdict.
 A batch's values are Python floats, whether it assembles them on floats
 (one slice) or as columns (several).
@@ -275,6 +275,13 @@ def test_classical_needs_one_component_per_slice():
         eval_functional_batch(batch, SPECS["classical"], 0.3)
     with pytest.raises(PreconditionError):
         eval_functional(batch.slices()[0], SPECS["classical"], 0.3)
+
+
+def test_eval_functional_takes_one_slice():
+    batch = SliceBatch(rows=rows_of(0.5, 0.5, 0.2), counts=[2, 1])
+    for several in (batch, random_slice_batch(range(3)), random_slice_batch([])):
+        with pytest.raises(DomainError, match="takes one slice"):
+            eval_functional(several, SPECS["composed_k2"], 0.3)
 
 
 @pytest.mark.parametrize("counts", [[2, 0, 1], [1, 1], [4]])

@@ -1,7 +1,7 @@
-"""Slices built straight into their one-slice batches.
+"""Slices built straight from their rows.
 
 ``extremal_slice`` and ``reproduce_counterexample`` write their rows from the
-Moebius closed form into a checked one-slice ``SliceBatch``; they must match,
+Moebius closed form into a checked slice, a one-slice ``SliceBatch``; they must match,
 bit for bit, the slices made from ``mobius_series`` components.  Every
 construction path applies the same row rules with the same exceptions and
 messages (the row maxima carry the finite check), and a slice builds its
@@ -29,7 +29,7 @@ from polybohr import (
     schwarz_compose,
 )
 from polybohr.errors import CertificationError, DomainError, PreconditionError
-from polybohr.functionals import eval_functional_batch
+from polybohr.functionals import _evaluate, eval_functional_batch
 from polybohr.slices import EQUIMODULAR_TOL, SliceBatch, random_slice_batch
 
 KINDS = (
@@ -63,7 +63,7 @@ def bits(array):
 def assert_same_batch(got, want):
     for name in BATCH_FIELDS:
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
-    assert got.equimodular.tolist() == want.equimodular.tolist() and got.certified is want.certified
+    assert got.equimodular is want.equimodular and got.certified is want.certified
 
 
 def written_out_rows(lams, sign, n_terms):
@@ -96,12 +96,12 @@ class TestClosedFormRows:
         for lam in LAMBDAS:
             got = extremal_slice(spec, lam, m, n_terms)
             want = PolydiscSlice(components=(mobius_series(lam, sign, n_terms),) * m)
-            assert_same_batch(got._batch, want._batch)
-            assert bits(got._batch.rows) == bits(np.repeat(written_out_rows([lam], sign, n_terms), m, axis=0))
+            assert_same_batch(got, want)
+            assert bits(got.rows) == bits(np.repeat(written_out_rows([lam], sign, n_terms), m, axis=0))
             assert got.equimodular and got.certified
             for r in (0.3, 0.7):
-                assert values(got._batch, kinds, r) == values(want._batch, kinds, r), (lam, r)
-                assert [hexes(eval_functional(got, k, r)) for k in kinds] == values(want._batch, kinds, r)
+                assert values(got, kinds, r) == values(want, kinds, r), (lam, r)
+                assert [hexes(eval_functional(got, k, r)) for k in kinds] == values(want, kinds, r)
 
     @pytest.mark.parametrize(("spec", "a1", "r"), COUNTEREXAMPLES, ids=lambda v: getattr(v, "kind", str(v)))
     def test_counterexample_matches_its_mobius_components(self, monkeypatch, spec, a1, r):
@@ -109,17 +109,20 @@ class TestClosedFormRows:
 
         def evaluate(batch, *args):
             taken.append(batch)
-            return eval_functional_batch(batch, *args)
+            return _evaluate(batch, *args)
 
-        monkeypatch.setattr(sharpness, "eval_functional_batch", evaluate)
+        monkeypatch.setattr(sharpness, "_evaluate", evaluate)
         for a2 in COUNTEREXAMPLE_A2:
             report = reproduce_counterexample(spec, a1, a2, r)
-            want = PolydiscSlice(components=(mobius_series(a1, sign), mobius_series(a2, sign)))._batch
+            want = PolydiscSlice(components=(mobius_series(a1, sign), mobius_series(a2, sign)))
             assert_same_batch(taken[-1], want)
             assert bits(want.rows) == bits(written_out_rows([a1, a2], sign, 64))
-            [value] = eval_functional_batch(want, spec, r)
+            # The public evaluator refuses the slice; the counterexample runs its unchecked body.
+            with pytest.raises(PreconditionError):
+                eval_functional_batch(want, spec, r)
+            [value] = _evaluate(want, spec, r)
             assert (report.value_lower, report.value_upper) == (value.lower, value.upper)
-            assert report.succeeded is (value.lower > 1.0) and not taken[-1].equimodular[0]
+            assert report.succeeded is (value.lower > 1.0) and taken[-1].equimodular is False
 
 
 # ---------------------------------------------------------------- row rules
@@ -217,10 +220,10 @@ def test_a_non_equimodular_batch_is_a_precondition_error_and_a_counterexample_ev
         eval_functional(mixed, FunctionalSpec.composed(1), 0.5)
     closed_form_with(monkeypatch, rows)
     report = reproduce_counterexample(FunctionalSpec.composed(1), 0.5, 0.9, 0.5)
-    [value] = eval_functional_batch(mixed._batch, FunctionalSpec.composed(1), 0.5)
+    [value] = _evaluate(mixed, FunctionalSpec.composed(1), 0.5)
     assert (report.value_lower, report.value_upper) == (value.lower, value.upper)
     batch = SliceBatch._owning(rows.copy(), [2], hypothesis=False)
-    assert batch.equimodular.tolist() == [False] and batch.certified
+    assert batch.equimodular is False and batch.certified is True
 
 
 # ---------------------------------------------------------------- components on request
@@ -240,7 +243,7 @@ def parent_view(sl):
 class TestComponentsOnRequest:
     def test_components_are_read_only_certified_views_of_the_rows(self, corpus_slices):
         for sl in (*corpus_slices[:50], extremal_slice(FAMILIES[1], 0.75, m=3), random_equimodular_slice(5, m=2)):
-            comps, rows = sl.components, sl._batch.rows
+            comps, rows = sl.components, sl.rows
             assert len(comps) == sl.m == rows.shape[0]
             for comp, r in zip(comps, rows):
                 assert np.shares_memory(comp.coeffs, rows) and not comp.coeffs.flags.writeable
@@ -261,8 +264,8 @@ class TestComponentsOnRequest:
         for sl, error in ((mixed, PreconditionError), (loose, CertificationError)):
             composed = schwarz_compose(sl, 3)
             assert (composed.m, composed.certified, composed.equimodular) == (sl.m, sl.certified, sl.equimodular)
-            assert bits(composed._batch.rows[:, 3::3]) == bits(sl._batch.rows[:, 1:5])
-            assert not np.delete(composed._batch.rows, [0, 3, 6, 9, 12], axis=1).any()
+            assert bits(composed.rows[:, 3::3]) == bits(sl.rows[:, 1:5])
+            assert not np.delete(composed.rows, [0, 3, 6, 9, 12], axis=1).any()
             with pytest.raises(error):
                 eval_functional(composed, FunctionalSpec.composed(1), 0.3)
         assert not mixed.equimodular and not loose.certified
@@ -293,10 +296,8 @@ class TestComponentsOnRequest:
 
     def test_one_slice_batches_share_read_only_index_arrays(self):
         one, two = extremal_slice(FAMILIES[0], 0.5), extremal_slice(FAMILIES[0], 0.25)
-        assert one._batch.counts is two._batch.counts and one._batch.starts is two._batch.starts
-        for name in ("counts", "starts", "equimodular"):
-            assert not getattr(one._batch, name).flags.writeable, name
+        assert one.counts is two.counts and one.starts is two.starts
         batch = random_slice_batch(range(5))
-        for name in ("counts", "starts", "equimodular"):
-            assert not getattr(batch, name).flags.writeable, name
-        assert batch.equimodular.tolist() == [True] * 5
+        for name in ("counts", "starts"):
+            assert not getattr(one, name).flags.writeable and not getattr(batch, name).flags.writeable, name
+        assert one.equimodular is batch.equimodular is True

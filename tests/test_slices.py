@@ -1,5 +1,5 @@
 """Coefficient norms, circle sampling, composition, slice construction, and
-the one-slice batch that a slice holds from the moment it is made."""
+the one-slice batch that a slice is from the moment it is made."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from polybohr import (
     coefficient_norms,
     eval_functional,
     eval_series_many,
+    extremal_slice,
     mobius_series,
     random_equimodular_slice,
     random_slice_batch,
@@ -111,8 +112,8 @@ def reduced_batches(monkeypatch):
     """The batches that ``SliceBatch._take`` reduces while the test runs, in order."""
     taken, take = [], slices.SliceBatch._take
 
-    def counting(batch, *args):
-        take(batch, *args)
+    def counting(batch, *args, **kwargs):
+        take(batch, *args, **kwargs)
         taken.append(batch)
 
     monkeypatch.setattr(slices.SliceBatch, "_take", counting)
@@ -120,11 +121,41 @@ def reduced_batches(monkeypatch):
 
 
 class TestOneSliceBatch:
-    """``PolydiscSlice._batch``: made with the slice, read by both evaluators."""
+    """A ``PolydiscSlice`` is a ``SliceBatch`` of one slice: reduced when it is made, read by both evaluators."""
+
+    def test_every_slice_is_a_one_slice_batch(self, corpus_batch):
+        comps = (mobius_series(0.6, "plus", 12), mobius_series(0.9, "minus", 12))
+        made = [
+            random_equimodular_slice(0),
+            extremal_slice(FunctionalSpec.refined(1), 0.5, m=3),
+            PolydiscSlice(components=comps),
+            schwarz_compose(random_equimodular_slice(1, m=2), 3),
+            *corpus_batch.slices(),
+        ]
+        for sl in made:
+            assert isinstance(sl, PolydiscSlice) and isinstance(sl, slices.SliceBatch) and len(sl) == 1
+            assert sl.counts.tolist() == [sl.m] and sl.starts.tolist() == [0]
+
+    def test_certified_and_equimodular_are_one_bool_per_batch(self, corpus_batch):
+        loose = TruncatedSeries(a0=0.0, coeffs=0.5 * np.ones(8))
+        batches = [
+            corpus_batch,
+            random_slice_batch([]),
+            random_slice_batch(range(3), scalar=True),
+            slices.SliceBatch(rows=[[0.5, 0.1], [0.5j, 0.2]], counts=[1, 1]),
+            *corpus_batch.slices()[:20],
+            PolydiscSlice(components=(mobius_series(0.2, "plus", 16), mobius_series(0.8, "plus", 16))),
+            PolydiscSlice.from_components([loose]),
+            extremal_slice(FunctionalSpec.composed(2), 0.25),
+        ]
+        for batch in batches:
+            assert type(batch.certified) is bool and type(batch.equimodular) is bool
+        assert [batch.equimodular for batch in batches[-3:]] == [False, True, True]
+        assert [batch.certified for batch in batches[-3:]] == [True, False, True]
 
     def test_every_constructor_path_reduces_each_slice_once_when_it_is_made(self, reduced_batches, monkeypatch):
         made = PolydiscSlice(components=(mobius_series(0.6, "plus", 12), mobius_series(0.6, "minus", 12)))
-        assert reduced_batches == [made._batch]
+        assert reduced_batches == [made]
         drawn_rows = []
 
         def seeded_rows(*args, **kwargs):
@@ -133,13 +164,11 @@ class TestOneSliceBatch:
 
         monkeypatch.setattr(slices, "_seeded_rows", seeded_rows)
         drawn = random_equimodular_slice(4, m=3)
-        assert len(reduced_batches) == 2 and np.shares_memory(drawn._batch.rows, drawn_rows[0][0])  # no re-stack
+        assert len(reduced_batches) == 2 and np.shares_memory(drawn.rows, drawn_rows[0][0])  # no re-stack
         batch = random_slice_batch(range(6))
         cut = batch.slices()
         assert reduced_batches[2:] == [batch] and batch.rows is drawn_rows[1][0]
-        assert drawn._batch.rows.shape == (3, 65) and [sl.m for sl in cut] == batch.counts.tolist()
-        for sl in (made, drawn, *cut):
-            assert isinstance(vars(sl)["_batch"], slices.SliceBatch)
+        assert drawn.rows.shape == (3, 65) and [sl.m for sl in cut] == batch.counts.tolist()
         for sl in (made, drawn, cut[0]):
             for spec in (FunctionalSpec.improved_squared(), FunctionalSpec.refined(2), FunctionalSpec.composed(2)):
                 eval_functional(sl, spec, 0.3)
@@ -152,18 +181,18 @@ class TestOneSliceBatch:
         batch = random_slice_batch(range(7))
         lo = 0
         for i, sl in enumerate(batch.slices()):
-            own, hi = sl._batch, lo + sl.m
-            assert len(own) == 1 and own.counts.tolist() == [sl.m] and own.starts.tolist() == [0]
+            hi = lo + sl.m
+            assert len(sl) == 1 and sl.counts.tolist() == [sl.m] and sl.starts.tolist() == [0]
             parts = [np.s_[lo:hi]] * 2 + [np.s_[i : i + 1]] * 3
-            for got, parent, part in zip(reductions(own), reductions(batch), parts):
+            for got, parent, part in zip(reductions(sl), reductions(batch), parts):
                 assert np.shares_memory(got, parent) and not got.flags.writeable
                 assert np.array_equal(got.view(np.uint64), parent[part].view(np.uint64))
-            assert np.shares_memory(own.a0_moduli, batch.a0_moduli) and sl.equimodular
+            assert np.shares_memory(sl.a0_moduli, batch.a0_moduli) and sl.equimodular
             lo = hi
 
     def test_non_equimodular_slices_construct_and_their_evaluation_still_checks(self):
         mixed = PolydiscSlice(components=(mobius_series(0.6, "plus", 12), mobius_series(0.9, "minus", 12)))
-        assert not mixed.equimodular and mixed.certified and mixed._batch.a_norm.tolist() == [0.9]
+        assert not mixed.equimodular and mixed.certified and mixed.a_norm.tolist() == [0.9]
         with pytest.raises(PreconditionError):
             eval_functional(mixed, FunctionalSpec.refined(1), 0.2)
         assert reproduce_counterexample(FunctionalSpec.composed(1), 0.5, 0.9999, 0.5).succeeded
@@ -175,7 +204,7 @@ class TestOneSliceBatch:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_equals_the_seeded_batch_of_its_seed(self, m):
         for seed in range(50):
-            own = random_equimodular_slice(seed, m=m)._batch
+            own = random_equimodular_slice(seed, m=m)
             seeded = random_slice_batch([seed], m=m)
             for name in ("rows", "coeff_moduli", "a_norm", "q", "tail_cap"):
                 got, want = getattr(own, name), getattr(seeded, name)
@@ -186,10 +215,8 @@ class TestOneSliceBatch:
 
     def test_is_built_once_and_read_only(self):
         s = random_equimodular_slice(3, m=3)
-        batch = s._batch
-        assert s._batch is batch
         for name in ("rows", "counts", "coeffs", "coeff_moduli", "starts", "a_norm", "q", "tail_cap"):
-            assert not getattr(batch, name).flags.writeable, name
+            assert not getattr(s, name).flags.writeable, name
         norms = coefficient_norms(s)
         assert not norms.q.flags.writeable and not norms.moduli.flags.writeable
         with pytest.raises(ValueError):
