@@ -18,13 +18,18 @@ recursion below), and it is what licenses the geometric tail bounds of
 rigorous two-sided enclosure of the untruncated value.
 
 Reproducibility: Schur synthesis is bit-reproducible for a given seed on
-one machine, whether series are synthesized alone or in batches.  Across
+one machine, whether series are synthesized alone or in batches, and
+whichever recursion runs (the ping-pong on blocks of :data:`PINGPONG_ROWS`
+rows or more, the capped one below): both make the same multiplies, gamma
+first, and the same adds on every order that can be nonzero.  Across
 machines it may not be: the truncated quotient's dot products run OpenBLAS
 ``cblas_zdotu_sub`` (through ``np.dot``, or numpy's stacked ``matmul``, one
 call per row), whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds),
 and the numerator/denominator recursion amplifies rounding by up to 3.1e-5,
 so the stored coefficients of one seed can differ from one CPU to another.
-``tests/test_synthesis_blocks.py`` pins that both paths give the same bits.
+``tests/test_synthesis_blocks.py`` pins that every block size and both
+recursions give a row the bits of its one-row synthesis, and CI runs it
+again under two forced OpenBLAS core types.
 
 Seeded series: seed s, an integer >= 0, draws from ``np.random.default_rng(s)``,
 a PCG64 seeded by ``SeedSequence(s)``; numpy NEP 19 fixes both algorithms.  A
@@ -56,6 +61,10 @@ COEFF_SLACK = 1e-12
 #: ``verify`` batch; bounds the temporaries of the draw, synthesis and batch
 #: evaluation whatever the number of seeds.
 SYNTH_CHUNK = 128
+
+#: Rows from which a synthesis block runs :func:`_pingpong_recursion`; fewer rows (the per-slice constructors make
+#: one to three) run :func:`_capped_recursion`, which costs less there.
+PINGPONG_ROWS = 32
 
 #: Seeds from which a block derives its generator states as columns (:func:`_pcg64_states`): the column hash has a
 #: fixed cost of about 0.3 ms, so below about 25 seeds one ``np.random.default_rng`` per seed costs less.
@@ -182,19 +191,17 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     """Coefficients a0, c_1 .. c_N of the Schur function of each parameter row.
 
     The whole call is one block; the callers bound its rows.  The recursion
-    of :func:`schur_series_from_params` runs rows innermost.  After s levels
-    p and q have degree below s, so a level updates only the orders below
-    the first cap (8, 16, 32, 48, N + 1) that is at least s, on contiguous
-    (2, cap, rows) prefixes of two buffers, with views made once per cap: a
-    ufunc over a slice of a wider array costs about 1 us more.  The
-    truncated quotient p/q of the transposed, contiguous p and q runs once
-    per coefficient: coefficient n of every row is p_n minus one stacked
-    (1, n) @ (n, 1) product of q_1 .. q_n with the row's coefficients
-    n - 1, ..., 0, which are built reversed (coefficient n at index -1 - n)
-    so that each product reads contiguous slices.  A block of one row takes
-    ``np.dot`` instead, which costs less than a stacked product of one.
-    Every row sees the same elementwise arithmetic and the same BLAS dot as
-    a block of its own, so its bits do not depend on its block.
+    of :func:`schur_series_from_params` runs rows innermost, by
+    :func:`_pingpong_recursion` on a block of :data:`PINGPONG_ROWS` rows or
+    more and by :func:`_capped_recursion` on fewer.  The truncated quotient
+    p/q of the transposed, contiguous p and q runs once per coefficient:
+    coefficient n of every row is p_n minus one stacked (1, n) @ (n, 1)
+    product of q_1 .. q_n with the row's coefficients n - 1, ..., 0, which
+    are built reversed (coefficient n at index -1 - n) so that each product
+    reads contiguous slices.  A block of one row takes ``np.dot`` instead,
+    which costs less than a stacked product of one.  Every row sees the same
+    elementwise arithmetic and the same BLAS dot as a block of its own,
+    whichever recursion runs, so its bits do not depend on its block.
 
     Args:
         params: (rows, K) block of Schur parameters, K >= 1.
@@ -208,6 +215,36 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     gammas = np.empty((k, 2, 1, rows), dtype=np.complex128)
     gammas[:, 0, 0] = params.T
     np.conj(params.T, out=gammas[:, 1, 0])
+    recursion = _pingpong_recursion if rows >= PINGPONG_ROWS else _capped_recursion
+    pq, free, held = recursion(gammas, width)
+    # The transposed p and q go into the free buffer, and rev over the final p and q.
+    p, q = transposed = free[: 2 * rows * width].reshape(2, rows, width)
+    transposed[...] = pq.transpose(0, 2, 1)
+    rev = held[: rows * width].reshape(rows, width)
+    rev[:, -1] = p[:, 0]
+    if rows == 1:
+        p1, q1, rev1 = p[0], q[0], rev[0]
+        for n in range(1, width):
+            rev1[-1 - n] = p1[n] - np.dot(q1[1 : n + 1], rev1[width - n :])
+    else:
+        for n in range(1, width):
+            dots = q[:, np.newaxis, 1 : n + 1] @ rev[:, width - n :, np.newaxis]
+            rev[:, -1 - n] = p[:, n] - dots[:, 0, 0]
+    return np.ascontiguousarray(rev[:, ::-1])
+
+
+def _capped_recursion(gammas: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numerator/denominator recursion on a block of few rows.  Returns (p, q) as a (2, N + 1, rows) view into
+    the flat buffer ``held``, and a flat buffer ``free`` of at least 2 (N + 1) rows values: (pq, free, held).
+
+    After s levels p and q have degree below s, so a level updates only the
+    orders below the first cap (8, 16, 32, 48, N + 1) that is at least s, on
+    contiguous (2, cap, rows) prefixes of two buffers, with views made once
+    per cap: a ufunc over a slice of a wider array costs about 1 us more on
+    one to three rows.  Each level copies q and t p into the factor buffer
+    and multiplies both by (g, conj g) in one call.
+    """
+    k, rows = gammas.shape[0], gammas.shape[-1]
     pq_flat, factors_flat = np.zeros((2, 2 * width * rows), dtype=np.complex128)
     pq = np.array([0.0, 1.0]).reshape(2, 1, 1)  # (p, q) = (0, 1): tail f = 0
     end = k
@@ -227,20 +264,28 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
             p += tp  # g q + t p
             q += q_out  # conj(g) t p + q
         end = stop
-    # The transposed p and q reuse the factor buffer, and rev the p/q one.
-    p, q = transposed = factors_flat.reshape(2, rows, width)
-    transposed[...] = pq.transpose(0, 2, 1)
-    rev = pq_flat[: rows * width].reshape(rows, width)
-    rev[:, -1] = p[:, 0]
-    if rows == 1:
-        p1, q1, rev1 = p[0], q[0], rev[0]
-        for n in range(1, width):
-            rev1[-1 - n] = p1[n] - np.dot(q1[1 : n + 1], rev1[width - n :])
-    else:
-        for n in range(1, width):
-            dots = q[:, np.newaxis, 1 : n + 1] @ rev[:, width - n :, np.newaxis]
-            rev[:, -1 - n] = p[:, n] - dots[:, 0, 0]
-    return np.ascontiguousarray(rev[:, ::-1])
+    return pq, factors_flat, pq_flat
+
+
+def _pingpong_recursion(gammas: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numerator/denominator recursion on a block of many rows, returned as :func:`_capped_recursion` does.
+
+    Two halves of one buffer take turns, each a zero order, p and q, (2 (N + 1) + 1, rows), so t p is a view.  Level
+    s reads one half and writes p' = g q + t p and q' = conj(g) t p + q into the other, on exactly the orders below
+    min(s, N + 1): two multiplies, g first, and two in-place adds, no copy.  Higher orders stay +0.0, as the capped
+    levels leave them (g 0 + 0.0 and conj(g) 0 + 0.0 are +0.0).
+    """
+    src, dst = np.zeros((2, 2 * width + 1, gammas.shape[-1]), dtype=np.complex128)
+    src[width + 1] = 1.0  # (p, q) = (0, 1): tail f = 0
+    for s, (g, g_conj) in enumerate(gammas[::-1], 1):
+        n = min(s, width)
+        tp, q, p_out, q_out = src[:n], src[width + 1 : width + 1 + n], dst[1 : n + 1], dst[width + 1 : width + 1 + n]
+        np.multiply(g, q, out=p_out)  # gamma first, as in the capped levels
+        p_out += tp  # order 0 gets its + 0.0
+        np.multiply(g_conj, tp, out=q_out)
+        q_out += q
+        src, dst = dst, src
+    return src[1:].reshape(2, width, -1), dst.reshape(-1), src.reshape(-1)
 
 
 def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_ORDER) -> TruncatedSeries:

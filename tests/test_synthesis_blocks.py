@@ -1,18 +1,23 @@
 """A synthesized row's bits do not depend on the block it is synthesized in.
 
-``_synthesize_rows`` takes each call as one block and two paths through the
-truncated quotient: a block of several rows runs one stacked product per
-coefficient, and a block of one row runs ``np.dot``.  Every row of every block
-below must equal, bit for bit, both a one-row call on the same parameters and
-the one-series reference of ``test_synthesis_reference``.  The block sizes are
-the ones the callers form: one to three rows for a per-slice constructor, and
-for a block of :data:`SYNTH_CHUNK` = 128 seeds (one ``verify`` chunk, or one
-block of a longer seed range) 128 rows (classical) or 128 to 384 (mixed
-component counts; ``test_synthesis_reference`` checks a 384-row block against
-the reference).  The recursion updates only the orders below a cap of 8,
-16, 32, 48 or N + 1, so K and N + 1 also fall on both sides of each cap.
-Blocked synthesis keeps its temporaries bounded on long seed ranges, and so
-does a batch built from them.
+``_synthesize_rows`` takes each call as one block, with two recursions and two
+paths through the truncated quotient: a block of :data:`PINGPONG_ROWS` rows or
+more runs the ping-pong recursion and fewer rows the capped one, and a block
+of several rows runs one stacked product per coefficient and a block of one
+row ``np.dot``.  Every row of every block below must equal, bit for bit, both a
+one-row call on the same parameters and the one-series reference of
+``test_synthesis_reference``.  The block sizes are the ones the callers form:
+one to three rows for a per-slice constructor, and for a block of
+:data:`SYNTH_CHUNK` = 128 seeds (one ``verify`` chunk, or one block of a longer
+seed range) 128 rows (classical) or 128 to 384 (mixed component counts; a
+384-row block at N = 64 and one at N = 24 are checked against the reference),
+plus :data:`PINGPONG_ROWS` and the count just below it.  The capped recursion
+updates only the orders below a cap of 8, 16, 32, 48 or N + 1, and the
+ping-pong one exactly the orders below the number of levels done, so K and
+N + 1 fall on both sides of each cap, in a block of each recursion.  Blocked
+synthesis keeps its temporaries bounded on long seed ranges, and so does a
+batch built from them, and a 384-row call peaks where it did with the capped
+recursion alone.
 
 A block of :data:`COLUMN_SEEDS` or more seeds, all below 2**64, computes the
 state of each seed's ``PCG64(SeedSequence(seed))`` as columns instead of
@@ -27,11 +32,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polybohr.series import COLUMN_SEEDS, _generators, _pcg64_states, _seeded_rows, _synthesize_rows
+from polybohr.series import (
+    COLUMN_SEEDS, PINGPONG_ROWS, _generators, _pcg64_states, _seeded_rows, _synthesize_rows,
+)
 from polybohr.slices import random_slice_batch
-from test_synthesis_reference import reference_scalar, reference_slice, reference_synthesis
+from test_synthesis_reference import EDGE_PARAMS, reference_scalar, reference_slice, reference_synthesis
 
-BLOCK_SIZES = [1, 2, 3, 63, 64, 65, 128, 129]
+BLOCK_SIZES = [1, 2, 3, PINGPONG_ROWS - 1, PINGPONG_ROWS, 63, 64, 65, 128, 129]
 
 #: Seeds of two to seven 32-bit words; a block that holds one from 2**64 on draws each seed from its own generator.
 LARGE_SEEDS = [
@@ -63,15 +70,26 @@ def test_every_row_matches_its_one_row_synthesis(rows, n_terms, extra_params):
         assert same_bits(alone, reference_synthesis(params[i], n_terms)), f"row {i} of {rows}"
 
 
+@pytest.mark.parametrize("rows", [2, PINGPONG_ROWS], ids=["capped", "pingpong"])
 @pytest.mark.parametrize("n_terms", [7, 8, 15, 16, 47, 48])
 @pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 48, 49])
-def test_rows_keep_their_bits_on_both_sides_of_each_cap(k, n_terms):
-    params = random_params(2, k, seed=[k, n_terms])
+def test_rows_keep_their_bits_on_both_sides_of_each_cap(k, n_terms, rows):
+    params = random_params(rows, k, seed=[k, n_terms])
     block = _synthesize_rows(params, n_terms)
-    for i in range(2):
+    for i in range(rows):
         alone = _synthesize_rows(params[i : i + 1], n_terms)[0]
         assert same_bits(block[i], alone), f"row {i}"
         assert same_bits(alone, reference_synthesis(params[i], n_terms)), f"row {i}"
+
+
+@pytest.mark.parametrize("params, n_terms", EDGE_PARAMS)
+def test_edge_parameters_keep_their_bits_in_a_pingpong_block(params, n_terms):
+    # Real Moebius parameters, zeros and unimodular ends, each repeated down a
+    # block of PINGPONG_ROWS rows: a signed zero the ping-pong left would show.
+    block = _synthesize_rows(np.tile(np.asarray(params, dtype=np.complex128), (PINGPONG_ROWS, 1)), n_terms)
+    expected = reference_synthesis(params, n_terms)
+    for i in range(PINGPONG_ROWS):
+        assert same_bits(block[i], expected), f"row {i}"
 
 
 def test_a_row_keeps_its_bits_at_every_position():
@@ -111,6 +129,22 @@ def test_long_seed_range_batches_peak_below_three_times_their_rows(m):
     assert peak < 2.33 * batch.rows.nbytes, f"peak {peak} B for {batch.rows.nbytes} B of rows"
 
 
+def test_a_384_row_call_peaks_no_higher_than_the_capped_recursion():
+    # Run by the capped recursion, this call peaks at 2803696 B (K = 65):
+    # gammas, the one 4 (N + 1) x rows buffer and the returned rows.  The
+    # ping-pong keeps that one buffer (plus a zero order per half); the bound is
+    # that peak plus 10 %.
+    params = random_params(384, 65, seed=384)
+    _synthesize_rows(params[:PINGPONG_ROWS], 64)
+    tracemalloc.start()
+    try:
+        _synthesize_rows(params, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 2803696, f"peak {peak} B"
+
+
 #: A 128-seed block whose seeds straddle 2**64: the column hash takes none of them.
 STRADDLE = range(2**64 - 64, 2**64 + 64)
 
@@ -146,6 +180,14 @@ def test_seeded_rows_are_the_per_seed_default_rng_rows(count, m, scalar):
     rows, counts = _seeded_rows(seeds, 8, m=m, scalar=scalar)
     expected, expected_counts = reference_rows(seeds, 8, m, scalar)
     assert counts == expected_counts
+    assert same_bits(rows, expected)
+
+
+def test_a_three_component_verify_block_at_the_default_order_matches_the_reference():
+    seeds = range(100, 100 + 128)  # one SYNTH_CHUNK of 384 rows at N = 64: the largest block verify forms
+    rows, counts = _seeded_rows(seeds, 64, m=3)
+    expected, expected_counts = reference_rows(seeds, 64, 3, False)
+    assert rows.shape == (384, 65) and counts == expected_counts
     assert same_bits(rows, expected)
 
 

@@ -94,29 +94,33 @@ def test_short_truncations_of_slices_match_reference(n_terms):
         assert_same_slice(random_equimodular_slice(seed, n_terms=n_terms), reference_slice(seed, None, n_terms))
 
 
-@pytest.mark.parametrize(
-    "params, n_terms",
-    [
-        ([0.25, 1.0], 16),
-        ([0.8, 1.0], 64),
-        ([0.5], 8),
-        ([0.3 + 0.4j, 0.2, -0.7j], 8),
-        ([0.0] * 9, 8),
-        ([0.9j, -0.5, 0.1 + 0.1j, 1.0], 24),
-        # Edges of the live orders: K = 1, K << N + 1, K and N + 1 on both
-        # sides of a cap, and real Moebius maps, whose coefficients have
-        # imaginary parts exactly zero, so that a signed zero would show.
-        ([0.7j], 64),
-        ([0.3, -0.2, 0.1], 64),
-        ([-0.6, 1.0], 64),
-        ([-0.6, 1.0], 7),
-        ([0.5, -1.0], 64),
-        ([0.25, 1.0], 8),
-        ([0.9, -0.6, 0.3, 0.0, -0.3, 0.6, -0.9, 0.45, 1.0], 15),
-        ([0.2 - 0.1j] * 17, 16),
-        ([-0.1 + 0.3j] * 49, 48),
-    ],
-)
+#: Explicit Schur parameters and truncation orders, synthesized alone here and in blocks in test_synthesis_blocks.
+EDGE_PARAMS = [
+    ([0.25, 1.0], 16),
+    ([0.8, 1.0], 64),
+    ([0.5], 8),
+    ([0.3 + 0.4j, 0.2, -0.7j], 8),
+    ([0.0] * 9, 8),
+    ([0.9j, -0.5, 0.1 + 0.1j, 1.0], 24),
+    # Edges of the live orders: K = 1, K << N + 1, K and N + 1 on both
+    # sides of a cap, and real Moebius maps, whose coefficients have
+    # imaginary parts exactly zero, so that a signed zero would show.
+    ([0.7j], 64),
+    ([0.3, -0.2, 0.1], 64),
+    ([-0.6, 1.0], 64),
+    ([-0.6, 1.0], 7),
+    ([0.5, -1.0], 64),
+    ([0.25, 1.0], 8),
+    ([0.9, -0.6, 0.3, 0.0, -0.3, 0.6, -0.9, 0.45, 1.0], 15),
+    ([0.2 - 0.1j] * 17, 16),
+    ([-0.1 + 0.3j] * 49, 48),
+    # g q_0 has imaginary part -0.0 here; the t p term's zero order makes it +0.0.
+    ([complex(-0.5, -0.0)], 8),
+    ([complex(-0.5, -0.0), 0.25, 1.0], 16),
+]
+
+
+@pytest.mark.parametrize("params, n_terms", EDGE_PARAMS)
 def test_explicit_parameters_match_reference(params, n_terms):
     assert_same_series(schur_series_from_params(params, n_terms), reference_synthesis(params, n_terms))
 
