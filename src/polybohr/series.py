@@ -18,18 +18,18 @@ recursion below), and it is what licenses the geometric tail bounds of
 rigorous two-sided enclosure of the untruncated value.
 
 Reproducibility: Schur synthesis is bit-reproducible for a given seed on
-one machine, whether series are synthesized alone or in batches, and
-whichever recursion runs (the ping-pong on blocks of :data:`PINGPONG_ROWS`
-rows or more, the capped one below): both make the same multiplies, gamma
-first, and the same adds on every order that can be nonzero.  Across
+one machine, whether series are synthesized alone or in batches: every
+block makes the same multiplies, gamma first, and the same adds on every
+order that can be nonzero, whatever its caps.  Across
 machines it may not be: the truncated quotient's dot products run OpenBLAS
 ``cblas_zdotu_sub`` (through ``np.dot``, or numpy's stacked ``matmul``, one
 call per row), whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds),
 and the numerator/denominator recursion amplifies rounding by up to 3.1e-5,
 so the stored coefficients of one seed can differ from one CPU to another.
-``tests/test_synthesis_blocks.py`` pins that every block size and both
-recursions give a row the bits of its one-row synthesis, and CI runs it
-again under two forced OpenBLAS core types.
+``tests/test_synthesis_blocks.py`` pins that every block size gives a row
+the bits of its one-row synthesis; CI runs it again under two forced
+OpenBLAS core types, for the quotient's dots, and with numpy's AVX2 and
+AVX-512 loops switched off, for the recursion's multiplies and adds.
 
 Seeded series: seed s, an integer >= 0, draws from ``np.random.default_rng(s)``,
 a PCG64 seeded by ``SeedSequence(s)``; numpy NEP 19 fixes both algorithms.  A
@@ -62,9 +62,9 @@ COEFF_SLACK = 1e-12
 #: evaluation whatever the number of seeds.
 SYNTH_CHUNK = 128
 
-#: Rows from which a synthesis block runs :func:`_pingpong_recursion`; fewer rows (the per-slice constructors make
-#: one to three) run :func:`_capped_recursion`, which costs less there.
-PINGPONG_ROWS = 32
+#: Rows times the orders between two caps of the synthesis recursion (:func:`_synthesize_rows`): 48 orders on one
+#: row, 16 on three, 2 (the least) on a block of 24 rows or more.
+SYNTH_CAP_ROWS = 48
 
 #: Seeds from which a block derives its generator states as columns (:func:`_pcg64_states`): the column hash has a
 #: fixed cost of about 0.3 ms, so below about 25 seeds one ``np.random.default_rng`` per seed costs less.
@@ -191,17 +191,25 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     """Coefficients a0, c_1 .. c_N of the Schur function of each parameter row.
 
     The whole call is one block; the callers bound its rows.  The recursion
-    of :func:`schur_series_from_params` runs rows innermost, by
-    :func:`_pingpong_recursion` on a block of :data:`PINGPONG_ROWS` rows or
-    more and by :func:`_capped_recursion` on fewer.  The truncated quotient
+    of :func:`schur_series_from_params` runs rows innermost, as a ping-pong
+    between the two halves of one buffer, each a zero order, p and q, so
+    that t p is a view.  Level s reads one half and writes p' = g q + t p and
+    q' = conj(g) t p + q into the other: two multiplies, g first, and two
+    in-place adds, no copy.  After s levels p and q have degree below s, so
+    a level updates only the orders below a cap at least s; the caps are
+    :data:`SYNTH_CAP_ROWS` // rows orders apart (at least 2), with views
+    made once per cap.  On one to three rows a ufunc's fixed cost outweighs
+    the orders past the degree, and slicing once a level would cost more;
+    on a block the caps follow the degree.  Orders past the degree stay
+    +0.0: g 0 + 0.0 and conj(g) 0 + 0.0 are +0.0.  The truncated quotient
     p/q of the transposed, contiguous p and q runs once per coefficient:
     coefficient n of every row is p_n minus one stacked (1, n) @ (n, 1)
     product of q_1 .. q_n with the row's coefficients n - 1, ..., 0, which
     are built reversed (coefficient n at index -1 - n) so that each product
     reads contiguous slices.  A block of one row takes ``np.dot`` instead,
     which costs less than a stacked product of one.  Every row sees the same
-    elementwise arithmetic and the same BLAS dot as a block of its own,
-    whichever recursion runs, so its bits do not depend on its block.
+    elementwise arithmetic and the same BLAS dot as a block of its own, so
+    its bits do not depend on its block.
 
     Args:
         params: (rows, K) block of Schur parameters, K >= 1.
@@ -211,16 +219,32 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
         (rows, N + 1) array; row i holds a0, c_1, ..., c_N of row i.
     """
     (rows, k), width = params.shape, n_terms + 1
-    # gammas[j] multiplies (q, t p) by (g_j, conj g_j), order by order.
-    gammas = np.empty((k, 2, 1, rows), dtype=np.complex128)
-    gammas[:, 0, 0] = params.T
-    np.conj(params.T, out=gammas[:, 1, 0])
-    recursion = _pingpong_recursion if rows >= PINGPONG_ROWS else _capped_recursion
-    pq, free, held = recursion(gammas, width)
-    # The transposed p and q go into the free buffer, and rev over the final p and q.
-    p, q = transposed = free[: 2 * rows * width].reshape(2, rows, width)
-    transposed[...] = pq.transpose(0, 2, 1)
-    rev = held[: rows * width].reshape(rows, width)
+    gammas = params.T[::-1, np.newaxis].copy()  # level s multiplies by parameter K - 1 - s
+    conj_gammas = np.conj(gammas)
+    halves = np.zeros((2, 2 * width + 1, rows), dtype=np.complex128)  # (zero order, p, q) each
+    halves[0, width + 1] = 1.0  # (p, q) = (0, 1): tail f = 0
+    step, done = max(2, SYNTH_CAP_ROWS // rows), 0
+    while done < k:
+        cap = min(done + step, width)
+        stop = k if cap == width else min(cap, k)  # level s updates orders below min(s + 1, N + 1)
+        # (t p, q) of the half read and (p', q') of the half written, on the orders below cap.
+        views = [
+            (src[:cap], src[width + 1 : width + 1 + cap], dst[1 : cap + 1], dst[width + 1 : width + 1 + cap])
+            for src, dst in (halves, halves[::-1])
+        ]
+        for s in range(done, stop):
+            tp, q, p_out, q_out = views[s & 1]
+            # gamma first: numpy's complex multiply is not bitwise symmetric in its operands.
+            np.multiply(gammas[s], q, out=p_out)
+            p_out += tp  # g q + t p; order 0 gets its + 0.0
+            np.multiply(conj_gammas[s], tp, out=q_out)
+            q_out += q  # conj(g) t p + q
+        done = stop
+    # The transposed p and q go into the half last read, and rev over the final p and q.
+    held, free = halves[k % 2], halves[1 - k % 2]
+    p, q = transposed = free.reshape(-1)[: 2 * rows * width].reshape(2, rows, width)
+    transposed[...] = held[1:].reshape(2, width, rows).transpose(0, 2, 1)
+    rev = held.reshape(-1)[: rows * width].reshape(rows, width)
     rev[:, -1] = p[:, 0]
     if rows == 1:
         p1, q1, rev1 = p[0], q[0], rev[0]
@@ -231,61 +255,6 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
             dots = q[:, np.newaxis, 1 : n + 1] @ rev[:, width - n :, np.newaxis]
             rev[:, -1 - n] = p[:, n] - dots[:, 0, 0]
     return np.ascontiguousarray(rev[:, ::-1])
-
-
-def _capped_recursion(gammas: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numerator/denominator recursion on a block of few rows.  Returns (p, q) as a (2, N + 1, rows) view into
-    the flat buffer ``held``, and a flat buffer ``free`` of at least 2 (N + 1) rows values: (pq, free, held).
-
-    After s levels p and q have degree below s, so a level updates only the
-    orders below the first cap (8, 16, 32, 48, N + 1) that is at least s, on
-    contiguous (2, cap, rows) prefixes of two buffers, with views made once
-    per cap: a ufunc over a slice of a wider array costs about 1 us more on
-    one to three rows.  Each level copies q and t p into the factor buffer
-    and multiplies both by (g, conj g) in one call.
-    """
-    k, rows = gammas.shape[0], gammas.shape[-1]
-    pq_flat, factors_flat = np.zeros((2, 2 * width * rows), dtype=np.complex128)
-    pq = np.array([0.0, 1.0]).reshape(2, 1, 1)  # (p, q) = (0, 1): tail f = 0
-    end = k
-    for cap in (*(c for c in (8, 16, 32, 48) if c < width), width):
-        grown, factors = (a[: 2 * cap * rows].reshape(2, cap, rows) for a in (pq_flat, factors_flat))
-        grown[1, : pq.shape[1]] = pq[1]  # q moves up; p's new orders held q
-        grown[0, pq.shape[1] :] = 0.0
-        pq, factors[1, 0] = grown, 0.0  # t p has no constant term
-        p, q, p_in, q_out, tp, tp_out = pq[0], pq[1], pq[0, :-1], factors[0], factors[1], factors[1, 1:]
-        stop = max(k - cap, 0) if cap < width else 0  # level k - j is at most cap
-        for j in range(end - 1, stop - 1, -1):
-            q_out[...] = q
-            tp_out[...] = p_in  # t * p, truncated
-            # gamma first, as in g * q: numpy's complex multiply is not
-            # bitwise symmetric in its operands.
-            np.multiply(gammas[j], factors, out=pq)  # (g q, conj(g) t p)
-            p += tp  # g q + t p
-            q += q_out  # conj(g) t p + q
-        end = stop
-    return pq, factors_flat, pq_flat
-
-
-def _pingpong_recursion(gammas: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The numerator/denominator recursion on a block of many rows, returned as :func:`_capped_recursion` does.
-
-    Two halves of one buffer take turns, each a zero order, p and q, (2 (N + 1) + 1, rows), so t p is a view.  Level
-    s reads one half and writes p' = g q + t p and q' = conj(g) t p + q into the other, on exactly the orders below
-    min(s, N + 1): two multiplies, g first, and two in-place adds, no copy.  Higher orders stay +0.0, as the capped
-    levels leave them (g 0 + 0.0 and conj(g) 0 + 0.0 are +0.0).
-    """
-    src, dst = np.zeros((2, 2 * width + 1, gammas.shape[-1]), dtype=np.complex128)
-    src[width + 1] = 1.0  # (p, q) = (0, 1): tail f = 0
-    for s, (g, g_conj) in enumerate(gammas[::-1], 1):
-        n = min(s, width)
-        tp, q, p_out, q_out = src[:n], src[width + 1 : width + 1 + n], dst[1 : n + 1], dst[width + 1 : width + 1 + n]
-        np.multiply(g, q, out=p_out)  # gamma first, as in the capped levels
-        p_out += tp  # order 0 gets its + 0.0
-        np.multiply(g_conj, tp, out=q_out)
-        q_out += q
-        src, dst = dst, src
-    return src[1:].reshape(2, width, -1), dst.reshape(-1), src.reshape(-1)
 
 
 def schur_series_from_params(params: Sequence[complex], n_terms: int = DEFAULT_ORDER) -> TruncatedSeries:
