@@ -17,19 +17,20 @@ recursion below), and it is what licenses the geometric tail bounds of
 1 - |a0|^2, so every truncated functional evaluation can be promoted to a
 rigorous two-sided enclosure of the untruncated value.
 
-Reproducibility: Schur synthesis is bit-reproducible for a given seed on
-one machine, whether series are synthesized alone or in batches: every
-block makes the same multiplies, gamma first, and the same adds on every
-order that can be nonzero, whatever its caps.  Across
-machines it may not be: the truncated quotient's dot products run OpenBLAS
-``cblas_zdotu_sub`` (through ``np.dot``, or numpy's stacked ``matmul``, one
-call per row), whose kernel OpenBLAS picks per CPU (DYNAMIC_ARCH builds),
-and the numerator/denominator recursion amplifies rounding by up to 3.1e-5,
-so the stored coefficients of one seed can differ from one CPU to another.
-``tests/test_synthesis_blocks.py`` pins that every block size gives a row
-the bits of its one-row synthesis; CI runs it again under two forced
-OpenBLAS core types, for the quotient's dots, and with numpy's AVX2 and
-AVX-512 loops switched off, for the recursion's multiplies and adds.
+Reproducibility: Schur synthesis is bit-reproducible for a given seed on one
+machine, whether series are synthesized alone or in batches: every block
+makes the same multiplies, gamma first, and the same adds on every order
+that can be nonzero, whatever its caps.  Across machines it may not be: the
+truncated quotient's dot products run OpenBLAS ``cblas_zdotu_sub`` (through
+``np.dot``, or numpy's stacked ``matmul``, one call per row), whose kernel
+OpenBLAS picks per CPU (DYNAMIC_ARCH builds); numpy's complex multiply is
+FMA-contracted in its dispatched x86-64-v3 (AVX2) and v4 loops and not in
+its baseline one; and the numerator/denominator recursion amplifies rounding
+by up to 3.1e-5, so the stored coefficients of one seed can differ from one
+CPU to another.  ``tests/test_synthesis_blocks.py`` pins that every block
+size gives a row the bits of its one-row synthesis; CI runs it again under
+two forced OpenBLAS core types, for the quotient's dots, and with numpy's
+dispatched SIMD loops switched off, for the recursion's multiplies and adds.
 
 Seeded series: seed s, an integer >= 0, draws from ``np.random.default_rng(s)``,
 a PCG64 seeded by ``SeedSequence(s)``; numpy NEP 19 fixes both algorithms.  A
