@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -88,6 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, **options)
         p.add_argument("--config", type=str, help="key = value file; flags win over file entries")
     return ap
+
+
+#: The parser :func:`main` reuses: parsing leaves a parser unchanged, and building one costs about 1 ms a request.
+_shared_parser = functools.cache(build_parser)
 
 
 def _config_argv(path: str) -> list[str]:
@@ -354,7 +359,7 @@ def _emit(args: argparse.Namespace, code: int, columns: dict[str, Any], lines: l
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:

@@ -20,7 +20,7 @@ rigorous two-sided enclosure of the untruncated value.
 Reproducibility: Schur synthesis is bit-reproducible for a given seed on one
 machine, whether series are synthesized alone or in batches: every block
 makes the same multiplies, gamma first, and the same adds on every order
-that can be nonzero, whatever its caps.  Across machines it may not be: the
+that can be nonzero, whatever its caps or layout.  Across machines it may not be: the
 truncated quotient's dot products run OpenBLAS ``cblas_zdotu_sub`` (through
 ``np.dot``, or numpy's stacked ``matmul``, one call per row), whose kernel
 OpenBLAS picks per CPU (DYNAMIC_ARCH builds); numpy's complex multiply is
@@ -30,7 +30,8 @@ by up to 3.1e-5, so the stored coefficients of one seed can differ from one
 CPU to another.  ``tests/test_synthesis_blocks.py`` pins that every block
 size gives a row the bits of its one-row synthesis; CI runs it again under
 two forced OpenBLAS core types, for the quotient's dots, and with numpy's
-dispatched SIMD loops switched off, for the recursion's multiplies and adds.
+dispatched SIMD loops switched off, all of them or the AVX-512 ones alone,
+for the recursion's multiplies and adds.
 
 Seeded series: seed s, an integer >= 0, draws from ``np.random.default_rng(s)``,
 a PCG64 seeded by ``SeedSequence(s)``; numpy NEP 19 fixes both algorithms.  A
@@ -64,7 +65,7 @@ COEFF_SLACK = 1e-12
 SYNTH_CHUNK = 128
 
 #: Rows times the orders between two caps of the synthesis recursion (:func:`_synthesize_rows`): 48 orders on one
-#: row, 16 on three, 2 (the least) on a block of 24 rows or more.
+#: row, 16 on three, 2 (the least) from 17 rows on, where a level's parameters stay a broadcast row.
 SYNTH_CAP_ROWS = 48
 
 #: Seeds from which a block derives its generator states as columns (:func:`_pcg64_states`): the column hash has a
@@ -201,9 +202,13 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     :data:`SYNTH_CAP_ROWS` // rows orders apart (at least 2), with views
     made once per cap.  On one to three rows a ufunc's fixed cost outweighs
     the orders past the degree, and slicing once a level would cost more;
-    on a block the caps follow the degree.  Orders past the degree stay
-    +0.0: g 0 + 0.0 and conj(g) 0 + 0.0 are +0.0.  The truncated quotient
-    p/q of the transposed, contiguous p and q runs once per coefficient:
+    on a block the caps follow the degree.  Where caps lie more than 2 orders
+    apart (at most 16 rows), each cap lays its levels' g and conj(g) out over
+    the orders below it, so every multiply has operands of one shape and skips
+    numpy's broadcast iterator; a larger block multiplies by the (1, rows) g,
+    as a layout would cost a write per multiplied element.  Orders past the
+    degree stay +0.0: g 0 + 0.0 and conj(g) 0 + 0.0 are +0.0.  The truncated
+    quotient p/q of the transposed, contiguous p and q runs once per coefficient:
     coefficient n of every row is p_n minus one stacked (1, n) @ (n, 1)
     product of q_1 .. q_n with the row's coefficients n - 1, ..., 0, which
     are built reversed (coefficient n at index -1 - n) so that each product
@@ -233,12 +238,15 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
             (src[:cap], src[width + 1 : width + 1 + cap], dst[1 : cap + 1], dst[width + 1 : width + 1 + cap])
             for src, dst in (halves, halves[::-1])
         ]
-        for s in range(done, stop):
+        gs, conj_gs = gammas[done:stop], conj_gammas[done:stop]
+        if step > 2:  # at most 16 rows: each level's g laid out over the cap, so no multiply broadcasts
+            gs, conj_gs = np.repeat(gs, cap, axis=1), np.repeat(conj_gs, cap, axis=1)
+        for s, g, conj_g in zip(range(done, stop), gs, conj_gs):
             tp, q, p_out, q_out = views[s & 1]
             # gamma first: numpy's complex multiply is not bitwise symmetric in its operands.
-            np.multiply(gammas[s], q, out=p_out)
+            np.multiply(g, q, p_out)
             p_out += tp  # g q + t p; order 0 gets its + 0.0
-            np.multiply(conj_gammas[s], tp, out=q_out)
+            np.multiply(conj_g, tp, q_out)
             q_out += q  # conj(g) t p + q
         done = stop
     # The transposed p and q go into the half last read, and rev over the final p and q.
@@ -252,8 +260,9 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
         for n in range(1, width):
             rev1[-1 - n] = p1[n] - np.dot(q1[1 : n + 1], rev1[width - n :])
     else:
+        q3, rev3 = q[:, np.newaxis], rev[:, :, np.newaxis]
         for n in range(1, width):
-            dots = q[:, np.newaxis, 1 : n + 1] @ rev[:, width - n :, np.newaxis]
+            dots = q3[:, :, 1 : n + 1] @ rev3[:, width - n :]
             rev[:, -1 - n] = p[:, n] - dots[:, 0, 0]
     return np.ascontiguousarray(rev[:, ::-1])
 

@@ -90,7 +90,10 @@ class TestCriterion1SharpRadiusSquared:
             f"of them the rigorous lower bound itself exceeds 1, so the inequality is "
             f"genuinely violated (worst upper {max(b[2] for b in bad):.6f}). Minimal "
             f"crafted example: slice (t, t^2, t^3) has exact value 2r^2 + r^4 + r^6 = "
-            f"{2 * R_SQUARED**2 + R_SQUARED**4 + R_SQUARED**6:.6f} > 1. The bound as "
+            f"{2 * R_SQUARED**2 + R_SQUARED**4 + R_SQUARED**6:.6f} > 1. The equimodular slice "
+            f"(M_x(t), M_x(t^2)), M_x(t) = (x + t)/(1 + x t), x = 215/512, exceeds 1 already at "
+            f"r = 77/128 < sqrt(11/27): exact value >= 1.002470 (TestCorpusBoundary::"
+            f"test_two_moebius_components_violate_the_squared_bound_below_its_radius). The bound as "
             f"stated holds only when one component dominates all coefficient orders; "
             f"see README and tests/test_functionals.py::TestCorpusBoundary."
         )

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from polybohr import FunctionalSpec, closed_form_radius, eval_functional_batch, random_slice_batch
+from polybohr import cli
 from polybohr.cli import _emit, build_parser, main
 
 
@@ -551,6 +552,35 @@ class TestReportLayout:
         csv.writer(buf, lineterminator="\n").writerows([list(columns), *(_fmt_cells(row.values()) for row in rows)])
         assert capsys.readouterr().out == buf.getvalue()
 
+
+
+class TestSharedParser:
+    def test_a_mixed_sequence_on_the_shared_parser_matches_fresh_parsers(self, capsys, tmp_path, monkeypatch):
+        # main() builds its parser once per process; every answer must be the one a freshly built parser gives,
+        # whatever ran before on the shared one: a config file's entries, a usage error, each subcommand.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theorem = refined_p\np = 2\nformat = json\n")
+        sequence = [
+            ["radius", "--config", str(cfg)],
+            ["radius", "--theorem", "classical", "--r", "0.5"],  # a flag radius does not take: usage error
+            ["radius", "--theorem", "refined_p", "--p", "1"],  # nothing of the config's format carries over
+            ["verify", "--config", str(cfg), "--seeds", "3", "--format", "csv"],
+            ["verify", "--theorem", "composed_k", "--k", "2", "--m", "3", "--seeds", "3"],
+            ["verify", "--theorem", "refined_p", "--seeds", "3"],  # p missing: a domain error
+            ["witness", "--theorem", "refined_p", "--p", "1", "--r", "0.21"],
+            ["sweep", "--theorem", "refined_p", "--p", "2", "--seeds", "5", "--r-steps", "3", "--format", "json"],
+            ["sweep", "--theorem", "classical", "--lambda", "0.5", "--r-steps", "2"],
+            ["counterexample", "--theorem", "composed_k", "--k", "1", "--a1", "0.5", "--a2", "0.9999", "--r", "0.5"],
+            ["frobnicate"],
+            ["radius", "--config", str(cfg)],
+        ]
+        assert cli._shared_parser() is cli._shared_parser()
+        shared = [run(capsys, *argv) for argv in sequence]
+        monkeypatch.setattr(cli, "_shared_parser", build_parser)
+        fresh = [run(capsys, *argv) for argv in sequence]
+        assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0]
+        for argv, got, want in zip(sequence, shared, fresh):
+            assert got == want, argv
 
 def _fmt_cells(values):
     """Each value as the CSV report writes it: floats with 12 significant digits, bools in lower case, None empty."""

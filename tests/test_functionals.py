@@ -8,11 +8,14 @@ The corpus tests pin the true mathematical boundary of the inequalities:
 * the squared and refined p=2 checks hold on single-component slices and on
   rank-one families, but genuinely fail on slices like (t, t^2, t^3), whose
   componentwise-max coefficient sums escape the single-component bound; the
-  library detects those with a rigorous lower bound above 1.
+  library detects those with a rigorous lower bound above 1.  The equimodular
+  slice (M_x(t), M_x(t^2)), x = 215/512, fails the squared check already at
+  r = 77/128, below its radius, as an exact ``Fraction`` value shows.
 """
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -374,6 +377,26 @@ class TestCorpusBoundary:
         assert value.lower == pytest.approx(exact, abs=1e-9)
         ok, _ = verify_theorem(s, FunctionalSpec.improved_squared(), r)
         assert not ok
+
+    def test_two_moebius_components_violate_the_squared_bound_below_its_radius(self):
+        # The equimodular slice (M_x(t), M_x(t^2)), M_x(t) = (x + t)/(1 + x t), x = 215/512: M_x has
+        # |c_n| = M x^(n-1) with M = 1 - x^2, so Q_n is M x^(n-1) at odd n and M x^(n/2-1) at even n (the second
+        # component's).  At r = 77/128 < sqrt(11/27) the squared value is SP^2 + M^2 r^2/(1 - x^4 r^4)
+        # + M^2 r^4/(1 - x^2 r^4), SP = (x + r)/(1 + x r) the first component's sup, taken at t = r.
+        x, r = Fraction(215, 512), Fraction(77, 128)
+        big_m = 1 - x * x
+        sp = (x + r) / (1 + x * r)
+        exact = sp**2 + big_m**2 * r**2 / (1 - x**4 * r**4) + big_m**2 * r**4 / (1 - x**2 * r**4)
+        assert r * r < Fraction(11, 27)
+        assert exact > 1 and round(float(exact), 6) == 1.002470
+        g = mobius_series(float(x), "plus", 64)
+        spread = np.zeros(64, dtype=np.complex128)
+        spread[1::2] = g.coeffs[:32]  # M_x(t^2): coefficient n of M_x at order 2n
+        s = PolydiscSlice.from_components([g, TruncatedSeries(g.a0, spread, schur_certified=True)])
+        value = eval_functional(s, FunctionalSpec.improved_squared(), float(r))
+        assert value.lower > 1.0  # a rigorous violation below the paper's radius
+        assert value.lower == pytest.approx(float(exact), abs=1e-12)
+        assert not verify_theorem(s, FunctionalSpec.improved_squared(), float(r))[0]
 
     def test_monomial_slice_genuinely_violates_refined_p2_bound(self):
         s = monomial_slice([1, 2, 3])

@@ -13,9 +13,15 @@ against the reference).  The recursion updates only the orders below a cap,
 and its caps are :data:`SYNTH_CAP_ROWS` // rows orders apart, at least 2:
 48, 24 and 16 on one to three rows, 9 on five, 3 on 16 and 2 from 17 rows on.
 The block sizes cover each of these spacings, and K and N + 1 fall on both
-sides of the caps of 2, 3 and 32 rows.  Blocked synthesis keeps its
-temporaries bounded on long seed ranges, and so does a batch built from them,
-and a 384-row call peaks within 10 % of the peak before the ping-pong.
+sides of the caps of 2, 3 and 32 rows.  The spacing also sets how a level
+multiplies: a block of at most :data:`FEW_ROWS` = 16 rows (caps more than 2
+orders apart) lays each level's parameters out over the orders they
+multiply, and a larger block multiplies by the broadcast (1, rows) row.
+The block sizes hold 16 and 17, one on each side, and every edge row keeps
+its bits between a few-row block and a broadcast one.  Blocked synthesis
+keeps its temporaries bounded on long seed ranges, and so does a batch built
+from them, and a 384-row call peaks within 10 % of the peak before the
+ping-pong.
 
 A block of :data:`COLUMN_SEEDS` or more seeds, all below 2**64, computes the
 state of each seed's ``PCG64(SeedSequence(seed))`` as columns instead of
@@ -30,11 +36,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polybohr.series import COLUMN_SEEDS, _generators, _pcg64_states, _seeded_rows, _synthesize_rows
+from polybohr.series import (
+    COLUMN_SEEDS, SYNTH_CAP_ROWS, _generators, _pcg64_states, _seeded_rows, _synthesize_rows,
+)
 from polybohr.slices import random_slice_batch
 from test_synthesis_reference import EDGE_PARAMS, reference_scalar, reference_slice, reference_synthesis
 
-BLOCK_SIZES = [1, 2, 3, 5, 16, 17, 63, 64, 65, 128, 129]
+#: The most rows whose caps lie more than 2 orders apart: the largest block that lays out its parameters.
+FEW_ROWS = SYNTH_CAP_ROWS // 3
+
+BLOCK_SIZES = [1, 2, 3, 5, FEW_ROWS, FEW_ROWS + 1, 63, 64, 65, 128, 129]
 
 #: Seeds of two to seven 32-bit words; a block that holds one from 2**64 on draws each seed from its own generator.
 LARGE_SEEDS = [
@@ -86,6 +97,17 @@ def test_edge_parameters_keep_their_bits_in_a_block(params, n_terms):
     expected = reference_synthesis(params, n_terms)
     for i in range(32):
         assert same_bits(block[i], expected), f"row {i}"
+
+
+@pytest.mark.parametrize("rows", [1, 3, FEW_ROWS])
+@pytest.mark.parametrize("params, n_terms", EDGE_PARAMS)
+def test_edge_rows_of_a_few_row_block_are_the_rows_of_a_broadcast_block(params, n_terms, rows):
+    # The edge row is the last row of a few-row block and sits at the same place in a block of FEW_ROWS + 1
+    # rows, filled up with random rows; the -0.0 of complex(-0.5, -0.0) must meet the same arithmetic in both.
+    edge = np.asarray(params, dtype=np.complex128)
+    others = random_params(FEW_ROWS, edge.size, seed=[rows, edge.size, n_terms])
+    block = np.vstack([others[: rows - 1], edge, others[rows - 1 :]])
+    assert same_bits(_synthesize_rows(block[:rows], n_terms), _synthesize_rows(block, n_terms)[:rows])
 
 
 def test_a_row_keeps_its_bits_at_every_position():
