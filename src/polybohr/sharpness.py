@@ -115,6 +115,11 @@ def find_witness(spec: FunctionalSpec, r: float, m: int = 1, n_terms: int = DEFA
 
     From r = 0.95 on, the squared kind finds no witness at order 64: its
     modulus tail budget outgrows the margin (the README's known limits).
+
+    ``m`` is checked after r.  The family's m components are equal, so each
+    of its values is the one-component value bit for bit, and each lam is
+    evaluated once, on one component.  The classical sum keeps m, capped at
+    2, so that m >= 2 meets the evaluator's one-component rule.
     """
     _check_unit(r, "radius")
     radius = closed_form_radius(spec)
@@ -122,9 +127,11 @@ def find_witness(spec: FunctionalSpec, r: float, m: int = 1, n_terms: int = DEFA
         raise PreconditionError(
             f"witness search needs r above the sharp radius {radius}, got {r}"
         )
+    m = _check_count(m, "component count m")
+    components = min(m, 2) if spec.kind == "classical" else 1
     first = [SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA] if spec.kind == "improved_squared" else []
     for lam in [*first, *(1.0 - 0.5**j for j in range(1, 41))]:
-        value = eval_functional(extremal_slice(spec, lam, m, n_terms), spec, r)
+        value = eval_functional(extremal_slice(spec, lam, components, n_terms), spec, r)
         if value.lower > 1.0 + WITNESS_MARGIN:
             return SharpnessWitness(spec=spec, lam=lam, r=r, value_lower=value.lower)
     raise WitnessSearchError(f"no witness for {spec.kind} at r = {r} on a depth-40 grid")

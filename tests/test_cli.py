@@ -155,6 +155,22 @@ class TestSweepCommand:
         assert report["config"]["m"] == 1
         assert report["results"] == json.loads(one)["results"]
 
+    @pytest.mark.parametrize(
+        "kind",
+        [("improved_squared",), ("refined_p", "--p", "1"), ("refined_p", "--p", "2"), ("composed_k", "--k", "1"),
+         ("composed_k", "--k", "3")],
+        ids=lambda kind: "-".join(kind).replace("--", ""),
+    )
+    def test_lambda_sweep_of_several_components_reports_the_one_component_values(self, capsys, kind):
+        # The family's components are equal, so every m gives the values of m = 1; the report echoes the m given.
+        argv = ("sweep", "--theorem", *kind, "--lambda", "0.9", "--r-steps", "5", "--format", "json")
+        code, one, _ = run(capsys, *argv, "--m", "1")
+        for m in (2, 3):
+            got, out, _ = run(capsys, *argv, "--m", str(m))
+            report = json.loads(out)
+            assert got == code and report["config"]["m"] == m
+            assert report["results"] == json.loads(one)["results"]
+
     def test_classical_lambda_sweep_echoes_no_component_count(self, capsys):
         _, out, _ = run(capsys, "sweep", "--theorem", "classical", "--lambda", "0.5", "--r-steps", "2", "--format", "json")
         assert "m" not in json.loads(out)["config"]

@@ -1,6 +1,7 @@
 """Extremal slices, witness search, and unequal-modulus counterexamples."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -197,17 +198,45 @@ class TestComponentCount:
         r = closed_form_radius(spec) + delta
         assert _witness_or_none(spec, r, m=3) == _witness_or_none(spec, r, m=1)
 
-    @pytest.mark.parametrize("delta", [1e-3, 1e-9])
+    @pytest.mark.parametrize("offset", [-0.01, 0.0, 1e-9, 1e-3])
     @pytest.mark.parametrize("spec", WORKLOAD_WITNESS_SPECS, ids=repr)
-    def test_family_value_does_not_depend_on_m(self, spec, delta):
-        lam = SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA if spec.kind == "improved_squared" else 1.0 - 0.5**20
-        r = closed_form_radius(spec) + delta
+    def test_family_value_does_not_depend_on_m(self, spec, offset):
+        # find_witness evaluates one component for every m: each reduction over the equal rows
+        # (a_norm, Q_n, the tail cap, the sampled sup, the refined per-component sum) keeps its bits.
+        r = closed_form_radius(spec) + offset
 
-        def bits(m):
+        def bits(lam, m):
             value = eval_functional(extremal_slice(spec, lam, m), spec, r)
             return [x.hex() for x in (value.lower, value.upper, value.tail, value.truncated)]
 
-        assert bits(2) == bits(3) == bits(1)
+        for lam in (SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, 1.0 - 0.5, 1.0 - 0.5**20, 1.0 - 0.5**40):
+            one = bits(lam, 1)
+            assert [bits(lam, m) for m in (2, 3, 8)] == [one] * 3, lam
+
+    @pytest.mark.parametrize("m", [0, 1.5, "3"])
+    def test_an_invalid_count_is_a_domain_error_after_the_radius_rules(self, m):
+        spec = FunctionalSpec.improved_squared()
+        radius = closed_form_radius(spec)
+        with pytest.raises(DomainError, match=re.escape(f"component count m must be an integer >= 1, got {m!r}")):
+            find_witness(spec, radius + 1e-3, m=m)
+        for r in (radius, radius - 1e-3):
+            with pytest.raises(PreconditionError, match="needs r above the sharp radius"):
+                find_witness(spec, r, m=m)
+        with pytest.raises(DomainError, match="radius must lie in"):
+            find_witness(spec, 1.0, m=m)
+
+    @pytest.mark.parametrize("m", [2, 3, 10**12])
+    def test_the_classical_sum_rejects_several_components_by_the_evaluator_rule(self, m):
+        message = "^classical majorant sum is defined for single-component slices$"
+        with pytest.raises(PreconditionError, match=message) as info:
+            find_witness(FunctionalSpec.classical(), 0.4, m=m)
+        assert info.traceback[-1].name == "_evaluate"
+
+    @pytest.mark.parametrize("spec", [FunctionalSpec.improved_squared(), FunctionalSpec.refined(1)], ids=repr)
+    def test_a_huge_count_gives_the_one_component_witness(self, spec):
+        # m rows of the family would take terabytes; the search evaluates one.
+        r = closed_form_radius(spec) + 1e-3
+        assert find_witness(spec, r, m=10**12) == find_witness(spec, r, m=1)
 
 
 class TestCounterexamples:
