@@ -61,7 +61,8 @@ COEFF_SLACK = 1e-12
 
 #: Seeds per synthesis block (about two rows a seed, at most three) and per
 #: ``verify`` batch; bounds the temporaries of the draw, synthesis and batch
-#: evaluation whatever the number of seeds.
+#: evaluation whatever the number of seeds.  A block's level-major parameters,
+#: recursion buffer and rows peak at about 6.2 times its rows' bytes.
 SYNTH_CHUNK = 128
 
 #: Rows times the orders between two caps of the synthesis recursion (:func:`_synthesize_rows`): 48 orders on one
@@ -192,7 +193,10 @@ def _mobius_rows(lams: Sequence[float], sign: MobiusSign, n_terms: int) -> np.nd
 def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     """Coefficients a0, c_1 .. c_N of the Schur function of each parameter row.
 
-    The whole call is one block; the callers bound its rows.  The recursion
+    The whole call is one block; the callers bound its rows.  Level s reads
+    parameter K - 1 - s as a contiguous row: a (rows, K) view of level-major
+    storage (:func:`_seeded_rows`) is read in place, other layouts are copied
+    once, and each cap conjugates only its own levels.  The recursion
     of :func:`schur_series_from_params` runs rows innermost, as a ping-pong
     between the two halves of one buffer, each a zero order, p and q, so
     that t p is a view.  Level s reads one half and writes p' = g q + t p and
@@ -218,15 +222,14 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
     its bits do not depend on its block.
 
     Args:
-        params: (rows, K) block of Schur parameters, K >= 1.
+        params: (rows, K) block of Schur parameters, K >= 1, in any layout.
         n_terms: truncation order N.
 
     Returns:
         (rows, N + 1) array; row i holds a0, c_1, ..., c_N of row i.
     """
     (rows, k), width = params.shape, n_terms + 1
-    gammas = params.T[::-1, np.newaxis].copy()  # level s multiplies by parameter K - 1 - s
-    conj_gammas = np.conj(gammas)
+    gammas = np.ascontiguousarray(params.T[::-1, np.newaxis])  # level s multiplies by parameter K - 1 - s
     halves = np.zeros((2, 2 * width + 1, rows), dtype=np.complex128)  # (zero order, p, q) each
     halves[0, width + 1] = 1.0  # (p, q) = (0, 1): tail f = 0
     step, done = max(2, SYNTH_CAP_ROWS // rows), 0
@@ -238,7 +241,7 @@ def _synthesize_rows(params: np.ndarray, n_terms: int) -> np.ndarray:
             (src[:cap], src[width + 1 : width + 1 + cap], dst[1 : cap + 1], dst[width + 1 : width + 1 + cap])
             for src, dst in (halves, halves[::-1])
         ]
-        gs, conj_gs = gammas[done:stop], conj_gammas[done:stop]
+        gs, conj_gs = gammas[done:stop], np.conj(gammas[done:stop])
         if step > 2:  # at most 16 rows: each level's g laid out over the cap, so no multiply broadcasts
             gs, conj_gs = np.repeat(gs, cap, axis=1), np.repeat(conj_gs, cap, axis=1)
         for s, g, conj_g in zip(range(done, stop), gs, conj_gs):
@@ -380,9 +383,12 @@ def _seeded_rows(
     keep the bits of separate ``uniform`` draws.  Every :data:`SYNTH_CHUNK`
     seeds are drawn and synthesized as one block, so the temporaries stay
     bounded whatever the number of seeds; a row's bits do not depend on its
-    block.  The angles go into the imaginary part of one zeroed complex
-    array, exponentiated and scaled by the radii in place: ``1j * x`` is
-    exactly (+0.0, x), so the bits are those of ``sqrt(u) * exp(1j * 2 pi u)``.
+    block.  Its uniforms are transposed once to level-major (2, N + 1, rows)
+    storage, orders reversed.  The angles go into the imaginary part of one
+    zeroed complex array, exponentiated and scaled by the radii (rho in the
+    last level) in place, each a contiguous ufunc, and the synthesis reads a
+    view of it: ``1j * x`` is exactly (+0.0, x), so the bits are those of
+    ``sqrt(u) * exp(1j * 2 pi u)``.
     """
     n_terms = _check_count(n_terms, "truncation order")
     if m is not None:
@@ -401,17 +407,16 @@ def _seeded_rows(
                 rhos += [rng.random()] * count
             uniforms.append(rng.random((count, 2, width)))
             counts.append(count)
-        u = np.concatenate(uniforms)
+        radii, angles = np.ascontiguousarray(np.concatenate(uniforms).transpose(1, 2, 0)[:, ::-1])  # (2, N + 1, rows)
         del uniforms
-        params = np.zeros((u.shape[0], width), dtype=np.complex128)
-        np.multiply(2.0 * np.pi, u[:, 1], out=params.imag)
+        params = np.zeros(angles.shape, dtype=np.complex128)  # level s holds parameter N - s
+        np.multiply(2.0 * np.pi, angles, out=params.imag)
         np.exp(params, out=params)
-        radii = u[:, 0]
         if not scalar:
-            radii[:, 0] = rhos
+            radii[-1] = rhos
         np.multiply(np.sqrt(radii, out=radii), params, out=params)
-        del u, radii
-        blocks.append(_synthesize_rows(params, n_terms))
+        del radii, angles
+        blocks.append(_synthesize_rows(params[::-1].T, n_terms))
     if len(blocks) == 1:
         return blocks[0], counts
     return (np.concatenate(blocks) if blocks else np.empty((0, width), dtype=np.complex128)), counts

@@ -85,6 +85,15 @@ class TestVerifyCommand:
         assert out == ""
         assert "--m" in err
 
+    def test_a_report_keeps_its_bytes_after_other_requests_in_the_process(self, capsys):
+        # Each synthesis block reuses heap memory that earlier blocks freed, not fresh zero pages, so a read of
+        # memory a block did not write would change the repeated report.
+        argv = ["verify", "--theorem", "refined_p", "--p", "2", "--seeds", "300", "--format", "json"]
+        first = run(capsys, *argv)
+        assert run(capsys, "verify", "--theorem", "composed_k", "--k", "2", "--seeds", "300")[0] == 0
+        assert run(capsys, "verify", "--theorem", "classical", "--seeds", "300", "--format", "csv")[0] == 0
+        assert first[0] == 0 and run(capsys, *argv) == first
+
     def test_rejects_radius_beyond_sharp(self, capsys):
         code, _, err = run(capsys, "verify", "--theorem", "refined_p", "--p", "1", "--r", "0.5", "--seeds", "5")
         assert code == 2

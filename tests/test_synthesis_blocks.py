@@ -18,10 +18,13 @@ multiplies: a block of at most :data:`FEW_ROWS` = 16 rows (caps more than 2
 orders apart) lays each level's parameters out over the orders they
 multiply, and a larger block multiplies by the broadcast (1, rows) row.
 The block sizes hold 16 and 17, one on each side, and every edge row keeps
-its bits between a few-row block and a broadcast one.  Blocked synthesis
-keeps its temporaries bounded on long seed ranges, and so does a batch built
-from them, and a 384-row call peaks within 10 % of the peak before the
-ping-pong.
+its bits between a few-row block and a broadcast one.  The draw hands the
+kernel a (rows, K) view of level-major storage, which the recursion reads in
+place; a row-major block, that view and a strided slice give the same bits,
+and the view saves the kernel's copy.  Blocked synthesis keeps its
+temporaries bounded on long seed ranges, and so does a batch built from them;
+one drawn block peaks below 6.5 times its rows, and a 384-row call peaks
+within 10 % of the peak before the ping-pong.
 
 A block of :data:`COLUMN_SEEDS` or more seeds, all below 2**64, computes the
 state of each seed's ``PCG64(SeedSequence(seed))`` as columns instead of
@@ -110,6 +113,40 @@ def test_edge_rows_of_a_few_row_block_are_the_rows_of_a_broadcast_block(params, 
     assert same_bits(_synthesize_rows(block[:rows], n_terms), _synthesize_rows(block, n_terms)[:rows])
 
 
+def level_major_view(params):
+    """``params`` as ``_seeded_rows`` hands a block over: a (rows, K) view of (K, rows) storage, orders reversed."""
+    return np.ascontiguousarray(params[:, ::-1].T)[::-1].T
+
+
+@pytest.mark.parametrize("rows", [1, 3, FEW_ROWS, FEW_ROWS + 1, 264])
+@pytest.mark.parametrize("n_terms", [8, 64])
+def test_a_block_keeps_its_bits_in_every_layout(rows, n_terms):
+    params = random_params(rows, n_terms + 1, seed=[rows, n_terms, 3])
+    expected = _synthesize_rows(params, n_terms)
+    view = level_major_view(params)
+    strided = np.zeros((rows, 2 * (n_terms + 1)), dtype=np.complex128)[:, 1::2]
+    strided[...] = params
+    assert same_bits(np.ascontiguousarray(view), params) and not (view.flags.c_contiguous or strided.flags.c_contiguous)
+    for layout in (view, strided):
+        assert same_bits(_synthesize_rows(layout, n_terms), expected)
+
+
+def test_a_level_major_view_is_read_without_a_copy():
+    # The kernel's only copy of a row-major block is its level-major parameters; a view of level-major storage
+    # skips it, so its call peaks that many bytes lower.
+    params = random_params(264, 65, seed=264)
+    peaks = []
+    for layout in (params, level_major_view(params)):
+        _synthesize_rows(layout[:32], 64)
+        tracemalloc.start()
+        try:
+            _synthesize_rows(layout, 64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] - peaks[1] >= params.nbytes, f"peaks {peaks} B for {params.nbytes} B of parameters"
+
+
 def test_a_row_keeps_its_bits_at_every_position():
     params = random_params(65, 70, seed=1)
     row = params[:1]
@@ -130,6 +167,21 @@ def test_long_seed_ranges_peak_below_three_times_their_rows(m):
     finally:
         tracemalloc.stop()
     assert peak < 3 * rows.nbytes, f"peak {peak} B for {rows.nbytes} B of rows"
+
+
+@pytest.mark.parametrize("m, scalar", [(None, False), (3, False), (None, True)], ids=["mixed", "m3", "scalar"])
+def test_one_block_peaks_below_six_and_a_half_times_its_rows(m, scalar):
+    # One 128-seed block holds its level-major parameters, the recursion buffer (about four times the rows'
+    # bytes), a cap's conj and its rows: about 6.2 times the rows.  A full copy of the parameters, or of their
+    # conj, would add one more.
+    _seeded_rows(range(2), 64, m=m, scalar=scalar)
+    tracemalloc.start()
+    try:
+        rows, _ = _seeded_rows(range(128), 64, m=m, scalar=scalar)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * rows.nbytes, f"peak {peak} B for {rows.nbytes} B of rows"
 
 
 @pytest.mark.parametrize("m", [None, 3])
