@@ -80,7 +80,7 @@ class FunctionalSpec:
         if self.p is not None:
             if self.p not in (1, 2):
                 raise DomainError(f"p must be 1 or 2, got {self.p!r}")
-            # A plain int, as _check_count returns for k: an np.int64 would make a_norm**p an np.float64.
+            # A plain int, as _check_count returns for k, so a report's config echoes it as JSON.
             object.__setattr__(self, "p", int(self.p))
         if self.k is not None:
             object.__setattr__(self, "k", _check_count(self.k, "composition order k"))
@@ -146,10 +146,8 @@ def _assemble(
     kind's modulus term (None for classical) and ``termwise`` the refined
     kind's per-component upper bound.  The row is modulus upper, lower and
     tail, then constant, a and b.  Floats give one value, through Python's
-    ``max`` and ``x**p``; arrays (one entry per slice) give one value per
-    slice with the same bits, since every other step is one IEEE operation
-    elementwise, and ``a_norm**2`` keeps Python's ``pow`` (numpy squares by
-    ``x*x``).
+    ``max``; arrays (one entry per slice) give one value per slice with the
+    same bits, since every other step is one IEEE operation elementwise.
     """
     one = isinstance(x, float)
     w = 1.0 / (1.0 + x) + r / (1.0 - r)
@@ -163,7 +161,7 @@ def _assemble(
             up, low, t_up, const, a, b = u_up * u_up, low * low, 0.0, 0.0, 0.0, 1.0
         elif spec.kind == "refined_p":
             assert spec.p is not None and termwise is not None
-            const = x**spec.p if one else np.array([norm**spec.p for norm in x.tolist()])
+            const = x * x if spec.p == 2 else x
             up, t_up, a, b = termwise, t_lin, 1.0, w
         else:
             assert spec.kind == "composed_k" and spec.k is not None

@@ -144,7 +144,7 @@ def _schur_caps(a0_moduli: list[float], worst: list[float] | None) -> list[float
     for x in a0_moduli:
         if not x <= 1.0 + 1e-15:
             raise DomainError(f"|a0| = {x} must be finite and at most 1")
-    caps = [1.0 - x**2 for x in a0_moduli]
+    caps = [1.0 - x * x for x in a0_moduli]
     for most, cap in zip(worst or (), caps):
         if most > cap + COEFF_SLACK:
             raise CertificationError(

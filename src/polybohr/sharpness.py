@@ -186,8 +186,8 @@ def reproduce_counterexample(
     """
     bound = counterexample_analytic_bound(spec, a1, a2, r)
     rows = _mobius_rows([a1, a2], _family_sign(spec), n_terms)
-    # The slice is not equimodular on purpose, so building and evaluating it skip that hypothesis.
-    [value] = _evaluate(PolydiscSlice._owning(rows, [2], hypothesis=False), spec, r)
+    # Not equimodular on purpose: as one slice it is only flagged, and its evaluation skips the check.
+    [value] = _evaluate(PolydiscSlice._owning(rows, [2]), spec, r)
     return CounterexampleReport(
         spec=spec,
         a1=a1,

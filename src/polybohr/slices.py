@@ -8,10 +8,11 @@ functionals downstream consume the sampled sup of max_i |g_i| on circles
 once.  A :class:`PolydiscSlice` is a one-slice batch.
 
 The theorems need the *equimodular* initial condition |a0^(i)| = max_j |a0^(j)|
-for every component.  Public and seeded batches raise :class:`PreconditionError`
-without it when they are built; any other slice only flags it, and
-``functionals.eval_functional_batch`` refuses a flagged slice.  Only
-``sharpness.reproduce_counterexample`` evaluates one, unchecked.
+for every component.  The slice count decides what lacking it does: a batch of
+several slices raises :class:`PreconditionError` when it is built, as its one
+flag must hold for every slice, and a one-slice batch, however built, records
+the flag, which ``functionals.eval_functional_batch`` refuses.  Only
+``sharpness.reproduce_counterexample`` evaluates a flagged slice, unchecked.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def schwarz_compose(s: PolydiscSlice, k: int) -> PolydiscSlice:
         return s
     rows = np.zeros_like(s.rows)
     rows[:, 0], rows[:, k::k] = s.rows[:, 0], s.rows[:, 1 : s.truncation_order // k + 1]  # c_j to t^(kj)
-    return PolydiscSlice._owning(rows, [s.m], certified=s.certified, hypothesis=False)
+    return PolydiscSlice._owning(rows, [s.m], certified=s.certified)
 
 
 def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> TailBudget:
@@ -138,13 +139,13 @@ class SliceBatch:
     ``rows`` (shape (R, N + 1)) holds a0, c_1, ..., c_N of every component, slice after slice, and ``counts`` the
     component count of each slice: a 1-d sequence whose entries each pass ``radii._check_count``.  The constructor
     copies the rows and runs the checks of ``TruncatedSeries(schur_certified=True)`` on every row (the row rule is
-    ``series._schur_caps``), plus :class:`PreconditionError` for a slice that is not equimodular.  It keeps the views
+    ``series._schur_caps``), plus :class:`PreconditionError` for several slices not all equimodular.  It keeps the views
     ``coeffs`` and ``a0`` (the (R, 1) column) of ``rows``, ``a0_moduli`` = |a0|, ``coeff_moduli``, each slice's
     first row ``starts`` and the per-slice reductions: ``a_norm`` = max_i |a0^(i)|, ``q`` = Q_n = max_i |c_n^(i)|
     and ``tail_cap`` = the max of that rule's caps max(1 - |a0^(i)|^2, 0).  Two flags cover the whole batch:
     ``certified`` and ``equimodular``, the one equimodularity rule a_norm - min_i |a0^(i)| <= :data:`EQUIMODULAR_TOL`
-    on every slice.  Only a one-slice batch is ever built without that rule, so a batch of several slices is
-    equimodular or was never made.  Read-only, 1.7 to 2 times the row bytes.
+    on every slice.  Several slices must all keep that rule, or the constructor raises; one slice records it, so a
+    batch of several slices is equimodular or was never made.  Read-only, 1.7 to 2 times the row bytes.
     """
 
     rows: np.ndarray
@@ -167,13 +168,13 @@ class SliceBatch:
         self._take(_complex_array(self.rows, "rows").copy(), counts)
 
     @classmethod
-    def _owning(cls, rows: np.ndarray, counts: Sequence[int], certified=True, hypothesis=True) -> "SliceBatch":
+    def _owning(cls, rows: np.ndarray, counts: Sequence[int], certified=True) -> "SliceBatch":
         """A batch that takes ``rows``, a complex128 array no one else holds, without a copy, and checks it as the
-        constructor does: the coefficient bound only when ``certified``, equimodularity only with ``hypothesis``."""
-        (batch := object.__new__(cls))._take(rows, counts, certified, hypothesis)
+        constructor does, the coefficient bound only when ``certified``."""
+        (batch := object.__new__(cls))._take(rows, counts, certified)
         return batch
 
-    def _take(self, rows: np.ndarray, counts: Sequence[int], certified=True, hypothesis=True) -> None:
+    def _take(self, rows: np.ndarray, counts: Sequence[int], certified=True) -> None:
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise DomainError("coeffs must be a nonempty finite 1-d sequence")
         # |a0|, max(1 - |a0|^2, 0) and |c_n| side by side: one per-slice max gives a_norm, tail_cap and Q_n.
@@ -186,20 +187,19 @@ class SliceBatch:
         if sum(counts) != rows.shape[0]:
             raise DomainError(f"component counts add up to {sum(counts)}, not to the {rows.shape[0]} rows")
         moduli[:, 0], moduli[:, 1] = a0_moduli, _schur_caps(a0_moduli, worst if certified else None)
-        if len(counts) == 1:  # one slice: shared index arrays, and the spread on Python floats
+        if len(counts) == 1:  # one slice: shared index arrays, and the spread on Python floats, only flagged
             spread = max(a0_moduli) - min(a0_moduli)
             counts, starts = _one_slice(counts[0])
         else:
             counts = np.array(counts, dtype=np.intp)
             starts = np.add.accumulate(counts) - counts
             spreads = np.maximum.reduceat(moduli[:, 0], starts) - np.minimum.reduceat(moduli[:, 0], starts)
-            spread = float(spreads.max(initial=0.0))
+            if (spread := float(spreads.max(initial=0.0))) > EQUIMODULAR_TOL:
+                raise PreconditionError(
+                    f"slice is not equimodular: initial moduli spread {spread} exceeds {EQUIMODULAR_TOL}"
+                )
             for arr in (counts, starts):
                 arr.setflags(write=False)
-        if hypothesis and spread > EQUIMODULAR_TOL:
-            raise PreconditionError(
-                f"slice is not equimodular: initial moduli spread {spread} exceeds {EQUIMODULAR_TOL}"
-            )
         maxima = _slice_max(moduli, starts)
         for arr in (rows, moduli, maxima):  # and so every view of them
             arr.setflags(write=False)
@@ -232,8 +232,8 @@ class SliceBatch:
 
 
 class PolydiscSlice(SliceBatch):
-    """m component series with a shared truncation order: a :class:`SliceBatch` of exactly one slice, whose
-    constructor flags unequal moduli rather than raising.  ``components`` builds read-only views of the rows."""
+    """m component series with a shared truncation order: a :class:`SliceBatch` of exactly one slice, so unequal
+    moduli are flagged, not raised.  ``components`` builds read-only views of the rows."""
 
     def __init__(self, components: Sequence[TruncatedSeries]) -> None:
         comps = tuple(components)
@@ -245,7 +245,7 @@ class PolydiscSlice(SliceBatch):
         rows = np.empty((len(comps), orders.pop() + 1), dtype=np.complex128)
         for row, comp in zip(rows, comps):
             row[0], row[1:] = comp.a0, comp.coeffs
-        self._take(rows, [len(comps)], all(c.schur_certified for c in comps), hypothesis=False)
+        self._take(rows, [len(comps)], all(c.schur_certified for c in comps))
 
     @classmethod
     def from_components(cls, components: Sequence[TruncatedSeries]) -> "PolydiscSlice":

@@ -102,8 +102,8 @@ def reference_enclosures(slices, spec, r):
             u_up = (x + r) / (1.0 + x * r)
             out.append((low * low + s2, (u_up * u_up + s2) + t_sq))
         elif spec.kind == "refined_p":
-            d_up = max(float(np.dot(row, rn)) for row in mods)
-            out.append((low + x**spec.p + s1 + w * s2, (d_up + x**spec.p + s1 + w * s2) + (2.0 * t_lin + w * t_sq)))
+            d_up, const = max(float(np.dot(row, rn)) for row in mods), x * x if spec.p == 2 else x
+            out.append((low + const + s1 + w * s2, (d_up + const + s1 + w * s2) + (2.0 * t_lin + w * t_sq)))
         else:
             rk = r**spec.k
             c_up = (x + rk) / (1.0 + x * rk)

@@ -40,8 +40,8 @@ from polybohr import (
     solve_radius,
     verify_theorem,
 )
-from polybohr.functionals import FunctionalValue, _evaluate, eval_functional_batch, verify_batch
-from polybohr.slices import SliceBatch
+from polybohr.functionals import FunctionalValue, _assemble, _evaluate, eval_functional_batch, verify_batch
+from polybohr.slices import SliceBatch, random_slice_batch
 
 from conftest import monomial_slice
 
@@ -307,6 +307,34 @@ class TestPreconditions:
     def test_verify_rejects_radius_above_sharp(self):
         with pytest.raises(PreconditionError):
             verify_theorem(scalar_slice(0.2), FunctionalSpec.refined(1), 0.25)
+
+
+#: Seeds of the 1000-seed corpora with a row whose |a0| squares to different floats by libm ``pow`` and by one
+#: product: keyword arguments of ``random_slice_batch``, then the seeds.
+POW_SQUARE_SEEDS = {"mixed": ({}, [150, 664]), "m3": ({"m": 3}, [728, 764]), "scalar": ({"scalar": True}, [728, 764])}
+
+
+class TestRoundedSquares:
+    """Every square of a modulus is one product, the correctly rounded square that ``x**2`` (libm ``pow``) is not
+    always: the tail caps 1 - |a0|^2 and the refined p = 2 constant a_norm^2."""
+
+    @pytest.mark.parametrize("corpus", POW_SQUARE_SEEDS)
+    def test_caps_and_the_refined_constant_square_by_one_product(self, corpus):
+        kwargs, seeds = POW_SQUARE_SEEDS[corpus]
+        batch = random_slice_batch(range(1000), **kwargs)
+        rows = [i for i, x in enumerate(batch.a0_moduli.tolist()) if x**2 != x * x]
+        owners = (np.searchsorted(batch.starts, rows, side="right") - 1).tolist()
+        assert sorted(set(owners)) == seeds
+        for row, seed in zip(rows, owners):
+            x = float(batch.a0_moduli[row])
+            assert batch.tail_cap[seed] == max(1.0 - x * x, 0.0) != 1.0 - x**2, seed
+        # With every other input 0.0, a refined p = 2 value's truncated field is its constant, exactly.
+        norms, spec = batch.a_norm, FunctionalSpec.refined(2)
+        zeros = np.zeros_like(norms)
+        columns = _assemble(spec, 0.5, norms, *[zeros] * 6)
+        floats = [_assemble(spec, 0.5, x, *[0.0] * 6) for x in norms.tolist()]
+        exact = [float(Fraction(x) ** 2) for x in norms.tolist()]
+        assert [v.truncated for v in columns] == [v.truncated for v in floats] == exact
 
 
 class TestVerdict:

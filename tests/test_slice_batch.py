@@ -4,9 +4,10 @@
 ``lower``, ``upper``, ``tail`` and ``truncated`` that ``eval_functional``
 gives the same slice alone, whatever the batch's size and the slice's place
 in it.  ``SliceBatch`` must reject what ``TruncatedSeries(schur_certified=True)``
-rejects, and what the evaluator rejects on a ``PolydiscSlice`` that is not
-equimodular, with the same exceptions, and ``verify_batch`` must apply
-``verify_theorem``'s radius precondition and its ``upper <= 1`` verdict.
+rejects and, holding several slices, what the evaluator rejects on a
+``PolydiscSlice`` that is not equimodular, with the same exceptions, and
+``verify_batch`` must apply ``verify_theorem``'s radius precondition and its
+``upper <= 1`` verdict.
 A batch's values are Python floats, whether it assembles them on floats
 (one slice) or as columns (several).
 """
@@ -265,7 +266,13 @@ def test_coefficient_bound_is_a_certification_error():
 
 
 def test_modulus_spread_is_a_precondition_error():
-    assert_both_reject(PreconditionError, rows_of(0.5, 0.5 + 2 * EQUIMODULAR_TOL), [2])
+    # One slice is flagged at construction and refused by the evaluator; several slices are refused at construction.
+    spread = rows_of(0.5, 0.5 + 2 * EQUIMODULAR_TOL)
+    one = SliceBatch(rows=spread, counts=[2])
+    assert one.equimodular is False
+    with pytest.raises(PreconditionError):
+        eval_functional_batch(one, SPECS["improved_squared"], 0.3)
+    assert_both_reject(PreconditionError, rows_of(0.5, *spread[:, 0]), [1, 2])
     assert_both_accept(rows_of(0.5, 0.5 + 0.5 * EQUIMODULAR_TOL, 0.9), [2, 1])
 
 

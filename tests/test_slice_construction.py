@@ -9,6 +9,7 @@ messages (the row maxima carry the finite check), and a slice builds its
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -207,12 +208,12 @@ def test_every_construction_path_applies_the_row_rules(monkeypatch, case, m):
 def test_a_non_equimodular_batch_is_a_precondition_error_and_a_counterexample_evaluates(monkeypatch):
     rows = np.array([row(0.5), row(0.9)])
     message = f"slice is not equimodular: initial moduli spread {0.9 - 0.5} exceeds {EQUIMODULAR_TOL}"
-    assert raised(lambda: SliceBatch(rows=rows, counts=[2])) == (PreconditionError, message)
+    assert SliceBatch(rows=rows, counts=[2]).equimodular is False
     assert raised(lambda: SliceBatch(rows=np.concatenate([rows[:1], rows]), counts=[1, 2])) == (
         PreconditionError, message,
     )
     seeded_with(monkeypatch, rows)
-    assert raised(lambda: random_slice_batch([0])) == (PreconditionError, message)
+    assert random_slice_batch([0]).equimodular is False
     # The same rows make a slice from components, flagged and refused by the evaluator, and a counterexample.
     mixed = PolydiscSlice(components=[TruncatedSeries(a0=r[0], coeffs=r[1:], schur_certified=True) for r in rows])
     assert mixed.certified and not mixed.equimodular
@@ -222,8 +223,51 @@ def test_a_non_equimodular_batch_is_a_precondition_error_and_a_counterexample_ev
     report = reproduce_counterexample(FunctionalSpec.composed(1), 0.5, 0.9, 0.5)
     [value] = _evaluate(mixed, FunctionalSpec.composed(1), 0.5)
     assert (report.value_lower, report.value_upper) == (value.lower, value.upper)
-    batch = SliceBatch._owning(rows.copy(), [2], hypothesis=False)
+    batch = SliceBatch._owning(rows.copy(), [2])
     assert batch.equimodular is False and batch.certified is True
+
+
+def test_one_slice_is_flagged_whichever_constructor_builds_it_and_several_are_refused(monkeypatch):
+    rows, taken = np.array([row(0.5), row(0.9)]), []
+
+    def evaluate(batch, *args):
+        taken.append(batch)
+        return _evaluate(batch, *args)
+
+    monkeypatch.setattr(sharpness, "_evaluate", evaluate)
+
+    def closed_form():
+        # extremal_slice repeats its one closed-form row m times; this closed form repeats into the two rows.
+        repeats = SimpleNamespace(repeat=lambda m, axis: rows.copy())
+        monkeypatch.setattr(sharpness, "_mobius_rows", lambda *args: repeats)
+        return extremal_slice(FAMILIES[0], 0.5, m=2)
+
+    def counterexample():
+        closed_form_with(monkeypatch, rows)
+        reproduce_counterexample(FunctionalSpec.composed(1), 0.5, 0.9, 0.5)
+        return taken[-1]
+
+    mixed = PolydiscSlice(components=[TruncatedSeries(a0=r[0], coeffs=r[1:], schur_certified=True) for r in rows])
+    constructors = {
+        "public": lambda: SliceBatch(rows=rows, counts=[2]),
+        "components": lambda: mixed,
+        "seeded batch": lambda: (seeded_with(monkeypatch, rows), random_slice_batch([0]))[1],
+        "seeded slice": lambda: (seeded_with(monkeypatch, rows), random_equimodular_slice(0))[1],
+        "closed form": closed_form,
+        "composed": lambda: schwarz_compose(mixed, 2),
+        "counterexample": counterexample,
+    }
+    for name, build in constructors.items():
+        sl = build()
+        assert (len(sl), len(sl.rows), sl.certified, sl.equimodular) == (1, 2, True, False), name
+        for evaluate_public in (eval_functional, eval_functional_batch):
+            with pytest.raises(PreconditionError, match="not equimodular"):
+                evaluate_public(sl, FunctionalSpec.composed(1), 0.5)
+    several = np.concatenate([rows[:1], rows])
+    message = f"slice is not equimodular: initial moduli spread {0.9 - 0.5} exceeds {EQUIMODULAR_TOL}"
+    monkeypatch.setattr(slices, "_seeded_rows", lambda *args, **kwargs: (several.copy(), [1, 2]))
+    for build in (lambda: SliceBatch(rows=several, counts=[1, 2]), lambda: random_slice_batch([0, 1])):
+        assert raised(build) == (PreconditionError, message)
 
 
 # ---------------------------------------------------------------- components on request
@@ -258,7 +302,7 @@ class TestComponentsOnRequest:
         assert not sl.certified and [c.schur_certified for c in sl.components] == [False, False]
 
     def test_schwarz_compose_builds_from_unequal_moduli_and_uncertified_slices(self):
-        # Its batch checks the rows but not the hypothesis; the evaluator still refuses both slices.
+        # Its one-slice batch checks the rows and flags the hypothesis; the evaluator refuses both slices.
         mixed = PolydiscSlice(components=(mobius_series(0.6, "plus", 12), mobius_series(0.9, "minus", 12)))
         loose = PolydiscSlice(components=(TruncatedSeries(a0=0.5, coeffs=np.full(12, 0.9)),))
         for sl, error in ((mixed, PreconditionError), (loose, CertificationError)):
