@@ -197,7 +197,7 @@ def _evaluate(batch: SliceBatch, spec: FunctionalSpec, r: float) -> list[Functio
     The squared and composed kinds sample the circle through :func:`sup_modulus`, the refined kind through
     :func:`eval_series_many`.  Several slices assemble their values as columns, one slice on Python floats.
     """
-    _check_unit(r, "radius")
+    r = _check_unit(r, "radius")
     # Every count is at least 1, so all are 1 exactly when there are as many rows as slices.
     if spec.kind == "classical" and batch.rows.shape[0] != len(batch):
         raise PreconditionError("classical majorant sum is defined for single-component slices")

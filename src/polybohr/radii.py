@@ -6,7 +6,8 @@ modulus x and the radius r, whose nonpositivity proves the inequality up
 to the sharp radius, and an *excess* function of the extremal-family
 parameter, whose positivity past the radius proves the radius cannot grow.
 They are plain real formulas, written with integer literals: a float input
-keeps the bits of the float formula, and a ``Fraction`` input gives the
+keeps the bits of the float formula, and a ``Fraction`` input (one that
+equals a double, as every input of :func:`_check_unit` must) gives the
 exact value.  This module evaluates them, certifies the degree-six
 factorization identity behind the squared functional's radius, and solves
 the composed functional's radius equation
@@ -45,12 +46,16 @@ REFINED_RADIUS_P2 = 1.0 / 3.0
 CLASSICAL_RADIUS = 1.0 / 3.0
 
 
-def _check_unit(value: float, name: str, positive: bool = False, closed: bool = False, top: float = 1.0) -> None:
-    """Each radius, parameter and tolerance: in [0, top), or (0, top) if ``positive``, [0, top] if ``closed``."""
+def _check_unit(value: float, name: str, positive: bool = False, closed: bool = False, top: float = 1.0) -> float:
+    """Each radius, parameter and tolerance: in [0, top), or (0, top) if ``positive``, [0, top] if ``closed``, and
+    exactly a double (numpy floats of any width, ints, bools and ``Fraction``s or ``Decimal``s that equal one pass),
+    returned as the float it equals."""
     try:
         if (0.0 < value if positive else 0.0 <= value) and (value <= top if closed else value < top):
-            return
-    except TypeError:  # a str, None or a complex
+            if (unit := float(value)) == value:
+                return unit
+            raise DomainError(f"{name} must be exactly a double, got {value!r}")
+    except (TypeError, ArithmeticError):  # a str, None or a complex; an int past the largest float; a Decimal NaN
         pass
     raise DomainError(f"{name} must lie in {'(' if positive else '['}0, {top:g}{']' if closed else ')'}, got {value!r}")
 

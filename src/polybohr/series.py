@@ -170,7 +170,7 @@ def mobius_series(lam: float, sign: MobiusSign, n_terms: int = DEFAULT_ORDER) ->
         sign: "plus" or "minus".
         n_terms: truncation order N >= 1.
     """
-    _check_unit(lam, "lambda")
+    lam = _check_unit(lam, "lambda")
     row = _mobius_rows([lam], sign, n_terms)[0]
     return TruncatedSeries(a0=row[0], coeffs=row[1:], schur_certified=True)
 
@@ -482,7 +482,7 @@ def tail_bound(s: TruncatedSeries, r: float, term_kind: TailTermKind) -> TailBud
     |c_n| <= M + COEFF_SLACK.  Only certified series carry this guarantee;
     anything else raises.
     """
-    _check_unit(r, "radius")
+    r = _check_unit(r, "radius")
     if not s.schur_certified:
         raise CertificationError("tail bounds require a Schur-certified series")
     return TailBudget(value=float(_tail_value(_schur_caps([abs(s.a0)], None)[0], r, s.truncation_order, term_kind)))

@@ -12,7 +12,9 @@ tensored over m identical components, for a parameter lam whose *lower*
 functional value exceeds 1.  Such a witness is a finite certificate that
 the radius cannot be enlarged.  The squared kind has a fixed interior
 extremal parameter; the refined and composed kinds need lam -> 1, which a
-dyadic grid 1 - 2^-j resolves cheaply.
+dyadic grid 1 - 2^-j resolves cheaply.  The search evaluates its grid in
+chunks that double in size, each one checked batch, so a witness found
+early costs one small batch and an exhausted grid six batches.
 
 The module also rebuilds the two-component slices with unequal initial
 moduli that push each functional above 1 at radii where the equimodular
@@ -31,10 +33,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PreconditionError, WitnessSearchError
-from .functionals import FunctionalSpec, _evaluate, eval_functional
+from .functionals import FunctionalSpec, _evaluate, eval_functional_batch
 from .radii import SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA, _check_count, _check_unit, closed_form_radius
 from .series import DEFAULT_ORDER, _mobius_rows
-from .slices import PolydiscSlice
+from .slices import PolydiscSlice, SliceBatch
 
 #: A witness must clear 1 by at least this much to be reported.
 WITNESS_MARGIN = 1e-12
@@ -93,7 +95,7 @@ def extremal_slice(spec: FunctionalSpec, lam: float, m: int = 1, n_terms: int = 
     rows come from the family's closed form straight into the slice, which
     checks each row once by the Schur row rule.
     """
-    _check_unit(lam, "extremal parameter", positive=True)
+    lam = _check_unit(lam, "extremal parameter", positive=True)
     m = _check_count(m, "component count m")
     rows = _mobius_rows([lam], _family_sign(spec), n_terms)
     return PolydiscSlice._owning(rows if m == 1 else rows.repeat(m, axis=0), [m])
@@ -106,11 +108,15 @@ def find_witness(spec: FunctionalSpec, r: float, m: int = 1, n_terms: int = DEFA
     exist and the scan would be a bug in the caller).  Scans lam = 1 - 2^-j,
     j = 1 .. 40, which resolves the lam -> 1 regime; the squared kind scans
     its interior extremal parameter sqrt(3/11) first, so its witnesses land
-    there deterministically.  Returns the first witness in that order with
-    margin above :data:`WITNESS_MARGIN`; raises :class:`WitnessSearchError`
-    if none clears it.  At r = radius + 1e-9 the scan holds lam whose exact
-    family value exceeds 1, by about 1e-17: below :data:`WITNESS_MARGIN` and
-    one ulp of 1, so only the closed forms of :mod:`polybohr.radii` on
+    there deterministically.  The grid goes to the evaluator in chunks of 1,
+    2, 4, 8 and 16 parameters, then the rest, one checked
+    :func:`~polybohr.functionals.eval_functional_batch` call each; a slice
+    keeps its bits in any batch, so every value is its one-slice value.
+    Returns the first witness in grid order with margin above
+    :data:`WITNESS_MARGIN`; raises :class:`WitnessSearchError` if none
+    clears it.  At r = radius + 1e-9 the scan holds lam whose exact family
+    value exceeds 1, by about 1e-17: below :data:`WITNESS_MARGIN` and one
+    ulp of 1, so only the closed forms of :mod:`polybohr.radii` on
     ``Fraction``s show it (ROADMAP item 17).
 
     From r = 0.95 on, the squared kind finds no witness at order 64: its
@@ -118,10 +124,10 @@ def find_witness(spec: FunctionalSpec, r: float, m: int = 1, n_terms: int = DEFA
 
     ``m`` is checked after r.  The family's m components are equal, so each
     of its values is the one-component value bit for bit, and each lam is
-    evaluated once, on one component.  The classical sum keeps m, capped at
+    evaluated on one component.  The classical sum keeps m, capped at
     2, so that m >= 2 meets the evaluator's one-component rule.
     """
-    _check_unit(r, "radius")
+    r = _check_unit(r, "radius")
     radius = closed_form_radius(spec)
     if r <= radius:
         raise PreconditionError(
@@ -130,10 +136,14 @@ def find_witness(spec: FunctionalSpec, r: float, m: int = 1, n_terms: int = DEFA
     m = _check_count(m, "component count m")
     components = min(m, 2) if spec.kind == "classical" else 1
     first = [SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA] if spec.kind == "improved_squared" else []
-    for lam in [*first, *(1.0 - 0.5**j for j in range(1, 41))]:
-        value = eval_functional(extremal_slice(spec, lam, components, n_terms), spec, r)
-        if value.lower > 1.0 + WITNESS_MARGIN:
-            return SharpnessWitness(spec=spec, lam=lam, r=r, value_lower=value.lower)
+    lams = [*first, *(1.0 - 0.5**j for j in range(1, 41))]
+    ends = (0, 1, 3, 7, 15, 31, len(lams))  # chunks of 1, 2, 4, 8 and 16 parameters, then the rest
+    for lo, hi in zip(ends, ends[1:]):
+        rows = _mobius_rows(lams[lo:hi], _family_sign(spec), n_terms).repeat(components, axis=0)
+        values = eval_functional_batch(SliceBatch._owning(rows, [components] * (hi - lo)), spec, r)
+        for lam, value in zip(lams[lo:hi], values):
+            if value.lower > 1.0 + WITNESS_MARGIN:
+                return SharpnessWitness(spec=spec, lam=lam, r=r, value_lower=value.lower)
     raise WitnessSearchError(f"no witness for {spec.kind} at r = {r} on a depth-40 grid")
 
 
@@ -157,11 +167,10 @@ def counterexample_analytic_bound(spec: FunctionalSpec, a1: float, a2: float, r:
     if spec.kind not in _COUNTEREXAMPLE_RANGES:
         raise DomainError(f"no counterexample family for kind {spec.kind!r}")
     floor = _COUNTEREXAMPLE_RANGES[spec.kind]
-    _check_unit(a1, "a1")
-    _check_unit(a2, "a2")
+    a1, a2 = _check_unit(a1, "a1"), _check_unit(a2, "a2")
     if not floor < a1 < a2:
         raise DomainError(f"{spec.kind} counterexample needs {floor} < a1 < a2 < 1, got a1={a1}, a2={a2}")
-    _check_unit(r, "radius", positive=True)
+    r = _check_unit(r, "radius", positive=True)
     m1 = 1.0 - a1 * a1
     if spec.kind == "improved_squared":
         return 1.0 + m1 * m1 * r * r * (1.0 + a1 * a1 * r * r)
@@ -185,6 +194,7 @@ def reproduce_counterexample(
     raised, since the caller may simply need a2 closer to 1 or a larger r.
     """
     bound = counterexample_analytic_bound(spec, a1, a2, r)
+    a1, a2, r = float(a1), float(a2), float(r)  # exact: the bound's checks took each as the double it equals
     rows = _mobius_rows([a1, a2], _family_sign(spec), n_terms)
     # Not equimodular on purpose: as one slice it is only flagged, and its evaluation skips the check.
     [value] = _evaluate(PolydiscSlice._owning(rows, [2]), spec, r)

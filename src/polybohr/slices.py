@@ -92,7 +92,7 @@ def sup_modulus(s: SliceBatch, r: float) -> float | np.ndarray:
     the true sup (the grid always contains t = r itself); pair it with :func:`schwarz_pick_bound` for a two-sided
     enclosure.  The power-table rounding (about 1e-16) is not subtracted.
     """
-    _check_unit(r, "radius")
+    r = _check_unit(r, "radius")
     sups = _slice_max(np.abs(eval_series_many(s, phase_grid(r))).max(axis=1), s.starts)
     return float(sups[0]) if isinstance(s, PolydiscSlice) else sups
 
@@ -128,7 +128,7 @@ def slice_tail_bound(s: PolydiscSlice, r: float, term_kind: TailTermKind) -> Tai
     """
     if not s.certified:
         raise CertificationError("tail bounds require Schur-certified components")
-    _check_unit(r, "radius")
+    r = _check_unit(r, "radius")
     return TailBudget(value=_tail_value(float(s.tail_cap[0]), r, s.truncation_order, term_kind))
 
 

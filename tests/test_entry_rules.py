@@ -10,9 +10,12 @@ compare with a number (a str, None) breaks the rule it reaches with a
 ``DomainError`` that names the input, and so does an array input (batch rows,
 series coefficients and a0, evaluation points, Schur parameters) that holds
 text or None.  An integral float is the integer it equals: it gives that
-integer's bits."""
+integer's bits.  A radius or parameter is the double it equals: a numpy
+float32 or float16 gives that double's bits, and a ``Fraction``, ``Decimal``
+or long double that equals no double is a ``DomainError`` that names it."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +83,36 @@ M = {
     "random_slice_batch": lambda m: random_slice_batch(range(2), m=m),
     "extremal_slice": lambda m: extremal_slice(SQUARED, 0.5, m=m),
     "find_witness": lambda m: find_witness(SQUARED, 0.7, m=m),
+}
+
+#: Entry points that evaluate a radius or parameter in doubles, each with a value inside its domain.
+DOUBLES = {
+    "eval_functional(refined_p2)": (lambda r: eval_functional(SLICE, FunctionalSpec.refined(2), r), 0.3),
+    "eval_functional(composed_k3)": (lambda r: eval_functional(SLICE, FunctionalSpec.composed(3), r), 0.28714794),
+    "eval_functional(classical)": (
+        lambda r: eval_functional(random_slice_batch([1], m=1, n_terms=16), FunctionalSpec.classical(), r), 0.3
+    ),
+    "eval_functional_batch": (lambda r: eval_functional_batch(BATCH, SQUARED, r), 0.3),
+    "sup_modulus(slice)": (lambda r: sup_modulus(SLICE, r), 0.3),
+    "tail_bound": (lambda r: tail_bound(SERIES, r, "square_sum"), 0.3),
+    "slice_tail_bound": (lambda r: slice_tail_bound(SLICE, r, "linear_sum"), 0.3),
+    "mobius_series(lambda)": (lambda lam: mobius_series(lam, "plus"), 0.3),
+    "extremal_slice(lambda)": (lambda lam: extremal_slice(SQUARED, lam), 0.3),
+    "find_witness": (lambda r: find_witness(FunctionalSpec.refined(1), r), 0.21),
+    "counterexample_analytic_bound-a1": (
+        lambda a1: counterexample_analytic_bound(FunctionalSpec.composed(1), a1, 0.9, 0.5), 0.3
+    ),
+    "reproduce_counterexample-a2": (lambda a2: reproduce_counterexample(FunctionalSpec.composed(1), 0.5, a2, 0.5), 0.9),
+    "reproduce_counterexample-r": (lambda r: reproduce_counterexample(FunctionalSpec.composed(1), 0.5, 0.9, r), 0.3),
+}
+
+#: Numbers inside [0, 1) that equal no double.
+INEXACT = {
+    "Fraction": Fraction(1, 5),
+    "Decimal": Decimal("0.3"),
+    "longdouble": pytest.param(
+        np.longdouble("0.3"), marks=pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="no long double")
+    ),
 }
 
 #: A one-component slice and a two-component one, as batch rows.
@@ -245,14 +278,35 @@ def test_non_numeric_input_is_a_named_domain_error(call, value, message):
 
 def test_fractions_numpy_scalars_and_bools_keep_their_results():
     assert [_check_count(v, "n") for v in (True, np.int64(3), Fraction(4), np.float64(2.0))] == [1, 3, 4, 2]
-    for r in (Fraction(1, 2), np.float64(0.5), np.float32(0.0), False):
-        _check_unit(r, "r")
+    for r in (Fraction(1, 2), Decimal("0.5"), np.float64(0.5), np.float32(0.0), False):
+        assert type(_check_unit(r, "r")) is float and _check_unit(r, "r") == r
     for bad in (Fraction(5, 2), np.int64(0), False):
         with pytest.raises(DomainError):
             _check_count(bad, "n")
     for bad in (Fraction(1), np.float64(1.0), True):
         with pytest.raises(DomainError):
             _check_unit(bad, "r")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+@pytest.mark.parametrize(("call", "value"), DOUBLES.values(), ids=DOUBLES)
+def test_a_narrow_numpy_float_gives_the_bits_of_the_double_it_equals(call, value, dtype):
+    narrow = dtype(value)
+    got, want = call(narrow), call(float(narrow))
+    if isinstance(want, SliceBatch):
+        assert got.rows.tobytes() == want.rows.tobytes()
+    elif isinstance(want, TruncatedSeries):
+        assert (got.a0, got.coeffs.tobytes()) == (want.a0, want.coeffs.tobytes())
+    else:  # repr writes every float exactly and names a numpy scalar's type, so only Python floats pass
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("value", INEXACT.values(), ids=INEXACT)
+@pytest.mark.parametrize("name", ["eval_functional", "find_witness", "sup_modulus(slice)", "tail_bound"])
+def test_a_radius_that_equals_no_double_is_a_domain_error_naming_the_radius(name, value):
+    with pytest.raises(DomainError) as raised:
+        RADIUS[name](value)
+    assert str(raised.value) == f"radius must be exactly a double, got {value!r}"
 
 
 @pytest.mark.parametrize(("call", "value"), INTEGRAL_FLOATS.values(), ids=INTEGRAL_FLOATS)

@@ -20,6 +20,7 @@ from polybohr import (
     composed_extremal_excess,
     counterexample_analytic_bound,
     eval_functional,
+    eval_functional_batch,
     extremal_slice,
     find_witness,
     refined_extremal_excess_p1,
@@ -27,6 +28,8 @@ from polybohr import (
     reproduce_counterexample,
     squared_functional_slack,
 )
+import polybohr.sharpness as sharpness
+from polybohr.sharpness import WITNESS_MARGIN
 
 ALL_THEOREM_SPECS = [
     FunctionalSpec.improved_squared(),
@@ -237,6 +240,75 @@ class TestComponentCount:
         # m rows of the family would take terabytes; the search evaluates one.
         r = closed_form_radius(spec) + 1e-3
         assert find_witness(spec, r, m=10**12) == find_witness(spec, r, m=1)
+
+
+def sequential_witness(spec, r, m):
+    """The search as a loop of one-slice evaluations of the m-component family, one per lam in grid order."""
+    first = [SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA] if spec.kind == "improved_squared" else []
+    for lam in [*first, *(1.0 - 0.5**j for j in range(1, 41))]:
+        value = eval_functional(extremal_slice(spec, lam, m), spec, r)
+        if value.lower > 1.0 + WITNESS_MARGIN:
+            return lam, value.lower.hex()
+    raise WitnessSearchError(f"no witness at r = {r}")
+
+
+def _outcome(search, spec, r, m):
+    """(lam, value_lower.hex()) of a search, or the type of the error it raised."""
+    try:
+        result = search(spec, r, m)
+    except (WitnessSearchError, PreconditionError) as error:
+        return type(error)
+    return result if isinstance(result, tuple) else (result.lam, result.value_lower.hex())
+
+
+class TestChunkedSearch:
+    """find_witness evaluates its grid in chunks of 1, 2, 4, 8, 16 and the rest: each outcome is the sequential one."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("spec", [*WORKLOAD_WITNESS_SPECS, FunctionalSpec.classical()], ids=repr)
+    def test_outcome_is_the_sequential_searchs(self, spec, delta, m):
+        r = closed_form_radius(spec) + delta
+        assert _outcome(find_witness, spec, r, m) == _outcome(sequential_witness, spec, r, m)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_the_squared_kind_exhausts_its_grid_at_095_as_the_sequential_search_does(self, m):
+        spec = FunctionalSpec.improved_squared()
+        assert _outcome(find_witness, spec, 0.95, m) == _outcome(sequential_witness, spec, 0.95, m) == WitnessSearchError
+
+    @pytest.mark.parametrize(
+        ("spec", "r", "sizes"),
+        [
+            (FunctionalSpec.composed(4), closed_form_radius(FunctionalSpec.composed(4)) + 1e-9, [1, 2, 4, 8, 16, 9]),
+            (FunctionalSpec.improved_squared(), 0.95, [1, 2, 4, 8, 16, 10]),
+        ],
+        ids=["composed_k4", "improved_squared"],
+    )
+    def test_an_exhausted_grid_takes_six_batch_calls_in_doubling_chunks(self, monkeypatch, spec, r, sizes):
+        chunks = []
+
+        def recording(batch, spec, r):
+            chunks.append(batch.rows[:, 0].real.tolist())  # each slice's a0 is its lam
+            return eval_functional_batch(batch, spec, r)
+
+        monkeypatch.setattr(sharpness, "eval_functional_batch", recording)
+        with pytest.raises(WitnessSearchError):
+            find_witness(spec, r)
+        first = [SQUARED_FUNCTIONAL_EXTREMAL_LAMBDA] if spec.kind == "improved_squared" else []
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert sum(chunks, []) == [*first, *(1.0 - 0.5**j for j in range(1, 41))]
+
+    def test_the_first_lam_of_a_chunk_to_clear_the_margin_wins_in_grid_order(self):
+        # At r = 1/5 + 1e-4 the refined p=1 search reaches its fourth chunk, j = 8 .. 15.  j = 8 and 9 stay below
+        # the margin; j = 10 .. 15 all clear it, and a later one clears it by more than j = 10 does.
+        spec = FunctionalSpec.refined(1)
+        r = closed_form_radius(spec) + 1e-4
+        lowers = [eval_functional(extremal_slice(spec, 1.0 - 0.5**j), spec, r).lower for j in range(8, 16)]
+        clear = [lower > 1.0 + WITNESS_MARGIN for lower in lowers]
+        assert clear == [False, False, True, True, True, True, True, True]
+        assert max(lowers[3:]) > lowers[2]
+        w = find_witness(spec, r)
+        assert (w.lam, w.value_lower) == (1.0 - 0.5**10, lowers[2])
 
 
 class TestCounterexamples:
